@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import itertools
 import json
 import subprocess
@@ -135,6 +136,54 @@ class TestRunTrial:
             report = run_trial(config, 1)
             assert len(report.estimates) <= 3
             assert report.measured_evals == 64 * 11
+
+
+GOLDEN_DE = DEConfig(population_size=32, max_iterations=5, neighborhood_size=8)
+
+# sha256 of every trial's estimates, measured_evals and match errors on a
+# fixed seed (recorded with numpy 2.4 and scipy 1.17 on x86-64). The digests
+# cover exact float values: a refactor must leave them unchanged, and only a
+# change meant to move seeded outputs may re-record them.
+GOLDEN_DIGESTS = {
+    ("grid", "dbscan"): "5feb66e7328077977e3128b03030073ea068b7aa4bbf9a4ca833fceb410dc4e3",
+    ("de", "dbscan"): "207174d888ad435d1f789f2cdddb3655093a3a45205c7e515966e40fce641104",
+    ("denm", "dbscan"): "3416a77fde6e12a564d2247f5f8d2e2b2b98ae8cade70697f8736e2c759bb7ca",
+    ("dcde", "dbscan"): "6f7e17021100632a7335c7a1b0237cda3e8afe1eb8cc4e71aecb04de088e4f2f",
+    ("sharede", "dbscan"): "d8b8de1b2a77e2ba9d88dcdb7975ea07e3f798b2893a5f5f5a4a6e874edb120f",
+    ("sde", "dbscan"): "2a186a4ace808a821a07d9de470e4cc80653dd69be0a34137e82bef148c8d788",
+    ("denm", "klocalmax"): "0e3127ead1ab2d8709b1e74550ac91bd954b5ee3ef96b5c19234b45ceceb40fb",
+    ("denm", "kmeanspp"): "f89e2895841ea5ac3e74ed370d1e688b4db793bf747870ccbfae42c9d232277f",
+}
+
+
+def seeded_output_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        record = (
+            report.trial,
+            [(e.azimuth_deg, e.elevation_deg, e.fitness) for e in report.estimates],
+            report.measured_evals,
+            report.match.theta_errors_deg.tolist(),
+            report.match.phi_errors_deg.tolist(),
+        )
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("algorithm,extraction", sorted(GOLDEN_DIGESTS))
+    def test_seeded_outputs_match_recorded_digest(self, algorithm, extraction):
+        config = ScenarioConfig(
+            algorithm=algorithm,
+            extraction=extraction,
+            snr_db=5.0,
+            trials=3,
+            optimizer=GOLDEN_DE,
+            dbscan_eps_deg=10.0,  # wide enough that dbscan finds clusters in every variant's population
+            dbscan_min_pts=3,
+            master_seed=11,
+        )
+        assert seeded_output_digest(run_trials(config)) == GOLDEN_DIGESTS[(algorithm, extraction)]
 
 
 class TestAggregate:
