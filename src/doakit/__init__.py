@@ -38,16 +38,11 @@ from .optimizer import (
     Individual,
     Population,
     SearchBox,
-    crowding_de_run,
     de_crossover,
     de_mutate,
-    de_run,
-    denm_run,
     nearest_neighbor_indices,
     run_population,
     shared_fitness,
-    sharing_de_run,
-    species_de_run,
 )
 from .extract import (
     NOISE,

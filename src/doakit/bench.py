@@ -17,6 +17,7 @@ import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .music import (
     FlopModel,
     GridSpec,
     NoiseProjector,
+    circular_difference_deg,
     flops_music,
     flops_population,
     grid_search,
@@ -36,7 +38,18 @@ from .music import (
 from .optimizer import ALGORITHMS, CountingObjective, DEConfig, Population, SearchBox, run_population
 from .signal_model import ArrayGeometry, SourceSet, sample_covariance, subspace_split, synthesize_snapshots
 
-EXTRACTIONS = ("dbscan", "klocalmax", "kmeanspp")
+# Each extraction reads its own settings from the scenario: (config, population, trial_index) -> ExtractionResult.
+EXTRACTIONS = {
+    "dbscan": lambda config, population, trial_index: extract_dbscan(
+        population, len(config.source_azimuth_deg), config.dbscan_eps_deg, config.dbscan_min_pts
+    ),
+    "klocalmax": lambda config, population, trial_index: extract_klocalmax(
+        population, len(config.source_azimuth_deg), config.klocalmax_neighbors
+    ),
+    "kmeanspp": lambda config, population, trial_index: extract_kmeanspp(
+        population, len(config.source_azimuth_deg), derive_seed(config.master_seed, trial_index, 2)
+    ),
+}
 
 SUMMARY_COLUMNS = (
     "algo",
@@ -56,6 +69,9 @@ SUMMARY_COLUMNS = (
     "raw_mae_phi_deg",
     "flops_ratio_vs_grid",
 )
+
+# summary.csv columns named differently from their AggregateReport field
+_SUMMARY_FIELDS = {"M": "num_elements", "L": "num_sources"}
 
 ERROR_COLUMNS = ("algo", "extraction", "snr_db", "trial", "source", "theta_error_deg", "phi_error_deg")
 
@@ -77,6 +93,7 @@ __all__ = [
     "empirical_cdf",
     "complexity_cells",
     "format_complexity_table",
+    "write_csv",
     "write_summary_csv",
     "write_errors_csv",
 ]
@@ -180,12 +197,6 @@ def derive_seed(master_seed: int, trial_index: int, stream: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def circular_difference_deg(a, b, period: float = 360.0) -> np.ndarray:
-    """Shortest angular distance, in [0, period/2]."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % period
-    return np.minimum(d, period - d)
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """Minimum-total-cost one-to-one pairing of estimates to true sources.
@@ -265,17 +276,6 @@ def _optimize(config: ScenarioConfig, proj: NoiseProjector, trial_index: int) ->
     return population, objective.count
 
 
-def _extract(config: ScenarioConfig, method: str, population: Population, trial_index: int):
-    num_sources = len(config.source_azimuth_deg)
-    if method == "dbscan":
-        return extract_dbscan(population, num_sources, config.dbscan_eps_deg, config.dbscan_min_pts)
-    if method == "klocalmax":
-        return extract_klocalmax(population, num_sources, config.klocalmax_neighbors)
-    if method == "kmeanspp":
-        return extract_kmeanspp(population, num_sources, derive_seed(config.master_seed, trial_index, 2))
-    raise ConfigError(f"unknown extraction {method!r}")
-
-
 def _score(config: ScenarioConfig, trial_index: int, estimates, shortfall, model_flops, evals, wall_ms) -> TrialReport:
     match = match_estimates(config.sources(), list(estimates))
     threshold = config.success_threshold_deg
@@ -314,7 +314,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
         model_flops = flops_music(model)
     else:
         population, evals = _optimize(config, proj, trial_index)
-        extraction = _extract(config, config.extraction, population, trial_index)
+        extraction = EXTRACTIONS[config.extraction](config, population, trial_index)
         estimates = extraction.estimates
         shortfall = extraction.shortfall
         model_flops = flops_population(model)
@@ -322,18 +322,18 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
     return _score(config, trial_index, estimates, shortfall, model_flops, evals, wall_ms)
 
 
-def _run_trial_star(args) -> TrialReport:
-    return run_trial(*args)
+def _map_trials(trial_fn, config: ScenarioConfig, workers: int) -> list:
+    """trial_fn(config, i) for every trial index, in index order regardless of workers."""
+    indices = range(config.trials)
+    if workers <= 1:
+        return [trial_fn(config, i) for i in indices]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial_fn, [config] * config.trials, indices, chunksize=8))
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialReport]:
     """All trials of a scenario, ordered by trial index regardless of workers."""
-    indices = range(config.trials)
-    if workers <= 1:
-        return [run_trial(config, i) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(_run_trial_star, [(config, i) for i in indices], chunksize=8))
-    return sorted(reports, key=lambda r: r.trial)
+    return _map_trials(run_trial, config, workers)
 
 
 @dataclass(frozen=True)
@@ -362,24 +362,7 @@ class AggregateReport:
     phi_error_samples: tuple[float, ...]
 
     def csv_row(self) -> dict:
-        return {
-            "algo": self.algo,
-            "extraction": self.extraction,
-            "M": self.num_elements,
-            "L": self.num_sources,
-            "snr_db": self.snr_db,
-            "snapshots": self.snapshots,
-            "trials": self.trials,
-            "mae_theta_deg": self.mae_theta_deg,
-            "mae_phi_deg": self.mae_phi_deg,
-            "success_rate": self.success_rate,
-            "model_mflops": self.model_mflops,
-            "measured_evals": self.measured_evals,
-            "wall_ms": self.wall_ms,
-            "raw_mae_theta_deg": self.raw_mae_theta_deg,
-            "raw_mae_phi_deg": self.raw_mae_phi_deg,
-            "flops_ratio_vs_grid": self.flops_ratio_vs_grid,
-        }
+        return {column: getattr(self, _SUMMARY_FIELDS.get(column, column)) for column in SUMMARY_COLUMNS}
 
 
 def _mean(samples: list[float]) -> float:
@@ -437,11 +420,10 @@ def run_extraction_comparison(
     optimizer runs once per trial and every method consumes that population."""
     if config.algorithm == "grid":
         raise ConfigError("extraction comparison needs a population algorithm")
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compare_one_star, [(config, i, tuple(methods)) for i in range(config.trials)], chunksize=4))
-    else:
-        rows = [_compare_one(config, i, tuple(methods)) for i in range(config.trials)]
+    unknown = [method for method in methods if method not in EXTRACTIONS]
+    if unknown:
+        raise ConfigError(f"unknown extraction {unknown[0]!r}")
+    rows = _map_trials(partial(_compare_one, methods=tuple(methods)), config, workers)
     return {method: [row[method] for row in rows] for method in methods}
 
 
@@ -453,15 +435,11 @@ def _compare_one(config: ScenarioConfig, trial_index: int, methods: tuple[str, .
     optimize_ms = (time.perf_counter() - started) * 1e3
     out = {}
     for method in methods:
-        extraction = _extract(config, method, population, trial_index)
+        extraction = EXTRACTIONS[method](config, population, trial_index)
         out[method] = _score(
             config, trial_index, extraction.estimates, extraction.shortfall, model_flops, evals, optimize_ms
         )
     return out
-
-
-def _compare_one_star(args) -> dict[str, TrialReport]:
-    return _compare_one(*args)
 
 
 def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> list[AggregateReport]:
@@ -523,26 +501,30 @@ def format_complexity_table(cells) -> str:
     return "\n".join(lines)
 
 
-def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
+def write_csv(path, columns, rows) -> None:
+    """Header plus one line per row, values in column order and written with
+    str(), under the csv-module defaults: minimal quoting, CRLF line ends."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        for agg in aggregates:
-            writer.writerow(agg.csv_row())
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
+    write_csv(path, SUMMARY_COLUMNS, (agg.csv_row().values() for agg in aggregates))
 
 
 def write_errors_csv(config: ScenarioConfig, reports_by_snr: dict[float, list[TrialReport]], path) -> None:
     """Per-matched-pair absolute errors, one row each, for CDF plotting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     extraction = "" if config.algorithm == "grid" else config.extraction
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(ERROR_COLUMNS)
-        for snr in sorted(reports_by_snr):
-            for report in reports_by_snr[snr]:
-                match = report.match
-                for truth, t_err, p_err in zip(match.truth_indices, match.theta_errors_deg, match.phi_errors_deg):
-                    writer.writerow([config.algorithm, extraction, snr, report.trial, int(truth), t_err, p_err])
+    rows = (
+        [config.algorithm, extraction, snr, report.trial, int(truth), t_err, p_err]
+        for snr in sorted(reports_by_snr)
+        for report in reports_by_snr[snr]
+        for truth, t_err, p_err in zip(
+            report.match.truth_indices, report.match.theta_errors_deg, report.match.phi_errors_deg
+        )
+    )
+    write_csv(path, ERROR_COLUMNS, rows)

@@ -32,11 +32,11 @@ from .bench import (
     run_extraction_comparison,
     run_population_sweep,
     run_sweep,
+    write_csv,
     write_errors_csv,
     write_summary_csv,
 )
-
-ALGO_CHOICES = ("grid", "de", "denm", "dcde", "sharede", "sde")
+from .optimizer import ALGORITHMS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="sweep SNR for one algorithm/extraction pair")
     _add_common(run)
-    run.add_argument("--algo", choices=ALGO_CHOICES, default=None, help="search algorithm (default: denm)")
+    run.add_argument("--algo", choices=("grid", *ALGORITHMS), default=None, help="search algorithm (default: denm)")
     run.add_argument("--extract", choices=EXTRACTIONS, default=None, help="peak extraction (default: dbscan)")
     run.add_argument("--snr", type=float, nargs="+", default=[-10.0, -5.0, 0.0, 5.0, 10.0], help="SNR values in dB")
     run.add_argument("--snapshots", type=int, default=None, help="snapshots per trial (default: 100)")
@@ -67,12 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare-extract", help="extraction methods on identical populations")
     _add_common(compare)
-    compare.add_argument("--algo", choices=[a for a in ALGO_CHOICES if a != "grid"], default=None)
+    compare.add_argument("--algo", choices=ALGORITHMS, default=None)
     compare.add_argument("--snr", type=float, default=-5.0, help="SNR in dB (default: -5)")
 
     pop = sub.add_parser("sweep-pop", help="accuracy/cost versus population size")
     _add_common(pop)
-    pop.add_argument("--algo", choices=[a for a in ALGO_CHOICES if a != "grid"], default=None)
+    pop.add_argument("--algo", choices=ALGORITHMS, default=None)
     pop.add_argument("--extract", choices=EXTRACTIONS, default=None)
     pop.add_argument("--snr", type=float, default=0.0, help="SNR in dB (default: 0)")
     pop.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96, 128, 160, 192, 224, 256])
@@ -122,14 +122,9 @@ def _cmd_table3(args) -> int:
     cells = complexity_cells()
     print(format_complexity_table(cells))
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         path = args.out / "complexity.csv"
-        with path.open("w", encoding="utf-8") as handle:
-            handle.write("M,L,music_mflops,population_mflops,ratio\n")
-            for cell in cells:
-                handle.write(
-                    f"{cell['M']},{cell['L']},{cell['music_mflops']!r},{cell['population_mflops']!r},{cell['ratio']!r}\n"
-                )
+        columns = ("M", "L", "music_mflops", "population_mflops", "ratio")
+        write_csv(path, columns, ([cell[column] for column in columns] for cell in cells))
         print(f"wrote {path}")
     return 0
 
@@ -137,18 +132,15 @@ def _cmd_table3(args) -> int:
 def _cmd_compare_extract(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
     by_method = run_extraction_comparison(config, workers=args.workers)
-    args.out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for method, reports in by_method.items():
+        agg = aggregate(replace(config, extraction=method), reports)
+        failures = sum(1 for r in reports if not r.success)
+        rows.append([method, config.snr_db, len(reports), failures, agg.success_rate, agg.mae_theta_deg, agg.mae_phi_deg])
+        print(f"{method:10s} failures={failures:4d}/{len(reports)}  mae_phi={agg.mae_phi_deg:7.3f}")
     path = args.out / "extraction_comparison.csv"
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("extraction,snr_db,trials,failures,success_rate,mae_theta_deg,mae_phi_deg\n")
-        for method, reports in by_method.items():
-            agg = aggregate(replace(config, extraction=method), reports)
-            failures = sum(1 for r in reports if not r.success)
-            handle.write(
-                f"{method},{config.snr_db!r},{len(reports)},{failures},{agg.success_rate!r},"
-                f"{agg.mae_theta_deg!r},{agg.mae_phi_deg!r}\n"
-            )
-            print(f"{method:10s} failures={failures:4d}/{len(reports)}  mae_phi={agg.mae_phi_deg:7.3f}")
+    columns = ("extraction", "snr_db", "trials", "failures", "success_rate", "mae_theta_deg", "mae_phi_deg")
+    write_csv(path, columns, rows)
     print(f"wrote {path}")
     return 0
 
@@ -156,19 +148,16 @@ def _cmd_compare_extract(args) -> int:
 def _cmd_sweep_pop(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
     aggregates = run_population_sweep(config, args.sizes, workers=args.workers)
-    args.out.mkdir(parents=True, exist_ok=True)
+    columns = ("snr_db", "trials", "success_rate", "mae_theta_deg", "mae_phi_deg", "model_mflops", "flops_ratio_vs_grid")
+    rows = []
+    for size, agg in zip(args.sizes, aggregates):
+        rows.append([size, *(getattr(agg, column) for column in columns)])
+        print(
+            f"N={size:4d}  success={agg.success_rate:6.1%}  mae_theta={agg.mae_theta_deg:7.3f}  "
+            f"mae_phi={agg.mae_phi_deg:7.3f}  cost={agg.flops_ratio_vs_grid:.2f}x grid"
+        )
     path = args.out / "population_sweep.csv"
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write("population_size,snr_db,trials,success_rate,mae_theta_deg,mae_phi_deg,model_mflops,flops_ratio_vs_grid\n")
-        for size, agg in zip(args.sizes, aggregates):
-            handle.write(
-                f"{size},{agg.snr_db!r},{agg.trials},{agg.success_rate!r},{agg.mae_theta_deg!r},"
-                f"{agg.mae_phi_deg!r},{agg.model_mflops!r},{agg.flops_ratio_vs_grid!r}\n"
-            )
-            print(
-                f"N={size:4d}  success={agg.success_rate:6.1%}  mae_theta={agg.mae_theta_deg:7.3f}  "
-                f"mae_phi={agg.mae_phi_deg:7.3f}  cost={agg.flops_ratio_vs_grid:.2f}x grid"
-            )
+    write_csv(path, ("population_size", *columns), rows)
     print(f"wrote {path}")
     return 0
 

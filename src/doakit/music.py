@@ -30,6 +30,7 @@ __all__ = [
     "evaluate_grid",
     "GridSearchResult",
     "grid_search",
+    "circular_difference_deg",
     "FlopModel",
     "flops_music",
     "flops_population",
@@ -182,8 +183,9 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     return values > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
 
 
-def _circular_difference(a: np.ndarray, b: float, period: float = 360.0) -> np.ndarray:
-    d = np.abs(np.asarray(a, dtype=float) - b) % period
+def circular_difference_deg(a, b, period: float = 360.0) -> np.ndarray:
+    """Shortest angular distance, in [0, period/2]."""
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % period
     return np.minimum(d, period - d)
 
 
@@ -204,7 +206,7 @@ def _dedupe_circular(azimuth, elevation, values, azimuth_step, elevation_step, p
         duplicate = False
         for kept in keep:
             if (
-                _circular_difference(azimuth[idx], azimuth[kept], period) < azimuth_step
+                circular_difference_deg(azimuth[idx], azimuth[kept], period) < azimuth_step
                 and abs(elevation[idx] - elevation[kept]) < elevation_step
             ):
                 duplicate = True

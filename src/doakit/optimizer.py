@@ -2,7 +2,8 @@
 
 All optimizers maximize a batched objective: a callable taking an (n, 2)
 array of (azimuth_deg, elevation_deg) rows and returning n fitness values.
-Five variants share one generation engine:
+Five variants share one generation engine (``run_population``); each is a
+(donor rule, replacement rule) row of ``ALGORITHMS``:
 
   de       plain global DE, converges to a single optimum
   denm     neighborhood mutation: donors come from each individual's m
@@ -27,8 +28,6 @@ import numpy as np
 
 Objective = Callable[[np.ndarray], np.ndarray]
 
-ALGORITHMS = ("de", "denm", "dcde", "sharede", "sde")
-
 __all__ = [
     "ALGORITHMS",
     "SearchBox",
@@ -38,11 +37,6 @@ __all__ = [
     "CountingObjective",
     "de_mutate",
     "de_crossover",
-    "de_run",
-    "denm_run",
-    "crowding_de_run",
-    "sharing_de_run",
-    "species_de_run",
     "run_population",
     "nearest_neighbor_indices",
     "shared_fitness",
@@ -196,11 +190,7 @@ def _global_donor_candidates(size: int) -> np.ndarray:
 def _pick_donors(rng: np.random.Generator, candidates: np.ndarray) -> np.ndarray:
     """Three distinct donors per row, uniformly from that row's candidates."""
     order = np.argsort(rng.random(candidates.shape), axis=1)[:, :3]
-    donors = np.take_along_axis(candidates, order, axis=1)
-    assert np.all(donors[:, 0] != donors[:, 1])
-    assert np.all(donors[:, 0] != donors[:, 2])
-    assert np.all(donors[:, 1] != donors[:, 2])
-    return donors
+    return np.take_along_axis(candidates, order, axis=1)
 
 
 def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
@@ -208,81 +198,6 @@ def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
     if values.shape != (len(positions),):
         raise ValueError("objective must return one fitness value per row")
     return values
-
-
-def _generation_trials(
-    positions: np.ndarray,
-    rng: np.random.Generator,
-    config: DEConfig,
-    box: SearchBox,
-    candidates: np.ndarray,
-) -> np.ndarray:
-    """Mutate + crossover for every slot, from the generation-start snapshot."""
-    donors = _pick_donors(rng, candidates)
-    assert np.all(donors != np.arange(len(positions))[:, None])  # donors never include the target
-    mutant = de_mutate(
-        positions[donors[:, 0]],
-        positions[donors[:, 1]],
-        positions[donors[:, 2]],
-        config.scale_factor,
-        box,
-    )
-    return de_crossover(positions, mutant, config.crossover_rate, rng)
-
-
-def _init(objective: Objective, box: SearchBox, config: DEConfig):
-    rng = np.random.default_rng(config.rng_seed)
-    positions = box.sample(rng, config.population_size)
-    fitness = _evaluate(objective, positions)
-    return rng, positions, fitness
-
-
-def _run_greedy(objective: Objective, box: SearchBox, config: DEConfig, neighborhood: bool) -> Population:
-    """Shared engine for plain DE (global donors) and denm (neighbor donors),
-    with greedy 1-for-1 parent replacement when the trial is at least as fit."""
-    rng, positions, fitness = _init(objective, box, config)
-    global_candidates = None if neighborhood else _global_donor_candidates(config.population_size)
-    for _ in range(config.max_iterations):
-        if neighborhood:
-            candidates = nearest_neighbor_indices(positions, config.neighborhood_size)
-        else:
-            candidates = global_candidates
-        trials = _generation_trials(positions, rng, config, box, candidates)
-        trial_fitness = _evaluate(objective, trials)
-        accept = trial_fitness >= fitness
-        positions[accept] = trials[accept]
-        fitness[accept] = trial_fitness[accept]
-    return Population(positions, fitness, config.max_iterations)
-
-
-def de_run(objective: Objective, box: SearchBox, config: DEConfig) -> Individual:
-    """Plain global DE; returns the single best individual found."""
-    return _run_greedy(objective, box, config, neighborhood=False).best()
-
-
-def denm_run(objective: Objective, box: SearchBox, config: DEConfig) -> Population:
-    """DE with mutation donors restricted to each individual's nearest
-    neighbors. Local donor pools keep subpopulations on their own optima, so
-    the full final population (not just the best point) is the result."""
-    return _run_greedy(objective, box, config, neighborhood=True)
-
-
-def crowding_de_run(objective: Objective, box: SearchBox, config: DEConfig) -> Population:
-    """Global-donor DE where each trial competes with the nearest current
-    individual rather than its parent. Replacements are applied in trial
-    index order, so the run is deterministic."""
-    rng, positions, fitness = _init(objective, box, config)
-    candidates = _global_donor_candidates(config.population_size)
-    for _ in range(config.max_iterations):
-        trials = _generation_trials(positions, rng, config, box, candidates)
-        trial_fitness = _evaluate(objective, trials)
-        for i in range(config.population_size):
-            delta = positions - trials[i]
-            nearest = int(np.argmin(np.einsum("ij,ij->i", delta, delta)))  # ties: lowest index
-            if trial_fitness[i] >= fitness[nearest]:
-                positions[nearest] = trials[i]
-                fitness[nearest] = trial_fitness[i]
-    return Population(positions, fitness, config.max_iterations)
 
 
 def shared_fitness(positions: np.ndarray, fitness: np.ndarray, share_radius: float) -> np.ndarray:
@@ -299,35 +214,6 @@ def _niche_counts(points: np.ndarray, population: np.ndarray, share_radius: floa
     delta = points[:, None, :] - population[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
     return np.maximum(0.0, 1.0 - dist / share_radius).sum(axis=1)
-
-
-def sharing_de_run(
-    objective: Objective, box: SearchBox, config: DEConfig, share_radius: float = 15.0
-) -> Population:
-    """Global-donor DE selecting on niche-shared fitness: a trial replaces its
-    parent when trial/niche_count beats parent/niche_count, both counted
-    against the generation-start population. Raw fitness stays on the
-    returned individuals for peak extraction."""
-    if share_radius <= 0:
-        raise ValueError("share_radius must be positive")
-    rng, positions, fitness = _init(objective, box, config)
-    candidates = _global_donor_candidates(config.population_size)
-    size = config.population_size
-    for _ in range(config.max_iterations):
-        trials = _generation_trials(positions, rng, config, box, candidates)
-        trial_fitness = _evaluate(objective, trials)
-        parent_counts = _niche_counts(positions, positions, share_radius)
-        # symmetric trial counts: self term (1) plus the snapshot without the
-        # parent slot, mirroring how a parent counts itself plus the others
-        cross = _niche_counts(trials, positions, share_radius)
-        parent_term = np.maximum(
-            0.0, 1.0 - np.sqrt(np.einsum("ij,ij->i", trials - positions, trials - positions)) / share_radius
-        )
-        trial_counts = 1.0 + cross - parent_term
-        accept = trial_fitness / trial_counts >= fitness / parent_counts
-        positions[accept] = trials[accept]
-        fitness[accept] = trial_fitness[accept]
-    return Population(positions, fitness, config.max_iterations)
 
 
 def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: float) -> np.ndarray:
@@ -348,35 +234,114 @@ def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: 
     return species_of
 
 
-def species_de_run(
-    objective: Objective, box: SearchBox, config: DEConfig, species_radius: float = 15.0
-) -> Population:
-    """Species-based DE: re-partition each generation, evolve each species
-    with donors drawn from inside it. Species smaller than four are topped
-    up with fresh uniform samples used as donors only (never evaluated), so
-    the evaluation budget stays one trial per individual per generation."""
-    if species_radius <= 0:
-        raise ValueError("species_radius must be positive")
-    rng, positions, fitness = _init(objective, box, config)
-    size = config.population_size
-    for _ in range(config.max_iterations):
-        species_of = _assign_species(positions, fitness, species_radius)
-        trials = np.empty_like(positions)
-        for species in range(species_of.max() + 1):
-            members = np.flatnonzero(species_of == species)
-            for i in members:
-                pool = positions[members[members != i]]
-                if len(pool) < 3:
-                    filler = box.sample(rng, 3 - len(pool))
-                    pool = np.vstack([pool, filler]) if len(pool) else filler
-                picks = rng.choice(len(pool), size=3, replace=False)
-                mutant = de_mutate(pool[picks[0]], pool[picks[1]], pool[picks[2]], config.scale_factor, box)
-                trials[i] = de_crossover(positions[i], mutant, config.crossover_rate, rng)
-        trial_fitness = _evaluate(objective, trials)
-        accept = trial_fitness >= fitness
-        positions[accept] = trials[accept]
-        fitness[accept] = trial_fitness[accept]
-    return Population(positions, fitness, config.max_iterations)
+@dataclass
+class _Run:
+    """What a donor or replacement rule reads besides the population."""
+
+    config: DEConfig
+    box: SearchBox
+    rng: np.random.Generator
+    share_radius: float
+    species_radius: float
+    candidates: np.ndarray | None = None  # donor candidates per row, latest generation
+
+
+def _generation_trials(run: _Run, positions: np.ndarray) -> np.ndarray:
+    """Mutate + crossover for every slot, from the generation-start snapshot."""
+    donors = _pick_donors(run.rng, run.candidates)
+    mutant = de_mutate(
+        positions[donors[:, 0]],
+        positions[donors[:, 1]],
+        positions[donors[:, 2]],
+        run.config.scale_factor,
+        run.box,
+    )
+    return de_crossover(positions, mutant, run.config.crossover_rate, run.rng)
+
+
+def _global_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Donors drawn from the whole population."""
+    if run.candidates is None:
+        run.candidates = _global_donor_candidates(len(positions))
+    return _generation_trials(run, positions)
+
+
+def _neighbor_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Donors drawn from each individual's m nearest neighbors. Local donor
+    pools keep subpopulations on their own optima."""
+    # The table stays on the run until the next generation replaces it:
+    # freeing it at once lets glibc trim the heap and fault the pages back in
+    # the next generation, about 10% of a denm trial at N = 256 (two-core
+    # x86-64 host).
+    run.candidates = nearest_neighbor_indices(positions, run.config.neighborhood_size)
+    return _generation_trials(run, positions)
+
+
+def _species_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Re-partition into species, then draw each individual's donors from
+    inside its species. Species smaller than four are topped up with fresh
+    uniform samples used as donors only (never evaluated), so the evaluation
+    budget stays one trial per individual per generation."""
+    config, box, rng = run.config, run.box, run.rng
+    species_of = _assign_species(positions, fitness, run.species_radius)
+    trials = np.empty_like(positions)
+    for species in range(species_of.max() + 1):
+        members = np.flatnonzero(species_of == species)
+        for i in members:
+            pool = positions[members[members != i]]
+            if len(pool) < 3:
+                filler = box.sample(rng, 3 - len(pool))
+                pool = np.vstack([pool, filler]) if len(pool) else filler
+            picks = rng.choice(len(pool), size=3, replace=False)
+            mutant = de_mutate(pool[picks[0]], pool[picks[1]], pool[picks[2]], config.scale_factor, box)
+            trials[i] = de_crossover(positions[i], mutant, config.crossover_rate, rng)
+    return trials
+
+
+def _greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None:
+    """Each trial replaces its parent when at least as fit."""
+    accept = trial_fitness >= fitness
+    positions[accept] = trials[accept]
+    fitness[accept] = trial_fitness[accept]
+
+
+def _crowding(run: _Run, positions, fitness, trials, trial_fitness) -> None:
+    """Each trial competes with the nearest current individual rather than
+    its parent. Replacements are applied in trial index order, so the run is
+    deterministic."""
+    for i in range(len(trials)):
+        delta = positions - trials[i]
+        nearest = int(np.argmin(np.einsum("ij,ij->i", delta, delta)))  # ties: lowest index
+        if trial_fitness[i] >= fitness[nearest]:
+            positions[nearest] = trials[i]
+            fitness[nearest] = trial_fitness[i]
+
+
+def _shared_greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None:
+    """A trial replaces its parent when trial/niche_count beats
+    parent/niche_count, both counted against the generation-start population.
+    Raw fitness stays on the individuals for peak extraction."""
+    radius = run.share_radius
+    # symmetric trial counts: self term (1) plus the snapshot without the
+    # parent slot, mirroring how a parent counts itself plus the others
+    cross = _niche_counts(trials, positions, radius)
+    parent_term = np.maximum(
+        0.0, 1.0 - np.sqrt(np.einsum("ij,ij->i", trials - positions, trials - positions)) / radius
+    )
+    trial_counts = 1.0 + cross - parent_term
+    accept = trial_fitness / trial_counts >= shared_fitness(positions, fitness, radius)
+    positions[accept] = trials[accept]
+    fitness[accept] = trial_fitness[accept]
+
+
+# Each variant is one (donor rule, replacement rule) pair on the same engine.
+ALGORITHMS = {
+    "de": (_global_trials, _greedy),
+    "denm": (_neighbor_trials, _greedy),
+    "dcde": (_global_trials, _crowding),
+    "sharede": (_global_trials, _shared_greedy),
+    "sde": (_species_trials, _greedy),
+}
 
 
 def run_population(
@@ -387,15 +352,22 @@ def run_population(
     share_radius: float = 15.0,
     species_radius: float = 15.0,
 ) -> Population:
-    """Dispatch by algorithm id; every variant returns its full final population."""
-    if algorithm == "de":
-        return _run_greedy(objective, box, config, neighborhood=False)
-    if algorithm == "denm":
-        return denm_run(objective, box, config)
-    if algorithm == "dcde":
-        return crowding_de_run(objective, box, config)
-    if algorithm == "sharede":
-        return sharing_de_run(objective, box, config, share_radius)
-    if algorithm == "sde":
-        return species_de_run(objective, box, config, species_radius)
-    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    """Run one variant of ALGORITHMS and return its full final population.
+
+    share_radius drives sharede's niche counts and species_radius sde's
+    partitioning; both must be positive.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {tuple(ALGORITHMS)}")
+    if share_radius <= 0 or species_radius <= 0:
+        raise ValueError("share_radius and species_radius must be positive")
+    donor_rule, replacement_rule = ALGORITHMS[algorithm]
+    rng = np.random.default_rng(config.rng_seed)
+    run = _Run(config, box, rng, share_radius, species_radius)
+    positions = box.sample(rng, config.population_size)
+    fitness = _evaluate(objective, positions)
+    for _ in range(config.max_iterations):
+        trials = donor_rule(run, positions, fitness)
+        trial_fitness = _evaluate(objective, trials)
+        replacement_rule(run, positions, fitness, trials, trial_fitness)
+    return Population(positions, fitness, config.max_iterations)

@@ -315,10 +315,18 @@ class TestCli:
         assert (tmp_path / "summary.csv").exists()
         assert (tmp_path / "errors.csv").exists()
 
-    def test_table3_prints(self, capsys):
+    def test_table3_prints(self, tmp_path, capsys):
         assert cli_main(["table3"]) == 0
         out = capsys.readouterr().out
         assert "3.8/1.9" in out
+        assert cli_main(["table3", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "complexity.csv").open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == ["M", "L", "music_mflops", "population_mflops", "ratio"]
+        assert len(rows) == 9
+        for row, cell in zip(rows, complexity_cells()):
+            assert (int(row["M"]), int(row["L"]), float(row["ratio"])) == (cell["M"], cell["L"], cell["ratio"])
 
     def test_compare_extract(self, tmp_path):
         code = cli_main(
@@ -332,6 +340,14 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "extraction_comparison.csv").exists()
+        with (tmp_path / "extraction_comparison.csv").open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "extraction", "snr_db", "trials", "failures", "success_rate", "mae_theta_deg", "mae_phi_deg"
+        ]
+        assert [row["extraction"] for row in rows] == ["dbscan", "klocalmax", "kmeanspp"]
+        assert all(row["trials"] == "2" for row in rows)
 
     def test_sweep_pop(self, tmp_path):
         code = cli_main(
@@ -346,6 +362,20 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "population_sweep.csv").exists()
+        with (tmp_path / "population_sweep.csv").open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            rows = list(reader)
+        assert reader.fieldnames == [
+            "population_size",
+            "snr_db",
+            "trials",
+            "success_rate",
+            "mae_theta_deg",
+            "mae_phi_deg",
+            "model_mflops",
+            "flops_ratio_vs_grid",
+        ]
+        assert [row["population_size"] for row in rows] == ["32", "64"]
 
     def test_bad_config_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

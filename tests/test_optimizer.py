@@ -5,16 +5,11 @@ from doakit import (
     CountingObjective,
     DEConfig,
     SearchBox,
-    crowding_de_run,
     de_crossover,
     de_mutate,
-    de_run,
-    denm_run,
     nearest_neighbor_indices,
     run_population,
     shared_fitness,
-    sharing_de_run,
-    species_de_run,
 )
 from doakit.optimizer import _assign_species, _global_donor_candidates, _pick_donors
 
@@ -43,10 +38,10 @@ def peak_occupancy(population, peak, radius=1.0):
 
 
 NICHING_RUNNERS = {
-    "denm": lambda cfg: denm_run(bimodal, BOX, cfg),
-    "dcde": lambda cfg: crowding_de_run(bimodal, BOX, cfg),
-    "sharede": lambda cfg: sharing_de_run(bimodal, BOX, cfg, share_radius=15.0),
-    "sde": lambda cfg: species_de_run(bimodal, BOX, cfg, species_radius=15.0),
+    "denm": lambda cfg: run_population("denm", bimodal, BOX, cfg),
+    "dcde": lambda cfg: run_population("dcde", bimodal, BOX, cfg),
+    "sharede": lambda cfg: run_population("sharede", bimodal, BOX, cfg, share_radius=15.0),
+    "sde": lambda cfg: run_population("sde", bimodal, BOX, cfg, species_radius=15.0),
 }
 
 
@@ -140,14 +135,19 @@ class TestDonors:
             assert sorted(candidates[i]) == sorted(set(range(7)) - {i})
 
     def test_three_distinct_donors(self):
+        # global candidates (de, dcde, sharede) and m-nearest-neighbor
+        # candidates (denm) at the smallest allowed m, with tied positions
         rng = np.random.default_rng(3)
-        candidates = _global_donor_candidates(12)
+        layout = np.random.default_rng(4)
         for _ in range(500):
-            donors = _pick_donors(rng, candidates)
-            assert np.all(donors[:, 0] != donors[:, 1])
-            assert np.all(donors[:, 0] != donors[:, 2])
-            assert np.all(donors[:, 1] != donors[:, 2])
-            assert np.all(donors != np.arange(12)[:, None])
+            positions = layout.uniform(0.0, 90.0, size=(12, 2))
+            positions[5] = positions[2]
+            for candidates in (_global_donor_candidates(12), nearest_neighbor_indices(positions, 4)):
+                donors = _pick_donors(rng, candidates)
+                assert np.all(donors[:, 0] != donors[:, 1])
+                assert np.all(donors[:, 0] != donors[:, 2])
+                assert np.all(donors[:, 1] != donors[:, 2])
+                assert np.all(donors != np.arange(12)[:, None])
 
 
 class TestNearestNeighbors:
@@ -175,13 +175,13 @@ class TestDeRun:
     def test_unimodal_convergence(self):
         config = DEConfig(population_size=64, max_iterations=50, neighborhood_size=8)
         for seed in range(20):
-            best = de_run(unimodal, BOX, DEConfig(**{**config.__dict__, "rng_seed": seed}))
+            best = run_population("de", unimodal, BOX, DEConfig(**{**config.__dict__, "rng_seed": seed})).best()
             assert abs(best.position[0] - 100.0) <= 0.5
             assert abs(best.position[1] - 45.0) <= 0.5
 
     def test_zero_iterations_returns_best_initial(self):
         config = DEConfig(population_size=32, max_iterations=0, neighborhood_size=8, rng_seed=12)
-        best = de_run(unimodal, BOX, config)
+        best = run_population("de", unimodal, BOX, config).best()
         rng = np.random.default_rng(12)
         initial = BOX.sample(rng, 32)
         values = unimodal(initial)
@@ -191,8 +191,8 @@ class TestDeRun:
 
     def test_deterministic(self):
         config = DEConfig(population_size=32, max_iterations=15, neighborhood_size=8, rng_seed=5)
-        first = de_run(unimodal, BOX, config)
-        second = de_run(unimodal, BOX, config)
+        first = run_population("de", unimodal, BOX, config).best()
+        second = run_population("de", unimodal, BOX, config).best()
         np.testing.assert_array_equal(first.position, second.position)
         assert first.fitness == second.fitness
 
@@ -203,14 +203,14 @@ class TestDenmRun:
         config = dict(population_size=64, max_iterations=100, neighborhood_size=8)
         hits = 0
         for seed in range(20):
-            population = denm_run(bimodal, BOX, DEConfig(rng_seed=seed, **config))
+            population = run_population("denm", bimodal, BOX, DEConfig(rng_seed=seed, **config))
             if peak_occupancy(population, PEAK_A) >= 5 and peak_occupancy(population, PEAK_B) >= 5:
                 hits += 1
         assert hits >= 18
 
     def test_population_size_invariant_and_bounds(self):
         config = DEConfig(population_size=48, max_iterations=30, neighborhood_size=8, rng_seed=2)
-        population = denm_run(bimodal, BOX, config)
+        population = run_population("denm", bimodal, BOX, config)
         assert len(population) == 48
         assert population.generation == 30
         assert BOX.contains(population.positions)
@@ -218,16 +218,16 @@ class TestDenmRun:
     def test_large_neighborhood_still_runs(self):
         # m = P - 1 degenerates toward global DE; sanity only
         config = DEConfig(population_size=16, max_iterations=10, neighborhood_size=15, rng_seed=0)
-        population = denm_run(bimodal, BOX, config)
+        population = run_population("denm", bimodal, BOX, config)
         assert len(population) == 16
 
     def test_evaluation_budget_exact(self):
         config = DEConfig(population_size=32, max_iterations=11, neighborhood_size=8, rng_seed=3)
         counter = CountingObjective(bimodal)
-        denm_run(counter, BOX, config)
+        run_population("denm", counter, BOX, config)
         assert counter.count == 32 * (11 + 1)
         counter = CountingObjective(bimodal)
-        de_run(counter, BOX, config)
+        run_population("de", counter, BOX, config)
         assert counter.count == 32 * (11 + 1)
 
     def test_slot_fitness_nondecreasing(self):
@@ -235,7 +235,7 @@ class TestDenmRun:
         base = dict(population_size=24, neighborhood_size=8, rng_seed=9)
         previous = None
         for iterations in range(6):
-            population = denm_run(bimodal, BOX, DEConfig(max_iterations=iterations, **base))
+            population = run_population("denm", bimodal, BOX, DEConfig(max_iterations=iterations, **base))
             if previous is not None:
                 assert np.all(population.fitness >= previous - 1e-12)
             previous = population.fitness
@@ -289,7 +289,7 @@ class TestSharedFitness:
 
     def test_raw_fitness_kept_on_population(self):
         config = DEConfig(population_size=32, max_iterations=10, neighborhood_size=8, rng_seed=1)
-        population = sharing_de_run(bimodal, BOX, config, share_radius=15.0)
+        population = run_population("sharede", bimodal, BOX, config, share_radius=15.0)
         np.testing.assert_allclose(population.fitness, bimodal(population.positions))
 
 
@@ -323,7 +323,7 @@ class TestSpeciesAssignment:
     def test_singleton_species_still_evolve(self):
         # donors must come from the random augmentation pool
         config = DEConfig(population_size=16, max_iterations=5, neighborhood_size=8, rng_seed=3)
-        population = species_de_run(bimodal, BOX, config, species_radius=1e-6)
+        population = run_population("sde", bimodal, BOX, config, species_radius=1e-6)
         assert len(population) == 16
         assert BOX.contains(population.positions)
 
