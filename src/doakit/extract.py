@@ -8,15 +8,16 @@ and k-means++ partitioning) cover the same population-to-estimates step.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from .optimizer import Population, nearest_neighbor_indices
 
 NOISE = -1  # label of points that belong to no cluster
-_UNVISITED = -2
 
 __all__ = [
     "NOISE",
@@ -61,10 +62,12 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     """Density-based clustering with Euclidean eps-neighborhoods.
 
     A point is core when at least min_pts points (itself included) lie
-    within eps (boundary inclusive). Clusters are grown by breadth-first
-    expansion from cores in index-scan order, so cluster ids follow
-    discovery order and border points join the first cluster that reaches
-    them; the labeling is deterministic for a given input order.
+    within eps (boundary inclusive). A cluster is a connected component of
+    the graph joining cores within eps of each other; clusters are numbered
+    by their smallest core index, and a non-core point joins the lowest-id
+    cluster among the cores within eps of it, else it is NOISE. This is the
+    labeling of breadth-first expansion from cores in index-scan order, and
+    it is deterministic for a given input order.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -74,31 +77,20 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     n = len(pts) if pts.size else 0
     if n == 0:
         return ClusterLabeling(np.empty(0, dtype=int), 0)
-    delta = pts[:, None, :] - pts[None, :, :]
-    reachable = np.einsum("ijk,ijk->ij", delta, delta) <= eps * eps
-    neighbor_lists = [np.flatnonzero(reachable[i]) for i in range(n)]
-    core = np.array([len(nb) >= min_pts for nb in neighbor_lists])
-    labels = np.full(n, _UNVISITED, dtype=int)
-    cluster = 0
-    for i in range(n):
-        if labels[i] != _UNVISITED:
-            continue
-        if not core[i]:
-            labels[i] = NOISE  # may be upgraded to border later
-            continue
-        labels[i] = cluster
-        queue = deque(neighbor_lists[i])
-        while queue:
-            j = queue.popleft()
-            if labels[j] == NOISE:
-                labels[j] = cluster  # border point claimed
-            if labels[j] != _UNVISITED:
-                continue
-            labels[j] = cluster
-            if core[j]:
-                queue.extend(neighbor_lists[j])
-        cluster += 1
-    return ClusterLabeling(labels, cluster)
+    reachable = cdist(pts, pts, "sqeuclidean") <= eps * eps
+    core = np.count_nonzero(reachable, axis=1) >= min_pts
+    labels = np.full(n, NOISE, dtype=int)
+    if not core.any():
+        return ClusterLabeling(labels, 0)
+    num_clusters, component = connected_components(csr_matrix(reachable[core][:, core]), directed=False)
+    # core indices ascend, so a component's first position is its smallest core
+    _, first = np.unique(component, return_index=True)
+    rank = np.empty(num_clusters, dtype=int)
+    rank[np.argsort(first)] = np.arange(num_clusters)
+    labels[core] = rank[component]
+    border = np.where(reachable[~core][:, core], labels[core], num_clusters).min(axis=1)
+    labels[~core] = np.where(border < num_clusters, border, NOISE)
+    return ClusterLabeling(labels, num_clusters)
 
 
 def _representatives(population: Population, labels: np.ndarray, num_clusters: int) -> list[tuple[int, int]]:
@@ -177,8 +169,7 @@ def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     the squared distance from the centers already chosen."""
     centers = [points[int(rng.integers(len(points)))]]
     while len(centers) < k:
-        delta = points[:, None, :] - np.asarray(centers)[None, :, :]
-        nearest_sq = np.einsum("ijk,ijk->ij", delta, delta).min(axis=1)
+        nearest_sq = cdist(points, np.asarray(centers), "sqeuclidean").min(axis=1)
         total = nearest_sq.sum()
         if total > 0:
             idx = int(rng.choice(len(points), p=nearest_sq / total))
@@ -192,8 +183,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_rounds: in
     centers = _kmeans_pp_centers(points, k, rng)
     labels = None
     for _ in range(max_rounds):
-        delta = points[:, None, :] - centers[None, :, :]
-        dist_sq = np.einsum("ijk,ijk->ij", delta, delta)
+        dist_sq = cdist(points, centers, "sqeuclidean")
         new_labels = np.argmin(dist_sq, axis=1)  # ties: lowest center id
         new_labels = _fill_empty_clusters(new_labels, dist_sq, k)
         if labels is not None and np.array_equal(new_labels, labels):

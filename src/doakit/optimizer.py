@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 Objective = Callable[[np.ndarray], np.ndarray]
 
@@ -173,12 +174,34 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     """Each point's ``count`` nearest neighbors by Euclidean distance,
     self excluded, distance ties broken toward the lower index."""
     pos = np.asarray(positions, dtype=float)
+    return _nearest_neighbors(pos, count, np.empty((2, len(pos), len(pos))))
+
+
+def _nearest_neighbors(pos: np.ndarray, count: int, work: np.ndarray) -> np.ndarray:
+    """nearest_neighbor_indices with a caller-owned (2, N, N) float scratch
+    array, whose contents are overwritten."""
     if not 1 <= count <= len(pos) - 1:
         raise ValueError("count must lie in [1, len(positions) - 1]")
-    delta = pos[:, None, :] - pos[None, :, :]
-    dist_sq = np.einsum("ijk,ijk->ij", delta, delta)
+    dist_sq, partitioned = work
+    cdist(pos, pos, "sqeuclidean", out=dist_sq)
     np.fill_diagonal(dist_sq, np.inf)
-    return np.argsort(dist_sq, axis=1, kind="stable")[:, :count]
+    # Everything at or below each row's count-th smallest distance, read in
+    # ascending column order, then stable-sorted by distance: O(N^2) in all.
+    np.copyto(partitioned, dist_sq)
+    partitioned.partition(count - 1, axis=1)
+    within = dist_sq <= partitioned[:, count - 1, None]
+    # More than count entries at or below the cut means a distance tie
+    # straddles it; only those rows need the full sort to pick the lower
+    # indices among the tied.
+    tied = np.count_nonzero(within, axis=1) > count
+    fast = ~tied
+    cols = np.flatnonzero(within[fast]).reshape(-1, count) % len(pos)
+    order = np.argsort(dist_sq[np.flatnonzero(fast)[:, None], cols], axis=1, kind="stable")
+    result = np.empty((len(pos), count), dtype=np.intp)
+    result[fast] = np.take_along_axis(cols, order, axis=1)
+    if tied.any():
+        result[tied] = np.argsort(dist_sq[tied], axis=1, kind="stable")[:, :count]
+    return result
 
 
 def _global_donor_candidates(size: int) -> np.ndarray:
@@ -211,8 +234,7 @@ def shared_fitness(positions: np.ndarray, fitness: np.ndarray, share_radius: flo
 
 
 def _niche_counts(points: np.ndarray, population: np.ndarray, share_radius: float) -> np.ndarray:
-    delta = points[:, None, :] - population[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
+    dist = np.sqrt(cdist(points, population, "sqeuclidean"))
     return np.maximum(0.0, 1.0 - dist / share_radius).sum(axis=1)
 
 
@@ -224,11 +246,11 @@ def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: 
     size = len(fitness)
     species_of = np.full(size, -1, dtype=int)
     num_species = 0
+    dist = np.sqrt(cdist(positions, positions, "sqeuclidean"))
     for idx in np.argsort(-np.asarray(fitness, dtype=float), kind="stable"):
         if species_of[idx] >= 0:
             continue
-        delta = positions - positions[idx]
-        within = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= species_radius
+        within = dist[idx] <= species_radius
         species_of[within & (species_of < 0)] = num_species
         num_species += 1
     return species_of
@@ -243,12 +265,14 @@ class _Run:
     rng: np.random.Generator
     share_radius: float
     species_radius: float
-    candidates: np.ndarray | None = None  # donor candidates per row, latest generation
+    global_candidates: np.ndarray | None = None  # built on first use, same every generation
+    neighbor_work: np.ndarray | None = None  # _nearest_neighbors scratch, reused every generation
 
 
-def _generation_trials(run: _Run, positions: np.ndarray) -> np.ndarray:
-    """Mutate + crossover for every slot, from the generation-start snapshot."""
-    donors = _pick_donors(run.rng, run.candidates)
+def _generation_trials(run: _Run, positions: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    """Mutate + crossover for every slot, from the generation-start snapshot;
+    row i of candidates lists the indices slot i may draw its donors from."""
+    donors = _pick_donors(run.rng, candidates)
     mutant = de_mutate(
         positions[donors[:, 0]],
         positions[donors[:, 1]],
@@ -261,20 +285,22 @@ def _generation_trials(run: _Run, positions: np.ndarray) -> np.ndarray:
 
 def _global_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     """Donors drawn from the whole population."""
-    if run.candidates is None:
-        run.candidates = _global_donor_candidates(len(positions))
-    return _generation_trials(run, positions)
+    if run.global_candidates is None:
+        run.global_candidates = _global_donor_candidates(len(positions))
+    return _generation_trials(run, positions, run.global_candidates)
 
 
 def _neighbor_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
     """Donors drawn from each individual's m nearest neighbors. Local donor
     pools keep subpopulations on their own optima."""
-    # The table stays on the run until the next generation replaces it:
-    # freeing it at once lets glibc trim the heap and fault the pages back in
-    # the next generation, about 10% of a denm trial at N = 256 (two-core
-    # x86-64 host).
-    run.candidates = nearest_neighbor_indices(positions, run.config.neighborhood_size)
-    return _generation_trials(run, positions)
+    # One scratch array per run: allocating the two N x N matrices afresh
+    # every generation let glibc trim the heap and fault about 4400 pages
+    # back in per trial, a quarter of a denm trial at N = 256 (run_trial in
+    # a loop, two-core x86-64 host).
+    if run.neighbor_work is None:
+        run.neighbor_work = np.empty((2, len(positions), len(positions)))
+    candidates = _nearest_neighbors(positions, run.config.neighborhood_size, run.neighbor_work)
+    return _generation_trials(run, positions, candidates)
 
 
 def _species_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:

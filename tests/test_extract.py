@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
@@ -16,9 +18,10 @@ from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
 
 def dbscan_oracle(points, eps, min_pts):
-    """Independent construction: cores from pairwise counts, clusters as
-    connected components of the core graph ranked by smallest core index,
-    borders claimed by the earliest-discovered eligible cluster."""
+    """Component construction with per-point border loops: cores from
+    pairwise counts, clusters as connected components of the core graph
+    ranked by smallest core index, borders claimed by the
+    earliest-discovered eligible cluster."""
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     delta = pts[:, None, :] - pts[None, :, :]
@@ -40,6 +43,40 @@ def dbscan_oracle(points, eps, min_pts):
         if len(neighbor_cores):
             labels[point] = min(labels[c] for c in neighbor_cores)
     return labels, num_comp
+
+
+def dbscan_scan_order_bfs(points, eps, min_pts):
+    """The textbook procedure: scan points in index order, grow a new
+    cluster breadth-first from each unvisited core, and let a border point
+    keep the first cluster that reaches it."""
+    pts = np.asarray(points, dtype=float)
+    n = len(pts)
+    neighbor_lists = [
+        [j for j in range(n) if float(np.sum((pts[i] - pts[j]) ** 2)) <= eps * eps] for i in range(n)
+    ]
+    core = [len(nb) >= min_pts for nb in neighbor_lists]
+    unvisited = -2
+    labels = [unvisited] * n
+    cluster = 0
+    for i in range(n):
+        if labels[i] != unvisited:
+            continue
+        if not core[i]:
+            labels[i] = NOISE  # may be upgraded to border later
+            continue
+        labels[i] = cluster
+        queue = deque(neighbor_lists[i])
+        while queue:
+            j = queue.popleft()
+            if labels[j] == NOISE:
+                labels[j] = cluster  # border point claimed
+            if labels[j] != unvisited:
+                continue
+            labels[j] = cluster
+            if core[j]:
+                queue.extend(neighbor_lists[j])
+        cluster += 1
+    return np.array(labels, dtype=int), cluster
 
 
 def random_instance(rng):
@@ -108,6 +145,39 @@ class TestDbscan:
             expected_labels, expected_clusters = dbscan_oracle(points, eps, min_pts)
             np.testing.assert_array_equal(labeling.labels, expected_labels)
             assert labeling.num_clusters == expected_clusters
+
+    def test_matches_scan_order_bfs_on_random_instances(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            points, eps, min_pts = random_instance(rng)
+            labeling = dbscan(points, eps, min_pts)
+            expected_labels, expected_clusters = dbscan_scan_order_bfs(points, eps, min_pts)
+            np.testing.assert_array_equal(labeling.labels, expected_labels)
+            assert labeling.num_clusters == expected_clusters
+
+    def test_shared_border_joins_lower_cluster_id(self):
+        # point 0 is a border within eps of core 8 (cluster 0, started at
+        # core 1) and of core 5 (cluster 1): it joins cluster 0 although the
+        # lower-index core next to it belongs to cluster 1
+        points = np.array(
+            [
+                [1.0, 0.0],
+                [2.1, 0.0], [2.2, 0.0], [2.3, 0.0],
+                [-0.1, 0.0], [0.0, 0.0], [-0.2, 0.0], [-0.3, 0.0],
+                [2.0, 0.0],
+            ]
+        )
+        labeling = dbscan(points, eps=1.0, min_pts=4)
+        assert labeling.num_clusters == 2
+        np.testing.assert_array_equal(labeling.labels, [0, 0, 0, 0, 1, 1, 1, 1, 0])
+        expected_labels, _ = dbscan_scan_order_bfs(points, 1.0, 4)
+        np.testing.assert_array_equal(labeling.labels, expected_labels)
+
+    def test_min_pts_one_makes_every_point_core(self):
+        points = np.array([[0.0, 0.0], [5.0, 0.0], [0.5, 0.0], [10.0, 0.0], [5.0, 1.0]])
+        labeling = dbscan(points, eps=1.0, min_pts=1)
+        assert labeling.num_clusters == 3
+        np.testing.assert_array_equal(labeling.labels, [0, 1, 0, 2, 1])
 
     def test_duplicate_core_point_is_stable(self):
         # appending a copy of a core point leaves existing labels alone

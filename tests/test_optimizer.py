@@ -150,7 +150,41 @@ class TestDonors:
                 assert np.all(donors != np.arange(12)[:, None])
 
 
+def bruteforce_neighbors(positions, count):
+    """Per row, the count nearest indices by a full (distance, index) sort,
+    and whether a distance tie straddles the cut: the count-th and the
+    next-nearest distances are equal, so the lower index has to win it."""
+    neighbors, straddles = [], []
+    for i in range(len(positions)):
+        dist = sorted(
+            (float(np.sum((positions[i] - positions[j]) ** 2)), j) for j in range(len(positions)) if j != i
+        )
+        neighbors.append([j for _, j in dist[:count]])
+        straddles.append(count < len(dist) and dist[count - 1][0] == dist[count][0])
+    return neighbors, straddles
+
+
 class TestNearestNeighbors:
+    def test_ties_match_bruteforce(self):
+        rng = np.random.default_rng(11)
+        lattice = rng.integers(0, 6, size=(40, 2)).astype(float)
+        collapsed = rng.uniform(0.0, 100.0, size=(45, 2))
+        collapsed[:15] = collapsed[0]  # a third of the rows on one point
+        # the centre sees four points at distance 1, the cut at 2 splits them
+        cross = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [5.0, 5.0]])
+        cases = [
+            (lattice, 1), (lattice, 7), (lattice, 39),
+            (collapsed, 4), (collapsed, 14), (collapsed, 20), (collapsed, 44),
+            (cross, 2), (cross, 5),
+        ]
+        seen = set()
+        for positions, count in cases:
+            expected, straddles = bruteforce_neighbors(positions, count)
+            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
+            seen.update(straddles)
+        # both the partial-sort rows and the tie fallback rows were exercised
+        assert seen == {False, True}
+
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -159,12 +193,8 @@ class TestNearestNeighbors:
             positions = rng.uniform(0.0, 100.0, size=(size, 2))
             if size > 10:
                 positions[3] = positions[7]  # force distance ties
-            result = nearest_neighbor_indices(positions, count)
-            for i in range(size):
-                dist = [(float(np.sum((positions[i] - positions[j]) ** 2)), j) for j in range(size) if j != i]
-                dist.sort()
-                expected = [j for _, j in dist[:count]]
-                assert list(result[i]) == expected
+            expected, _ = bruteforce_neighbors(positions, count)
+            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
