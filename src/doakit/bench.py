@@ -27,7 +27,6 @@ from .extract import DoaEstimate, extract_dbscan, extract_klocalmax, extract_kme
 from .music import (
     FlopModel,
     GridSpec,
-    NoiseProjector,
     circular_difference_deg,
     flops_music,
     flops_population,
@@ -35,7 +34,7 @@ from .music import (
     noise_projector,
     spectrum_objective,
 )
-from .optimizer import ALGORITHMS, CountingObjective, DEConfig, Population, SearchBox, run_population
+from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, run_population
 from .signal_model import ArrayGeometry, SourceSet, sample_covariance, subspace_split, synthesize_snapshots
 
 # Each extraction reads its own settings from the scenario: (config, population, trial_index) -> ExtractionResult.
@@ -50,28 +49,6 @@ EXTRACTIONS = {
         population, len(config.source_azimuth_deg), derive_seed(config.master_seed, trial_index, 2)
     ),
 }
-
-SUMMARY_COLUMNS = (
-    "algo",
-    "extraction",
-    "M",
-    "L",
-    "snr_db",
-    "snapshots",
-    "trials",
-    "mae_theta_deg",
-    "mae_phi_deg",
-    "success_rate",
-    "model_mflops",
-    "measured_evals",
-    "wall_ms",
-    "raw_mae_theta_deg",
-    "raw_mae_phi_deg",
-    "flops_ratio_vs_grid",
-)
-
-# summary.csv columns named differently from their AggregateReport field
-_SUMMARY_FIELDS = {"M": "num_elements", "L": "num_sources"}
 
 ERROR_COLUMNS = ("algo", "extraction", "snr_db", "trial", "source", "theta_error_deg", "phi_error_deg")
 
@@ -142,6 +119,19 @@ class ScenarioConfig:
             raise ConfigError("snapshots must be at least 1")
         if self.success_threshold_deg <= 0:
             raise ConfigError("success_threshold_deg must be positive")
+        if np.isnan(self.snr_db):
+            raise ConfigError("snr_db must be a number (+-inf allowed)")
+        if self.dbscan_eps_deg <= 0 or self.dbscan_min_pts < 1:
+            raise ConfigError("dbscan_eps_deg must be positive and dbscan_min_pts at least 1")
+        if not 1 <= self.klocalmax_neighbors < self.optimizer.population_size:
+            raise ConfigError("klocalmax_neighbors must lie in [1, population_size - 1]")
+        if self.share_radius_deg <= 0 or self.species_radius_deg <= 0:
+            raise ConfigError("share_radius_deg and species_radius_deg must be positive")
+        # the array, sources, grid and cost model are checked by building them
+        try:
+            self.geometry(), self.sources(), self.flop_model()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.uca(self.num_elements, self.wavelength, self.radius)
@@ -162,30 +152,31 @@ class ScenarioConfig:
             max_iterations=self.optimizer.max_iterations,
         )
 
+    def model_flops(self) -> float:
+        """Closed-form cost of one trial's search: the grid's or the population's."""
+        model = self.flop_model()
+        return flops_music(model) if self.algorithm == "grid" else flops_population(model)
+
     @classmethod
     def from_dict(cls, mapping: dict) -> "ScenarioConfig":
         """Build from a plain mapping (the JSON config-file schema). Unknown
         keys are rejected; the ``optimizer`` entry is a nested mapping with
         DEConfig field names."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {unknown}")
         kwargs = dict(mapping)
-        if "optimizer" in kwargs and not isinstance(kwargs["optimizer"], DEConfig):
-            opt = kwargs["optimizer"]
-            opt_known = {f.name for f in fields(DEConfig)}
-            opt_unknown = set(opt) - opt_known
-            if opt_unknown:
-                raise ConfigError(f"unknown optimizer keys: {sorted(opt_unknown)}")
-            try:
-                kwargs["optimizer"] = DEConfig(**opt)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        optimizer = kwargs.get("optimizer")
+        nested = optimizer is not None and not isinstance(optimizer, DEConfig)
+        unknown = sorted(set(optimizer) - {f.name for f in fields(DEConfig)}) if nested else []
+        if unknown:
+            raise ConfigError(f"unknown optimizer keys: {unknown}")
         for key in ("source_azimuth_deg", "source_elevation_deg", "source_power"):
             if kwargs.get(key) is not None:
                 kwargs[key] = tuple(kwargs[key])
         try:
+            if nested:
+                kwargs["optimizer"] = DEConfig(**optimizer)
             return cls(**kwargs)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -217,14 +208,6 @@ def match_estimates(truth: SourceSet, estimates: list[DoaEstimate] | tuple[DoaEs
     """Optimal assignment (exact, via the Hungarian method) of estimates to truths."""
     if len(estimates) > truth.count:
         raise ValueError("cannot match more estimates than true sources")
-    if len(estimates) == 0:
-        return MatchResult(
-            truth_indices=np.empty(0, dtype=int),
-            estimate_indices=np.empty(0, dtype=int),
-            theta_errors_deg=np.empty(0),
-            phi_errors_deg=np.empty(0),
-            unmatched_truths=np.arange(truth.count),
-        )
     est_az = np.array([e.azimuth_deg for e in estimates])
     est_el = np.array([e.elevation_deg for e in estimates])
     theta_cost = circular_difference_deg(truth.azimuth_deg[:, None], est_az[None, :])
@@ -252,31 +235,7 @@ class TrialReport:
     wall_ms: float
 
 
-def _trial_projector(config: ScenarioConfig, trial_index: int) -> NoiseProjector:
-    geom = config.geometry()
-    sources = config.sources()
-    snapshots = synthesize_snapshots(
-        geom, sources, config.snr_db, config.snapshots, derive_seed(config.master_seed, trial_index, 0)
-    )
-    split = subspace_split(sample_covariance(snapshots), sources.count)
-    return noise_projector(split, geom)
-
-
-def _optimize(config: ScenarioConfig, proj: NoiseProjector, trial_index: int) -> tuple[Population, int]:
-    objective = CountingObjective(spectrum_objective(proj))
-    de = replace(config.optimizer, rng_seed=derive_seed(config.master_seed, trial_index, 1))
-    population = run_population(
-        config.algorithm,
-        objective,
-        SearchBox(),
-        de,
-        share_radius=config.share_radius_deg,
-        species_radius=config.species_radius_deg,
-    )
-    return population, objective.count
-
-
-def _score(config: ScenarioConfig, trial_index: int, estimates, shortfall, model_flops, evals, wall_ms) -> TrialReport:
+def _score(config: ScenarioConfig, trial_index: int, estimates, shortfall, evals, wall_ms) -> TrialReport:
     match = match_estimates(config.sources(), list(estimates))
     threshold = config.success_threshold_deg
     success = (
@@ -291,35 +250,55 @@ def _score(config: ScenarioConfig, trial_index: int, estimates, shortfall, model
         match=match,
         shortfall=shortfall,
         success=success,
-        model_flops=model_flops,
+        model_flops=config.model_flops(),
         measured_evals=evals,
         wall_ms=wall_ms,
     )
 
 
+def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> list[TrialReport]:
+    """One seeded trial: synthesize, project and search once, then score each
+    extraction on that search, one report per method in order; the grid finds
+    its own peaks and gives one report. wall_ms is the search plus that report's extraction."""
+    geom = config.geometry()
+    sources = config.sources()
+    snapshots = synthesize_snapshots(
+        geom, sources, config.snr_db, config.snapshots, derive_seed(config.master_seed, trial_index, 0)
+    )
+    proj = noise_projector(subspace_split(sample_covariance(snapshots), sources.count), geom)
+    # freed before the search: held through it, they made M = 128 denm trials several percent slower
+    del snapshots
+    started = time.perf_counter()
+    if config.algorithm == "grid":
+        result = grid_search(proj, config.grid_spec(), sources.count)
+        estimates = tuple(
+            map(DoaEstimate, result.azimuth_deg.tolist(), result.elevation_deg.tolist(), result.values.tolist())
+        )
+        wall_ms = (time.perf_counter() - started) * 1e3
+        return [_score(config, trial_index, estimates, result.shortfall, result.num_evaluations, wall_ms)]
+    objective = CountingObjective(spectrum_objective(proj))
+    population = run_population(
+        config.algorithm,
+        objective,
+        SearchBox(),
+        replace(config.optimizer, rng_seed=derive_seed(config.master_seed, trial_index, 1)),
+        share_radius=config.share_radius_deg,
+        species_radius=config.species_radius_deg,
+    )
+    search_ms = (time.perf_counter() - started) * 1e3
+    reports = []
+    for method in extractions:
+        started = time.perf_counter()
+        found = EXTRACTIONS[method](config, population, trial_index)
+        wall_ms = search_ms + (time.perf_counter() - started) * 1e3
+        reports.append(_score(config, trial_index, found.estimates, found.shortfall, objective.count, wall_ms))
+    return reports
+
+
 def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
     """One fully seeded trial; every numeric field except wall_ms is
     reproducible from (config, trial_index)."""
-    proj = _trial_projector(config, trial_index)
-    model = config.flop_model()
-    started = time.perf_counter()
-    if config.algorithm == "grid":
-        result = grid_search(proj, config.grid_spec(), len(config.source_azimuth_deg))
-        estimates = tuple(
-            DoaEstimate(float(az), float(el), float(val))
-            for az, el, val in zip(result.azimuth_deg, result.elevation_deg, result.values)
-        )
-        shortfall = result.shortfall
-        evals = result.num_evaluations
-        model_flops = flops_music(model)
-    else:
-        population, evals = _optimize(config, proj, trial_index)
-        extraction = EXTRACTIONS[config.extraction](config, population, trial_index)
-        estimates = extraction.estimates
-        shortfall = extraction.shortfall
-        model_flops = flops_population(model)
-    wall_ms = (time.perf_counter() - started) * 1e3
-    return _score(config, trial_index, estimates, shortfall, model_flops, evals, wall_ms)
+    return _trial_reports(config, trial_index, (config.extraction,))[0]
 
 
 def _map_trials(trial_fn, config: ScenarioConfig, workers: int) -> list:
@@ -362,7 +341,13 @@ class AggregateReport:
     phi_error_samples: tuple[float, ...]
 
     def csv_row(self) -> dict:
-        return {column: getattr(self, _SUMMARY_FIELDS.get(column, column)) for column in SUMMARY_COLUMNS}
+        return dict(zip(SUMMARY_COLUMNS, (getattr(self, name) for name in _SUMMARY_FIELD_NAMES)))
+
+
+# summary.csv holds every AggregateReport field but the error samples; the
+# array and source counts are written as M and L.
+_SUMMARY_FIELD_NAMES = tuple(f.name for f in fields(AggregateReport) if not f.name.endswith("_samples"))
+SUMMARY_COLUMNS = tuple({"num_elements": "M", "num_sources": "L"}.get(name, name) for name in _SUMMARY_FIELD_NAMES)
 
 
 def _mean(samples: list[float]) -> float:
@@ -378,11 +363,9 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
         if report.success:
             success_theta.extend(report.match.theta_errors_deg.tolist())
             success_phi.extend(report.match.phi_errors_deg.tolist())
-    model = config.flop_model()
-    extraction = "" if config.algorithm == "grid" else config.extraction
     return AggregateReport(
         algo=config.algorithm,
-        extraction=extraction,
+        extraction="" if config.algorithm == "grid" else config.extraction,
         num_elements=config.num_elements,
         num_sources=len(config.source_azimuth_deg),
         snr_db=config.snr_db,
@@ -391,12 +374,12 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
         mae_theta_deg=_mean(success_theta),
         mae_phi_deg=_mean(success_phi),
         success_rate=float(np.mean([r.success for r in reports])),
-        model_mflops=float(np.mean([r.model_flops for r in reports])) / 1e6,
+        model_mflops=config.model_flops() / 1e6,
         measured_evals=float(np.mean([r.measured_evals for r in reports])),
         wall_ms=float(np.mean([r.wall_ms for r in reports])),
         raw_mae_theta_deg=_mean(raw_theta),
         raw_mae_phi_deg=_mean(raw_phi),
-        flops_ratio_vs_grid=1.0 if config.algorithm == "grid" else flops_population(model) / flops_music(model),
+        flops_ratio_vs_grid=config.model_flops() / flops_music(config.flop_model()),
         theta_error_samples=tuple(raw_theta),
         phi_error_samples=tuple(raw_phi),
     )
@@ -404,12 +387,14 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
 
 def run_sweep(config: ScenarioConfig, snr_values, workers: int = 1):
     """One aggregate per SNR value, plus the per-trial reports for CDF export."""
+    snr_values = [float(snr) for snr in snr_values]
+    if len(set(snr_values)) != len(snr_values):
+        raise ConfigError("SNR values must be distinct")
     aggregates, reports_by_snr = [], {}
     for snr in snr_values:
-        scenario = replace(config, snr_db=float(snr))
-        reports = run_trials(scenario, workers=workers)
-        aggregates.append(aggregate(scenario, reports))
-        reports_by_snr[float(snr)] = reports
+        scenario = replace(config, snr_db=snr)
+        reports_by_snr[snr] = run_trials(scenario, workers=workers)
+        aggregates.append(aggregate(scenario, reports_by_snr[snr]))
     return aggregates, reports_by_snr
 
 
@@ -423,23 +408,8 @@ def run_extraction_comparison(
     unknown = [method for method in methods if method not in EXTRACTIONS]
     if unknown:
         raise ConfigError(f"unknown extraction {unknown[0]!r}")
-    rows = _map_trials(partial(_compare_one, methods=tuple(methods)), config, workers)
-    return {method: [row[method] for row in rows] for method in methods}
-
-
-def _compare_one(config: ScenarioConfig, trial_index: int, methods: tuple[str, ...]) -> dict[str, TrialReport]:
-    proj = _trial_projector(config, trial_index)
-    model_flops = flops_population(config.flop_model())
-    started = time.perf_counter()
-    population, evals = _optimize(config, proj, trial_index)
-    optimize_ms = (time.perf_counter() - started) * 1e3
-    out = {}
-    for method in methods:
-        extraction = EXTRACTIONS[method](config, population, trial_index)
-        out[method] = _score(
-            config, trial_index, extraction.estimates, extraction.shortfall, model_flops, evals, optimize_ms
-        )
-    return out
+    rows = _map_trials(partial(_trial_reports, extractions=tuple(methods)), config, workers)
+    return {method: [row[k] for row in rows] for k, method in enumerate(methods)}
 
 
 def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> list[AggregateReport]:

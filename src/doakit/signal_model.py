@@ -37,18 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Planar antenna array, element positions in meters.
-
-    The ``uca`` factory keeps the defining radius and element azimuths
-    (phi_m = 2*pi*m/M for m = 1..M); rectangular arrays leave those None.
-    """
+    """Planar antenna array, element positions in meters."""
 
     num_elements: int
     wavelength: float
     element_x: np.ndarray
     element_y: np.ndarray
-    radius: float | None = None
-    element_azimuths: np.ndarray | None = None
 
     def __post_init__(self):
         if self.num_elements < 2:
@@ -59,37 +53,21 @@ class ArrayGeometry:
         object.__setattr__(self, "element_y", np.asarray(self.element_y, dtype=float))
         if self.element_x.shape != (self.num_elements,) or self.element_y.shape != (self.num_elements,):
             raise ValueError("element positions must have exactly num_elements entries")
-        if self.radius is not None and self.radius <= 0:
-            raise ValueError("radius must be positive")
-        if self.element_azimuths is not None:
-            az = np.asarray(self.element_azimuths, dtype=float)
-            object.__setattr__(self, "element_azimuths", az)
-            if az.shape != (self.num_elements,):
-                raise ValueError("element_azimuths must have exactly num_elements entries")
-            if np.any(np.diff(az) <= 0):
-                raise ValueError("element_azimuths must be strictly increasing")
-            wrapped = np.sort(np.mod(az, TWO_PI))
-            if np.any(np.diff(wrapped) < 1e-12):
-                raise ValueError("element_azimuths must be distinct modulo 2*pi")
 
     @classmethod
     def uca(cls, num_elements: int, wavelength: float = 1.0, radius: float | None = None) -> "ArrayGeometry":
-        """Uniform circular array; radius defaults to one wavelength.
+        """Uniform circular array, elements at azimuths phi_m = 2*pi*m/M for
+        m = 1..M; radius defaults to one wavelength.
 
         With radius equal to the wavelength the steering phase prefactor
         2*pi*radius/wavelength reduces to 2*pi.
         """
         if radius is None:
             radius = wavelength
+        if radius <= 0:
+            raise ValueError("radius must be positive")
         azimuths = TWO_PI * np.arange(1, num_elements + 1) / num_elements
-        return cls(
-            num_elements=num_elements,
-            wavelength=wavelength,
-            element_x=radius * np.cos(azimuths),
-            element_y=radius * np.sin(azimuths),
-            radius=radius,
-            element_azimuths=azimuths,
-        )
+        return cls(num_elements, wavelength, radius * np.cos(azimuths), radius * np.sin(azimuths))
 
     @classmethod
     def ura(cls, num_x: int, num_y: int, wavelength: float = 1.0, spacing: float | None = None) -> "ArrayGeometry":
@@ -128,9 +106,10 @@ class SourceSet:
         object.__setattr__(self, "elevation_deg", el)
         if az.ndim != 1 or az.shape != el.shape or len(az) < 1:
             raise ValueError("azimuth and elevation lists must be 1-D and the same length")
-        if np.any(az < 0.0) or np.any(az >= 360.0):
+        # written as "not all inside" so that NaN is rejected too
+        if not np.all((az >= 0.0) & (az < 360.0)):
             raise ValueError("azimuths must lie in [0, 360) degrees")
-        if np.any(el < 0.0) or np.any(el > 90.0):
+        if not np.all((el >= 0.0) & (el <= 90.0)):
             raise ValueError("elevations must lie in [0, 90] degrees")
         pairs = {(float(a), float(e)) for a, e in zip(az, el)}
         if len(pairs) != len(az):
@@ -139,8 +118,8 @@ class SourceSet:
         if power is None:
             power = np.ones(len(az))
         power = np.atleast_1d(np.asarray(power, dtype=float))
-        if power.shape != az.shape or np.any(power <= 0):
-            raise ValueError("power must list one positive value per source")
+        if power.shape != az.shape or not np.all((power > 0) & np.isfinite(power)):
+            raise ValueError("power must list one positive finite value per source")
         object.__setattr__(self, "power", power)
 
     @property
@@ -217,6 +196,8 @@ def synthesize_snapshots(
     """
     if num_snapshots < 1:
         raise ValueError("need at least one snapshot")
+    if np.isnan(snr_db):
+        raise ValueError("snr_db must not be NaN")
     if sources.count >= geom.num_elements:
         raise ValueError("source count must stay below the element count")
     rng = np.random.default_rng(rng_seed)

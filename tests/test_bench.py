@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from doakit import (
     flops_population,
     format_complexity_table,
     match_estimates,
+    run_extraction_comparison,
     run_sweep,
     run_trial,
     run_trials,
 )
-from doakit.bench import SUMMARY_COLUMNS, write_errors_csv, write_summary_csv
+from doakit.bench import EXTRACTIONS, write_errors_csv, write_summary_csv
 from doakit.cli import main as cli_main
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
@@ -87,6 +89,9 @@ class TestMatchEstimates:
         result = match_estimates(truth_sources, estimates_from([30.42], [60.39]))
         assert result.unmatched_truths.size == 2
         assert result.theta_errors_deg.shape == (1,)
+        empty = match_estimates(truth_sources, [])
+        np.testing.assert_array_equal(empty.unmatched_truths, [0, 1, 2])
+        assert empty.truth_indices.size == empty.estimate_indices.size == empty.theta_errors_deg.size == 0
 
     def test_rejects_excess_estimates(self, truth_sources):
         with pytest.raises(ValueError):
@@ -196,6 +201,8 @@ class TestAggregate:
         np.testing.assert_allclose(agg.raw_mae_phi_deg, report.match.phi_errors_deg.mean())
         assert agg.success_rate == 1.0
         assert agg.extraction == ""  # grid bypasses extraction
+        assert agg.model_mflops == flops_music(config.flop_model()) / 1e6
+        assert agg.flops_ratio_vs_grid == 1.0
 
     def test_failed_trials_excluded_from_conditioned_mae(self, truth_sources):
         config = ScenarioConfig(algorithm="grid", snr_db=np.inf, trials=1)
@@ -203,7 +210,7 @@ class TestAggregate:
         # forge a divergent failed trial by rescoring shifted estimates
         from doakit.bench import _score
 
-        bad = _score(config, 1, estimates_from([100.0, 200.0, 300.0], [10.0, 20.0, 30.0]), False, 1.0, 1, 0.0)
+        bad = _score(config, 1, estimates_from([100.0, 200.0, 300.0], [10.0, 20.0, 30.0]), False, 1, 0.0)
         assert not bad.success
         agg = aggregate(config, [good, bad])
         assert agg.success_rate == 0.5
@@ -231,7 +238,11 @@ class TestSweepAndCsv:
         write_errors_csv(config, reports, errors)
         with summary.open() as handle:
             rows = list(csv.DictReader(handle))
-        assert list(rows[0].keys()) == list(SUMMARY_COLUMNS)
+        assert list(rows[0].keys()) == [
+            "algo", "extraction", "M", "L", "snr_db", "snapshots", "trials", "mae_theta_deg", "mae_phi_deg",
+            "success_rate", "model_mflops", "measured_evals", "wall_ms", "raw_mae_theta_deg", "raw_mae_phi_deg",
+            "flops_ratio_vs_grid",
+        ]
         assert len(rows) == 2
         model = config.flop_model()
         for row in rows:
@@ -241,6 +252,23 @@ class TestSweepAndCsv:
         with errors.open() as handle:
             error_rows = list(csv.DictReader(handle))
         assert all(0.0 <= float(r["theta_error_deg"]) <= 180.0 for r in error_rows)
+
+    def test_extraction_comparison_matches_single_runs(self):
+        # one search scored by every method gives each method's own run_trials result
+        config = ScenarioConfig(algorithm="denm", snr_db=0.0, trials=3, optimizer=FAST_DE, master_seed=5)
+        compared = run_extraction_comparison(config)
+        assert list(compared) == list(EXTRACTIONS)
+        for method, reports in compared.items():
+            single = run_trials(replace(config, extraction=method))
+            assert len(reports) == len(single) == 3
+            for a, b in zip(reports, single):
+                assert a.trial == b.trial
+                assert a.estimates == b.estimates
+                np.testing.assert_array_equal(a.match.truth_indices, b.match.truth_indices)
+                np.testing.assert_array_equal(a.match.theta_errors_deg, b.match.theta_errors_deg)
+                np.testing.assert_array_equal(a.match.phi_errors_deg, b.match.phi_errors_deg)
+                assert (a.success, a.shortfall) == (b.success, b.shortfall)
+                assert (a.measured_evals, a.model_flops) == (b.measured_evals, b.model_flops)
 
     def test_parallel_matches_serial(self):
         config = ScenarioConfig(algorithm="denm", snr_db=5.0, trials=4, optimizer=FAST_DE)
@@ -383,6 +411,38 @@ class TestCli:
         code = cli_main(["run", "--trials", "1", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mapping",
+        [
+            {"num_elements": 1},
+            {"num_elements": 3},  # three sources leave no noise subspace
+            {"radius": 0.0},
+            {"dbscan_eps_deg": 0},
+            {"dbscan_min_pts": 0},
+            {"grid_step_deg": 0},
+            {"klocalmax_neighbors": 0, "extraction": "klocalmax"},
+            {"klocalmax_neighbors": 256},
+            {"share_radius_deg": 0},
+            {"species_radius_deg": -1},
+            {"source_azimuth_deg": [float("nan"), 1.0, 2.0]},
+            {"source_elevation_deg": [float("nan"), 1.0, 2.0]},
+            {"source_power": [1.0, float("nan"), 1.0]},
+            {"snr_db": float("nan")},
+        ],
+    )
+    def test_config_errors_caught_before_trials(self, tmp_path, capsys, mapping):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(mapping), encoding="utf-8")
+        code = cli_main(["compare-extract", "--trials", "1", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_duplicate_snr_exits_nonzero(self, tmp_path, capsys):
+        code = cli_main(["run", "--algo", "grid", "--trials", "1", "--snr", "0", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_malformed_json_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -26,9 +26,10 @@ def direct_uca_steering(num_elements, radius, wavelength, azimuth, elevation):
 class TestArrayGeometry:
     def test_uca_layout(self):
         geom = ArrayGeometry.uca(8, wavelength=2.0)
-        assert geom.radius == 2.0  # defaults to one wavelength
-        np.testing.assert_allclose(geom.element_azimuths, 2.0 * np.pi * np.arange(1, 9) / 8)
-        np.testing.assert_allclose(np.hypot(geom.element_x, geom.element_y), 2.0)
+        np.testing.assert_allclose(np.hypot(geom.element_x, geom.element_y), 2.0)  # radius defaults to one wavelength
+        # element m sits at azimuth 2*pi*m/M, m = 1..M; compared on the unit circle so 2*pi and 0 agree
+        angles = np.arctan2(geom.element_y, geom.element_x)
+        np.testing.assert_allclose(np.exp(1j * angles), np.exp(2j * np.pi * np.arange(1, 9) / 8))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -38,14 +39,16 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry.uca(4, radius=-1.0)
         with pytest.raises(ValueError):
-            ArrayGeometry(3, 1.0, np.zeros(3), np.zeros(3), element_azimuths=np.array([0.1, 0.1, 0.2]))
+            ArrayGeometry.uca(4, radius=0.0)
+        with pytest.raises(ValueError):
+            ArrayGeometry(3, 1.0, np.zeros(2), np.zeros(3))
 
     def test_ura_grid(self):
         geom = ArrayGeometry.ura(3, 4, wavelength=1.0)
         assert geom.num_elements == 12
-        assert geom.radius is None
         # centered half-wavelength grid
         np.testing.assert_allclose(sorted(set(np.round(geom.element_x, 12))), [-0.5, 0.0, 0.5])
+        np.testing.assert_allclose(sorted(set(np.round(geom.element_y, 12))), [-0.75, -0.25, 0.25, 0.75])
 
 
 class TestSteeringVector:
@@ -113,6 +116,10 @@ class TestSourceSet:
             SourceSet(np.array([5.0, 5.0]), np.array([10.0, 10.0]))
         with pytest.raises(ValueError):
             SourceSet(np.array([5.0]), np.array([10.0]), np.array([0.0]))
+        # NaN compares false with every bound, and an infinite power breaks the covariance
+        for az, el, power in ((np.nan, 10.0, 1.0), (5.0, np.nan, 1.0), (5.0, 10.0, np.nan), (5.0, 10.0, np.inf)):
+            with pytest.raises(ValueError):
+                SourceSet(np.array([az]), np.array([el]), np.array([power]))
 
     def test_default_unit_powers(self):
         sources = SourceSet(np.array([10.0, 20.0]), np.array([30.0, 40.0]))
@@ -155,6 +162,10 @@ class TestSynthesize:
             synthesize_snapshots(geom, sources, 0.0, 8, rng_seed=0)
         with pytest.raises(ValueError):
             synthesize_snapshots(ArrayGeometry.uca(8), sources, 0.0, 0, rng_seed=0)
+
+    def test_rejects_nan_snr(self, uca12, truth_sources):
+        with pytest.raises(ValueError):
+            synthesize_snapshots(uca12, truth_sources, np.nan, 8, rng_seed=0)
 
 
 class TestSampleCovariance:
