@@ -21,7 +21,6 @@ from .music import (
     GridSearchResult,
     GridSpec,
     NoiseProjector,
-    SpectrumGrid,
     evaluate_grid,
     flops_music,
     flops_population,

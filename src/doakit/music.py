@@ -26,7 +26,6 @@ __all__ = [
     "music_values",
     "spectrum_objective",
     "GridSpec",
-    "SpectrumGrid",
     "evaluate_grid",
     "GridSearchResult",
     "grid_search",
@@ -101,62 +100,50 @@ def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarra
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform search grid, endpoints inclusive on both axes.
+    """Uniform search grid over azimuth [0, 360] x elevation [0, 90] degrees,
+    endpoints inclusive on both axes.
 
-    The default 1-degree grid over [0, 360] x [0, 90] has 361 * 91 = 32851
-    points; 0 and 360 degrees azimuth are distinct samples of the same
-    direction and get merged during peak extraction.
+    The default 1-degree grid has 361 * 91 = 32851 points. Azimuth is
+    periodic: the 360-degree column samples the same directions as the
+    0-degree column, so at least three azimuth columns (two distinct) and two
+    elevation rows are required.
     """
 
-    azimuth_range: tuple[float, float] = (0.0, 360.0)
-    elevation_range: tuple[float, float] = (0.0, 90.0)
     azimuth_step: float = 1.0
     elevation_step: float = 1.0
 
     def __post_init__(self):
-        for (lo, hi), step in ((self.azimuth_range, self.azimuth_step), (self.elevation_range, self.elevation_step)):
-            if not lo < hi:
-                raise ValueError("grid range must satisfy lo < hi")
-            if step <= 0:
-                raise ValueError("grid step must be positive")
+        # written as "not both positive" so that NaN is rejected too
+        if not (self.azimuth_step > 0 and self.elevation_step > 0):
+            raise ValueError("grid step must be positive")
+        if self.num_azimuth < 3 or self.num_elevation < 2:
+            raise ValueError("grid needs at least two distinct azimuth columns and two elevation rows")
 
     @property
     def num_azimuth(self) -> int:
-        lo, hi = self.azimuth_range
-        return int(round((hi - lo) / self.azimuth_step)) + 1
+        return int(round(360.0 / self.azimuth_step)) + 1
 
     @property
     def num_elevation(self) -> int:
-        lo, hi = self.elevation_range
-        return int(round((hi - lo) / self.elevation_step)) + 1
+        return int(round(90.0 / self.elevation_step)) + 1
 
     @property
     def num_points(self) -> int:
         return self.num_azimuth * self.num_elevation
 
     def azimuth_values(self) -> np.ndarray:
-        return np.linspace(self.azimuth_range[0], self.azimuth_range[1], self.num_azimuth)
+        return np.linspace(0.0, 360.0, self.num_azimuth)
 
     def elevation_values(self) -> np.ndarray:
-        return np.linspace(self.elevation_range[0], self.elevation_range[1], self.num_elevation)
+        return np.linspace(0.0, 90.0, self.num_elevation)
 
 
-@dataclass(frozen=True)
-class SpectrumGrid:
-    """Pseudo-spectrum sampled on a grid: values[i, j] at (azimuth i, elevation j)."""
-
-    azimuth_deg: np.ndarray
-    elevation_deg: np.ndarray
-    values: np.ndarray
-
-
-def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> SpectrumGrid:
-    """Evaluate the pseudo-spectrum at every grid point (one batched pass)."""
-    az = spec.azimuth_values()
-    el = spec.elevation_values()
-    az_mesh, el_mesh = np.meshgrid(az, el, indexing="ij")
+def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
+    """Pseudo-spectrum at every grid point (one batched pass), shaped
+    (num_azimuth, num_elevation): values[i, j] at (azimuth i, elevation j)."""
+    az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
     values = music_values(proj, np.deg2rad(az_mesh.ravel()), np.deg2rad(el_mesh.ravel()))
-    return SpectrumGrid(azimuth_deg=az, elevation_deg=el, values=values.reshape(az_mesh.shape))
+    return values.reshape(az_mesh.shape)
 
 
 # Relative margin for strict dominance: spectrum values equal up to a few ulps
@@ -165,14 +152,14 @@ _STRICT_MARGIN = 1e-12
 
 
 def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
-    """Cells strictly greater than every existing 8-neighborhood cell.
+    """Cells strictly greater than every cell of their 8-neighborhood.
 
-    Padding with -inf makes boundary cells compare only their real neighbors.
-    Strictness carries a relative margin so floating-point jitter on flat
-    regions cannot fabricate peaks.
+    Axis 0 (azimuth) is periodic: its first and last rows are neighbors.
+    Axis 1 (elevation) is padded with -inf, so its edge cells compare only
+    their real neighbors. Strictness carries a relative margin so
+    floating-point jitter on flat regions cannot fabricate peaks.
     """
-    padded = np.full((values.shape[0] + 2, values.shape[1] + 2), -np.inf)
-    padded[1:-1, 1:-1] = values
+    padded = np.pad(np.pad(values, ((1, 1), (0, 0)), mode="wrap"), ((0, 0), (1, 1)), constant_values=-np.inf)
     neighbor_max = np.full_like(values, -np.inf)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
@@ -187,33 +174,6 @@ def circular_difference_deg(a, b, period: float = 360.0) -> np.ndarray:
     """Shortest angular distance, in [0, period/2]."""
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % period
     return np.minimum(d, period - d)
-
-
-def _dedupe_circular(azimuth, elevation, values, azimuth_step, elevation_step, period=360.0):
-    """Drop maxima that duplicate a better one across the azimuth wrap seam.
-
-    Candidates closer than one grid step in circular azimuth AND one step in
-    elevation are the same physical peak sampled twice (e.g. the 0 and 360
-    degree columns); the higher-valued copy wins. Ordering is deterministic:
-    by value descending, then azimuth, then elevation.
-    """
-    azimuth = np.asarray(azimuth, dtype=float)
-    elevation = np.asarray(elevation, dtype=float)
-    values = np.asarray(values, dtype=float)
-    order = np.lexsort((elevation, azimuth, -values))
-    keep: list[int] = []
-    for idx in order:
-        duplicate = False
-        for kept in keep:
-            if (
-                circular_difference_deg(azimuth[idx], azimuth[kept], period) < azimuth_step
-                and abs(elevation[idx] - elevation[kept]) < elevation_step
-            ):
-                duplicate = True
-                break
-        if not duplicate:
-            keep.append(int(idx))
-    return np.array(keep, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -232,22 +192,24 @@ class GridSearchResult:
 
 
 def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridSearchResult:
-    """Exhaustive grid evaluation followed by strict local-maximum extraction."""
+    """Exhaustive grid evaluation followed by strict local-maximum extraction.
+
+    Peaks are ordered by value descending, then azimuth, then elevation.
+    """
     if num_sources < 1:
         raise ValueError("num_sources must be positive")
-    grid = evaluate_grid(proj, spec)
-    mask = _local_maxima_mask(grid.values)
-    i_idx, j_idx = np.nonzero(mask)
-    az = grid.azimuth_deg[i_idx]
-    el = grid.elevation_deg[j_idx]
-    vals = grid.values[i_idx, j_idx]
-    keep = _dedupe_circular(az, el, vals, spec.azimuth_step, spec.elevation_step)
-    top = keep[:num_sources]
+    # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
+    values = evaluate_grid(proj, spec)[:-1]
+    i_idx, j_idx = np.nonzero(_local_maxima_mask(values))
+    az = spec.azimuth_values()[i_idx]
+    el = spec.elevation_values()[j_idx]
+    vals = values[i_idx, j_idx]
+    top = np.lexsort((el, az, -vals))[:num_sources]
     return GridSearchResult(
         azimuth_deg=az[top],
         elevation_deg=el[top],
         values=vals[top],
-        shortfall=len(keep) < num_sources,
+        shortfall=len(vals) < num_sources,
         num_evaluations=spec.num_points,
     )
 
@@ -269,8 +231,8 @@ class FlopModel:
     max_iterations: int = 20
 
     def __post_init__(self):
-        if min(self.num_sensors, self.num_sources, self.grid_points, self.population_size, self.max_iterations) <= 0:
-            raise ValueError("all cost-model parameters must be positive")
+        if min(self.num_sensors, self.num_sources, self.grid_points, self.population_size) <= 0 or self.max_iterations < 0:
+            raise ValueError("cost-model counts must be positive (max_iterations may be 0)")
         if self.num_sources >= self.num_sensors:
             raise ValueError("num_sources must stay below num_sensors")
 

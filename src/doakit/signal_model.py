@@ -69,22 +69,6 @@ class ArrayGeometry:
         azimuths = TWO_PI * np.arange(1, num_elements + 1) / num_elements
         return cls(num_elements, wavelength, radius * np.cos(azimuths), radius * np.sin(azimuths))
 
-    @classmethod
-    def ura(cls, num_x: int, num_y: int, wavelength: float = 1.0, spacing: float | None = None) -> "ArrayGeometry":
-        """Uniform rectangular array on a centered grid, default half-wavelength
-        spacing. Supported as an extension behind the same steering interface;
-        only the circular layout is exercised by the benchmark scenarios."""
-        if num_x < 1 or num_y < 1:
-            raise ValueError("grid dimensions must be positive")
-        if spacing is None:
-            spacing = wavelength / 2.0
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        xs = spacing * (np.arange(num_x) - (num_x - 1) / 2.0)
-        ys = spacing * (np.arange(num_y) - (num_y - 1) / 2.0)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return cls(num_x * num_y, wavelength, gx.ravel(), gy.ravel())
-
 
 @dataclass(frozen=True)
 class SourceSet:

@@ -16,6 +16,7 @@ from doakit import (
     ScenarioConfig,
     SourceSet,
     aggregate,
+    circular_difference_deg,
     complexity_cells,
     derive_seed,
     empirical_cdf,
@@ -175,6 +176,25 @@ def seeded_output_digest(reports) -> str:
     return digest.hexdigest()
 
 
+# the reference scenario with its first source moved next to the azimuth seam
+SEAM_CONFIG = ScenarioConfig(source_azimuth_deg=(0.3, 120.27, 240.51), algorithm="grid", snr_db=-5.0, trials=40)
+
+
+class TestGridSeam:
+    def test_seam_source_found_once(self):
+        # 0.3 degrees lies beside the seam: one peak there, not one at 1 and one at 360 degrees
+        report = run_trial(SEAM_CONFIG, 0)
+        assert report.success and not report.shortfall
+
+    def test_no_two_estimates_are_grid_neighbors(self):
+        step = SEAM_CONFIG.grid_step_deg
+        for report in run_trials(SEAM_CONFIG):
+            for first, second in itertools.combinations(report.estimates, 2):
+                apart_az = circular_difference_deg(first.azimuth_deg, second.azimuth_deg)
+                apart_el = abs(first.elevation_deg - second.elevation_deg)
+                assert not (apart_az <= step and apart_el <= step)
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("algorithm,extraction", sorted(GOLDEN_DIGESTS))
     def test_seeded_outputs_match_recorded_digest(self, algorithm, extraction):
@@ -316,6 +336,10 @@ class TestScenarioConfig:
         assert config.algorithm == "sde"
         assert config.optimizer.population_size == 32
 
+    def test_zero_generation_search_runs(self):
+        config = ScenarioConfig.from_dict({"optimizer": {"max_iterations": 0}})
+        assert run_trial(config, 0).measured_evals == config.optimizer.population_size
+
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict({"algorthm": "denm"})
@@ -429,6 +453,8 @@ class TestCli:
             {"source_elevation_deg": [float("nan"), 1.0, 2.0]},
             {"source_power": [1.0, float("nan"), 1.0]},
             {"snr_db": float("nan")},
+            {"grid_step_deg": 200},  # a single elevation row
+            {"grid_step_deg": 1000},  # a single azimuth column
         ],
     )
     def test_config_errors_caught_before_trials(self, tmp_path, capsys, mapping):

@@ -20,7 +20,7 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
-from doakit.music import _dedupe_circular, _local_maxima_mask
+from doakit.music import _local_maxima_mask
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -136,9 +136,15 @@ class TestGridSpec:
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
-            GridSpec(azimuth_range=(10.0, 10.0))
-        with pytest.raises(ValueError):
             GridSpec(elevation_step=0.0)
+        with pytest.raises(ValueError):
+            GridSpec(azimuth_step=float("nan"))
+        # fewer than two distinct azimuth columns or two elevation rows
+        with pytest.raises(ValueError):
+            GridSpec(azimuth_step=1000.0)
+        with pytest.raises(ValueError):
+            GridSpec(azimuth_step=200.0, elevation_step=200.0)
+        assert GridSpec(azimuth_step=180.0, elevation_step=90.0).num_points == 3 * 2
 
 
 class TestLocalMaxima:
@@ -157,20 +163,27 @@ class TestLocalMaxima:
         mask = _local_maxima_mask(values)
         assert mask[0, 0]
 
-    def test_seam_duplicates_merge(self):
-        azimuth = np.array([0.0, 360.0, 0.0])
-        elevation = np.array([40.0, 40.0, 80.0])
-        values = np.array([5.0, 5.0, 3.0])
-        keep = _dedupe_circular(azimuth, elevation, values, azimuth_step=1.0, elevation_step=1.0)
-        assert len(keep) == 2  # the two 40-degree copies collapse, 80 stays
-        kept_el = sorted(elevation[keep])
-        assert kept_el == [40.0, 80.0]
+    def test_slope_rising_across_seam_is_no_peak(self):
+        # azimuth rows rise from row 0 back across the seam to the last row
+        values = np.array([3.0, 2.0, 1.0, 0.0, 1.0, 4.0])[:, None] + np.array([0.0, 0.5, 0.0])
+        mask = _local_maxima_mask(values)
+        assert not mask[0, 1]
+        assert mask[5, 1] and mask.sum() == 1
 
-    def test_nearby_different_elevation_not_merged(self):
-        keep = _dedupe_circular(
-            np.array([10.0, 10.0]), np.array([20.0, 70.0]), np.array([4.0, 5.0]), 1.0, 1.0
-        )
-        assert len(keep) == 2
+    def test_first_row_peak_over_lower_wrapped_neighbor(self):
+        values = np.zeros((5, 4))
+        values[0, 2] = 2.0
+        values[4, 2] = 1.0
+        mask = _local_maxima_mask(values)
+        assert mask[0, 2] and mask.sum() == 1
+
+    def test_elevation_edges_do_not_wrap(self):
+        # equal values on the first and last elevation columns are not neighbors
+        values = np.zeros((5, 4))
+        values[2, 0] = 1.0
+        values[2, 3] = 1.0
+        mask = _local_maxima_mask(values)
+        assert mask[2, 0] and mask[2, 3] and mask.sum() == 2
 
 
 class TestGridSearch:
@@ -211,10 +224,10 @@ class TestGridSearch:
         assert len(near_seam) == 1
 
     def test_values_positive_and_grid_shape(self, noiseless_projector):
-        grid = evaluate_grid(noiseless_projector, GridSpec())
-        assert grid.values.shape == (361, 91)
-        assert np.all(grid.values > 0)
-        assert np.all(np.isfinite(grid.values))
+        values = evaluate_grid(noiseless_projector, GridSpec())
+        assert values.shape == (361, 91)
+        assert np.all(values > 0)
+        assert np.all(np.isfinite(values))
 
 
 class TestFlopModel:
@@ -261,6 +274,11 @@ class TestFlopModel:
         assert best_step == 1.0
         assert GridSpec().num_points == 361 * 91
         assert candidates[1.0] < 0.07  # three printed cells carry a one-ulp slip
+
+    def test_zero_iterations_cost_the_decomposition_only(self):
+        assert flops_population(FlopModel(12, 3, max_iterations=0)) == 144 * 5
+        with pytest.raises(ValueError):
+            FlopModel(12, 3, max_iterations=-1)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

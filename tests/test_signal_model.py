@@ -43,13 +43,6 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(3, 1.0, np.zeros(2), np.zeros(3))
 
-    def test_ura_grid(self):
-        geom = ArrayGeometry.ura(3, 4, wavelength=1.0)
-        assert geom.num_elements == 12
-        # centered half-wavelength grid
-        np.testing.assert_allclose(sorted(set(np.round(geom.element_x, 12))), [-0.5, 0.0, 0.5])
-        np.testing.assert_allclose(sorted(set(np.round(geom.element_y, 12))), [-0.75, -0.25, 0.25, 0.75])
-
 
 class TestSteeringVector:
     def test_zenith_gives_all_ones(self):
@@ -94,8 +87,10 @@ class TestSteeringVector:
                 steering_vector(geom, azimuth, elevation)
 
     def test_ura_matches_planar_phase(self):
-        # general planar form: phase = -(2*pi/lam)(x cos(az) + y sin(az)) sin(el)
-        geom = ArrayGeometry.ura(2, 3, wavelength=1.5)
+        # general planar form: phase = -(2*pi/lam)(x cos(az) + y sin(az)) sin(el),
+        # on a centered 2 x 3 half-wavelength grid
+        gx, gy = np.meshgrid([-0.375, 0.375], [-0.75, 0.0, 0.75], indexing="ij")
+        geom = ArrayGeometry(6, 1.5, gx.ravel(), gy.ravel())
         azimuth, elevation = 0.7, 0.9
         expected = np.exp(
             -1j
