@@ -117,15 +117,15 @@ class ScenarioConfig:
             raise ConfigError("master_seed must be non-negative")
         if self.snapshots < 1:
             raise ConfigError("snapshots must be at least 1")
-        if self.success_threshold_deg <= 0:
+        if not self.success_threshold_deg > 0:  # written so that NaN fails too
             raise ConfigError("success_threshold_deg must be positive")
         if np.isnan(self.snr_db):
             raise ConfigError("snr_db must be a number (+-inf allowed)")
-        if self.dbscan_eps_deg <= 0 or self.dbscan_min_pts < 1:
+        if not (self.dbscan_eps_deg > 0 and self.dbscan_min_pts >= 1):
             raise ConfigError("dbscan_eps_deg must be positive and dbscan_min_pts at least 1")
         if not 1 <= self.klocalmax_neighbors < self.optimizer.population_size:
             raise ConfigError("klocalmax_neighbors must lie in [1, population_size - 1]")
-        if self.share_radius_deg <= 0 or self.species_radius_deg <= 0:
+        if not (self.share_radius_deg > 0 and self.species_radius_deg > 0):
             raise ConfigError("share_radius_deg and species_radius_deg must be positive")
         # the array, sources, grid and cost model are checked by building them
         try:

@@ -69,7 +69,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     labeling of breadth-first expansion from cores in index-scan order, and
     it is deterministic for a given input order.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN fails too
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be at least 1")

@@ -244,11 +244,11 @@ def flops_music(model: FlopModel) -> float:
 
 
 def flops_population(model: FlopModel) -> float:
-    """Population-search cost: M^2 (L+2) + I * N * ((M+1)(M-L) + (N-1)) FLOPs,
-
-    where I iterations of an N-individual population each pay one spectrum
+    """Population-search cost M^2 (L+2) + I * N * ((M+1)(M-L) + (N-1)) FLOPs:
+    I iterations of an N-individual population each pay one spectrum
     evaluation per individual plus the pairwise-distance bookkeeping N(N-1).
-    """
+    This is the paper's formula; it leaves out the initial population's N
+    evaluations, so a run's measured_evals is (I+1) N, not I N."""
     m, l = model.num_sensors, model.num_sources
     n, iters = model.population_size, model.max_iterations
     return float(m * m * (l + 2) + iters * n * ((m + 1) * (m - l) + (n - 1)))

@@ -3,7 +3,9 @@
 All optimizers maximize a batched objective: a callable taking an (n, 2)
 array of (azimuth_deg, elevation_deg) rows and returning n fitness values.
 Five variants share one generation engine (``run_population``); each is a
-(donor rule, replacement rule) row of ``ALGORITHMS``:
+(donor rule, replacement rule) row of ``ALGORITHMS``. A donor rule only says
+where donors may come from, as a pool and a per-row candidate table; one
+kernel (``_generation_trials``) draws, mutates and crosses over for all five:
 
   de       plain global DE, converges to a single optimum
   denm     neighborhood mutation: donors come from each individual's m
@@ -22,6 +24,7 @@ snapshot, and replacements are applied afterwards in index order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -103,8 +106,8 @@ class DEConfig:
             # three donors distinct from the target must exist among the
             # neighbors, and a point is never its own neighbor
             raise ValueError("neighborhood_size must lie in [4, population_size - 1]")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be positive")
+        if not 0 < self.scale_factor < np.inf:  # NaN fails too
+            raise ValueError("scale_factor must be positive and finite")
         if not 0.0 <= self.crossover_rate <= 1.0:
             raise ValueError("crossover_rate must lie in [0, 1]")
         if self.max_iterations < 0:
@@ -146,28 +149,20 @@ class CountingObjective:
 
 
 def de_mutate(base, diff_a, diff_b, scale_factor: float, box: SearchBox) -> np.ndarray:
-    """Donor combination base + F * (diff_a - diff_b), reflected into the box."""
-    mutant = np.asarray(base, dtype=float) + scale_factor * (
-        np.asarray(diff_a, dtype=float) - np.asarray(diff_b, dtype=float)
-    )
-    return box.reflect(mutant)
+    """Donor combination base + F * (diff_a - diff_b) on (n, 2) batches,
+    reflected into the box."""
+    return box.reflect(np.asarray(base, dtype=float) + scale_factor * np.subtract(diff_a, diff_b, dtype=float))
 
 
 def de_crossover(parent, mutant, crossover_rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Binomial crossover: each coordinate comes from the mutant with
-    probability crossover_rate, and one uniformly chosen coordinate always
-    does (so the trial differs from the parent whenever the mutant does).
-
-    Accepts a single (2,) pair or an (n, 2) batch; one rng draw pattern per row.
-    """
-    single = np.asarray(parent).ndim == 1
-    x = np.atleast_2d(np.asarray(parent, dtype=float))
-    v = np.atleast_2d(np.asarray(mutant, dtype=float))
-    take = rng.random(x.shape) < crossover_rate
-    forced = rng.integers(x.shape[1], size=x.shape[0])
-    take[np.arange(x.shape[0]), forced] = True
-    trial = np.where(take, v, x)
-    return trial[0] if single else trial
+    """Binomial crossover on (n, 2) batches: each coordinate comes from the
+    mutant with probability crossover_rate, and one uniformly chosen
+    coordinate per row always does (so the trial differs from the parent
+    whenever the mutant does)."""
+    take = rng.random(parent.shape) < crossover_rate
+    forced = rng.integers(parent.shape[1], size=len(parent))
+    take[np.arange(len(parent)), forced] = True
+    return np.where(take, mutant, parent)
 
 
 def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
@@ -210,9 +205,13 @@ def _global_donor_candidates(size: int) -> np.ndarray:
     return base + (base >= np.arange(size)[:, None])
 
 
-def _pick_donors(rng: np.random.Generator, candidates: np.ndarray) -> np.ndarray:
-    """Three distinct donors per row, uniformly from that row's candidates."""
-    order = np.argsort(rng.random(candidates.shape), axis=1)[:, :3]
+def _pick_donors(rng: np.random.Generator, candidates: np.ndarray, valid=None) -> np.ndarray:
+    """Three distinct donors per row, uniformly from that row's valid
+    candidates (every entry when valid is None); each row must hold three."""
+    keys = rng.random(candidates.shape)
+    if valid is not None:
+        keys[~valid] = np.inf  # sorts after every valid entry, so never drawn
+    order = np.argsort(keys, axis=1)[:, :3]
     return np.take_along_axis(candidates, order, axis=1)
 
 
@@ -227,7 +226,7 @@ def shared_fitness(positions: np.ndarray, fitness: np.ndarray, share_radius: flo
     """Fitness divided by the niche count sum_j max(0, 1 - d_ij / share_radius)
     over the whole population. The self term contributes 1, so an isolated
     point keeps its raw fitness and two coincident points each keep half."""
-    if share_radius <= 0:
+    if not share_radius > 0:  # NaN fails too
         raise ValueError("share_radius must be positive")
     counts = _niche_counts(np.asarray(positions, dtype=float), np.asarray(positions, dtype=float), share_radius)
     return np.asarray(fitness, dtype=float) / counts
@@ -243,17 +242,29 @@ def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: 
     fittest unassigned one seeds a species and captures every unassigned
     individual within species_radius. Returns per-individual species ids in
     seed discovery order."""
-    size = len(fitness)
-    species_of = np.full(size, -1, dtype=int)
-    num_species = 0
+    species_of = np.empty(len(fitness), dtype=int)
     dist = np.sqrt(cdist(positions, positions, "sqeuclidean"))
-    for idx in np.argsort(-np.asarray(fitness, dtype=float), kind="stable"):
-        if species_of[idx] >= 0:
-            continue
-        within = dist[idx] <= species_radius
-        species_of[within & (species_of < 0)] = num_species
+    pending = np.argsort(-np.asarray(fitness, dtype=float), kind="stable")
+    num_species = 0
+    while len(pending):
+        captured = dist[pending[0], pending] <= species_radius  # the seed captures itself
+        species_of[pending[captured]] = num_species
+        pending = pending[~captured]
         num_species += 1
     return species_of
+
+
+def _species_donor_table(species_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i lists every index, valid where it is a species-mate of i, then
+    three filler slots (pool rows size + 3i to size + 3i + 2) of which only
+    max(0, 3 - mates) are valid: a species smaller than four is topped up to
+    three donors, a larger one never draws a filler."""
+    size = len(species_of)
+    mates = (species_of[:, None] == species_of) & ~np.eye(size, dtype=bool)
+    needed = 3 - np.count_nonzero(mates, axis=1)
+    everyone = np.broadcast_to(np.arange(size), (size, size))
+    fillers = size + np.arange(3 * size).reshape(size, 3)
+    return np.hstack([everyone, fillers]), np.hstack([mates, np.arange(3) < needed[:, None]])
 
 
 @dataclass
@@ -265,63 +276,48 @@ class _Run:
     rng: np.random.Generator
     share_radius: float
     species_radius: float
-    global_candidates: np.ndarray | None = None  # built on first use, same every generation
-    neighbor_work: np.ndarray | None = None  # _nearest_neighbors scratch, reused every generation
+
+    @cached_property
+    def global_candidates(self) -> np.ndarray:
+        return _global_donor_candidates(self.config.population_size)
+
+    @cached_property
+    def neighbor_work(self) -> np.ndarray:
+        # _nearest_neighbors scratch, one per run: fresh N x N matrices every
+        # generation let glibc trim the heap and fault ~4400 pages back in
+        # per trial, a quarter of a denm trial at N = 256 (two-core x86-64).
+        return np.empty((2, self.config.population_size, self.config.population_size))
 
 
-def _generation_trials(run: _Run, positions: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    """Mutate + crossover for every slot, from the generation-start snapshot;
-    row i of candidates lists the indices slot i may draw its donors from."""
-    donors = _pick_donors(run.rng, candidates)
-    mutant = de_mutate(
-        positions[donors[:, 0]],
-        positions[donors[:, 1]],
-        positions[donors[:, 2]],
-        run.config.scale_factor,
-        run.box,
-    )
+def _generation_trials(run: _Run, positions: np.ndarray, pool, candidates, valid=None) -> np.ndarray:
+    """Mutate + crossover for every slot, from the generation-start snapshot.
+    The arguments after positions are what every donor rule returns: row i
+    of candidates lists the pool rows slot i may draw its donors from, and
+    valid masks the entries of rows that are shorter (None: all are valid)."""
+    donors = pool[_pick_donors(run.rng, candidates, valid)]
+    mutant = de_mutate(donors[:, 0], donors[:, 1], donors[:, 2], run.config.scale_factor, run.box)
     return de_crossover(positions, mutant, run.config.crossover_rate, run.rng)
 
 
-def _global_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+def _global_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
     """Donors drawn from the whole population."""
-    if run.global_candidates is None:
-        run.global_candidates = _global_donor_candidates(len(positions))
-    return _generation_trials(run, positions, run.global_candidates)
+    return positions, run.global_candidates, None
 
 
-def _neighbor_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+def _neighbor_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
     """Donors drawn from each individual's m nearest neighbors. Local donor
     pools keep subpopulations on their own optima."""
-    # One scratch array per run: allocating the two N x N matrices afresh
-    # every generation let glibc trim the heap and fault about 4400 pages
-    # back in per trial, a quarter of a denm trial at N = 256 (run_trial in
-    # a loop, two-core x86-64 host).
-    if run.neighbor_work is None:
-        run.neighbor_work = np.empty((2, len(positions), len(positions)))
-    candidates = _nearest_neighbors(positions, run.config.neighborhood_size, run.neighbor_work)
-    return _generation_trials(run, positions, candidates)
+    return positions, _nearest_neighbors(positions, run.config.neighborhood_size, run.neighbor_work), None
 
 
-def _species_trials(run: _Run, positions: np.ndarray, fitness: np.ndarray) -> np.ndarray:
-    """Re-partition into species, then draw each individual's donors from
-    inside its species. Species smaller than four are topped up with fresh
-    uniform samples used as donors only (never evaluated), so the evaluation
-    budget stays one trial per individual per generation."""
-    config, box, rng = run.config, run.box, run.rng
+def _species_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
+    """Re-partition into species and draw each individual's donors from
+    inside its species, topped up with fresh uniform samples appended to the
+    pool (_species_donor_table). Fillers are donors only, never evaluated,
+    so the evaluation budget stays one trial per individual per generation."""
     species_of = _assign_species(positions, fitness, run.species_radius)
-    trials = np.empty_like(positions)
-    for species in range(species_of.max() + 1):
-        members = np.flatnonzero(species_of == species)
-        for i in members:
-            pool = positions[members[members != i]]
-            if len(pool) < 3:
-                filler = box.sample(rng, 3 - len(pool))
-                pool = np.vstack([pool, filler]) if len(pool) else filler
-            picks = rng.choice(len(pool), size=3, replace=False)
-            mutant = de_mutate(pool[picks[0]], pool[picks[1]], pool[picks[2]], config.scale_factor, box)
-            trials[i] = de_crossover(positions[i], mutant, config.crossover_rate, rng)
-    return trials
+    pool = np.vstack([positions, run.box.sample(run.rng, 3 * len(positions))])
+    return (pool, *_species_donor_table(species_of))
 
 
 def _greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None:
@@ -334,7 +330,11 @@ def _greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None:
 def _crowding(run: _Run, positions, fitness, trials, trial_fitness) -> None:
     """Each trial competes with the nearest current individual rather than
     its parent. Replacements are applied in trial index order, so the run is
-    deterministic."""
+    deterministic.
+
+    This stays a loop: trial i's nearest individual can be a slot that a
+    trial j < i replaced in the same generation, so a batched argmin against
+    the generation-start snapshot would change the outputs."""
     for i in range(len(trials)):
         delta = positions - trials[i]
         nearest = int(np.argmin(np.einsum("ij,ij->i", delta, delta)))  # ties: lowest index
@@ -351,9 +351,8 @@ def _shared_greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None
     # symmetric trial counts: self term (1) plus the snapshot without the
     # parent slot, mirroring how a parent counts itself plus the others
     cross = _niche_counts(trials, positions, radius)
-    parent_term = np.maximum(
-        0.0, 1.0 - np.sqrt(np.einsum("ij,ij->i", trials - positions, trials - positions)) / radius
-    )
+    delta = trials - positions
+    parent_term = np.maximum(0.0, 1.0 - np.sqrt(np.einsum("ij,ij->i", delta, delta)) / radius)
     trial_counts = 1.0 + cross - parent_term
     accept = trial_fitness / trial_counts >= shared_fitness(positions, fitness, radius)
     positions[accept] = trials[accept]
@@ -362,11 +361,11 @@ def _shared_greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None
 
 # Each variant is one (donor rule, replacement rule) pair on the same engine.
 ALGORITHMS = {
-    "de": (_global_trials, _greedy),
-    "denm": (_neighbor_trials, _greedy),
-    "dcde": (_global_trials, _crowding),
-    "sharede": (_global_trials, _shared_greedy),
-    "sde": (_species_trials, _greedy),
+    "de": (_global_donors, _greedy),
+    "denm": (_neighbor_donors, _greedy),
+    "dcde": (_global_donors, _crowding),
+    "sharede": (_global_donors, _shared_greedy),
+    "sde": (_species_donors, _greedy),
 }
 
 
@@ -385,7 +384,7 @@ def run_population(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {tuple(ALGORITHMS)}")
-    if share_radius <= 0 or species_radius <= 0:
+    if not (share_radius > 0 and species_radius > 0):  # NaN fails too
         raise ValueError("share_radius and species_radius must be positive")
     donor_rule, replacement_rule = ALGORITHMS[algorithm]
     rng = np.random.default_rng(config.rng_seed)
@@ -393,7 +392,7 @@ def run_population(
     positions = box.sample(rng, config.population_size)
     fitness = _evaluate(objective, positions)
     for _ in range(config.max_iterations):
-        trials = donor_rule(run, positions, fitness)
+        trials = _generation_trials(run, positions, *donor_rule(run, positions, fitness))
         trial_fitness = _evaluate(objective, trials)
         replacement_rule(run, positions, fitness, trials, trial_fitness)
     return Population(positions, fitness, config.max_iterations)

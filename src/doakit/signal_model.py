@@ -47,8 +47,8 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.num_elements < 2:
             raise ValueError("array needs at least two elements")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
+        if not 0 < self.wavelength < np.inf:  # NaN fails too
+            raise ValueError("wavelength must be positive and finite")
         object.__setattr__(self, "element_x", np.asarray(self.element_x, dtype=float))
         object.__setattr__(self, "element_y", np.asarray(self.element_y, dtype=float))
         if self.element_x.shape != (self.num_elements,) or self.element_y.shape != (self.num_elements,):
@@ -64,8 +64,8 @@ class ArrayGeometry:
         """
         if radius is None:
             radius = wavelength
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < radius < np.inf:  # NaN fails too
+            raise ValueError("radius (default: the wavelength) must be positive and finite")
         azimuths = TWO_PI * np.arange(1, num_elements + 1) / num_elements
         return cls(num_elements, wavelength, radius * np.cos(azimuths), radius * np.sin(azimuths))
 

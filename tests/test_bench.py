@@ -156,7 +156,7 @@ GOLDEN_DIGESTS = {
     ("denm", "dbscan"): "3416a77fde6e12a564d2247f5f8d2e2b2b98ae8cade70697f8736e2c759bb7ca",
     ("dcde", "dbscan"): "6f7e17021100632a7335c7a1b0237cda3e8afe1eb8cc4e71aecb04de088e4f2f",
     ("sharede", "dbscan"): "d8b8de1b2a77e2ba9d88dcdb7975ea07e3f798b2893a5f5f5a4a6e874edb120f",
-    ("sde", "dbscan"): "2a186a4ace808a821a07d9de470e4cc80653dd69be0a34137e82bef148c8d788",
+    ("sde", "dbscan"): "fd2f540f74a2e03c7cb78846418df8d0426300177c34509a4ecded6d4247e81f",
     ("denm", "klocalmax"): "0e3127ead1ab2d8709b1e74550ac91bd954b5ee3ef96b5c19234b45ceceb40fb",
     ("denm", "kmeanspp"): "f89e2895841ea5ac3e74ed370d1e688b4db793bf747870ccbfae42c9d232277f",
 }
@@ -455,6 +455,16 @@ class TestCli:
             {"snr_db": float("nan")},
             {"grid_step_deg": 200},  # a single elevation row
             {"grid_step_deg": 1000},  # a single azimuth column
+            {"radius": float("nan")},
+            {"radius": float("inf")},
+            {"wavelength": float("nan")},
+            {"wavelength": float("inf")},
+            {"success_threshold_deg": float("nan")},
+            {"dbscan_eps_deg": float("nan")},
+            {"share_radius_deg": float("nan")},
+            {"species_radius_deg": float("nan")},
+            {"optimizer": {"scale_factor": float("nan")}},
+            {"optimizer": {"scale_factor": float("inf")}},
         ],
     )
     def test_config_errors_caught_before_trials(self, tmp_path, capsys, mapping):

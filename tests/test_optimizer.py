@@ -11,7 +11,7 @@ from doakit import (
     run_population,
     shared_fitness,
 )
-from doakit.optimizer import _assign_species, _global_donor_candidates, _pick_donors
+from doakit.optimizer import _assign_species, _global_donor_candidates, _pick_donors, _species_donor_table
 
 BOX = SearchBox()
 
@@ -102,12 +102,12 @@ class TestMutate:
 class TestCrossover:
     def test_full_rate_copies_mutant(self):
         rng = np.random.default_rng(0)
-        x, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        x, v = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
         np.testing.assert_array_equal(de_crossover(x, v, 1.0, rng), v)
 
     def test_zero_rate_keeps_one_forced_coordinate(self):
         rng = np.random.default_rng(1)
-        x, v = np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        x, v = np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]])
         for _ in range(50):
             u = de_crossover(x, v, 0.0, rng)
             assert int(np.sum(u != x)) == 1
@@ -135,19 +135,48 @@ class TestDonors:
             assert sorted(candidates[i]) == sorted(set(range(7)) - {i})
 
     def test_three_distinct_donors(self):
-        # global candidates (de, dcde, sharede) and m-nearest-neighbor
-        # candidates (denm) at the smallest allowed m, with tied positions
+        # global candidates (de, dcde, sharede), m-nearest-neighbor
+        # candidates (denm) at the smallest allowed m, with tied positions,
+        # and the masked species table (sde) of a random partition
         rng = np.random.default_rng(3)
         layout = np.random.default_rng(4)
+        partition = np.random.default_rng(5)
         for _ in range(500):
             positions = layout.uniform(0.0, 90.0, size=(12, 2))
             positions[5] = positions[2]
-            for candidates in (_global_donor_candidates(12), nearest_neighbor_indices(positions, 4)):
-                donors = _pick_donors(rng, candidates)
+            tables = [
+                (_global_donor_candidates(12), None),
+                (nearest_neighbor_indices(positions, 4), None),
+                _species_donor_table(partition.integers(0, 4, size=12)),
+            ]
+            for candidates, valid in tables:
+                donors = _pick_donors(rng, candidates, valid)
                 assert np.all(donors[:, 0] != donors[:, 1])
                 assert np.all(donors[:, 0] != donors[:, 2])
                 assert np.all(donors[:, 1] != donors[:, 2])
                 assert np.all(donors != np.arange(12)[:, None])
+
+
+class TestSpeciesDonorTable:
+    # species of sizes 1, 2, 3, 4 and 6, members interleaved across slots
+    SPECIES_OF = np.random.default_rng(5).permutation(np.repeat(np.arange(5), [1, 2, 3, 4, 6]))
+
+    def test_donors_are_species_mates_topped_up_with_own_fillers(self):
+        species_of = self.SPECIES_OF
+        size = len(species_of)
+        candidates, valid = _species_donor_table(species_of)
+        mates = [set(np.flatnonzero(species_of == s).tolist()) - {i} for i, s in enumerate(species_of)]
+        fillers = [{size + 3 * i + k for k in range(3)} for i in range(size)]
+        drawn = [set() for _ in range(size)]
+        rng = np.random.default_rng(6)
+        for _ in range(2000):
+            for i, picked in enumerate(map(set, _pick_donors(rng, candidates, valid).tolist())):
+                assert len(picked) == 3
+                assert picked <= mates[i] | fillers[i]
+                assert len(picked & fillers[i]) == max(0, 3 - len(mates[i]))
+                drawn[i] |= picked & mates[i]
+        # every species-mate is reachable, not only some of them
+        assert drawn == mates
 
 
 def bruteforce_neighbors(positions, count):
