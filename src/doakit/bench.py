@@ -34,7 +34,7 @@ from .music import (
     noise_projector,
     spectrum_objective,
 )
-from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, run_population
+from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, require_integers, run_population
 from .signal_model import ArrayGeometry, SourceSet, sample_covariance, subspace_split, synthesize_snapshots
 
 # Each extraction reads its own settings from the scenario: (config, population, trial_index) -> ExtractionResult.
@@ -107,6 +107,17 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        try:
+            require_integers(
+                num_elements=self.num_elements,
+                snapshots=self.snapshots,
+                trials=self.trials,
+                dbscan_min_pts=self.dbscan_min_pts,
+                klocalmax_neighbors=self.klocalmax_neighbors,
+                master_seed=self.master_seed,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.algorithm != "grid" and self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.extraction not in EXTRACTIONS:

@@ -83,6 +83,14 @@ class SearchBox:
         return lo + span - np.abs(folded - span)
 
 
+def require_integers(**values) -> None:
+    """Raise ValueError naming the first value that is not an integer; a
+    bool is refused too, and so is an integral float such as 12.0."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DEConfig:
     """Knobs shared by all variants; neighborhood_size only drives denm.
@@ -100,6 +108,12 @@ class DEConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        require_integers(
+            population_size=self.population_size,
+            max_iterations=self.max_iterations,
+            neighborhood_size=self.neighborhood_size,
+            rng_seed=self.rng_seed,
+        )
         if self.population_size < 4:
             raise ValueError("population_size must be at least 4")
         if not 4 <= self.neighborhood_size <= self.population_size - 1:

@@ -465,6 +465,18 @@ class TestCli:
             {"species_radius_deg": float("nan")},
             {"optimizer": {"scale_factor": float("nan")}},
             {"optimizer": {"scale_factor": float("inf")}},
+            # integer fields refuse fractional, integral-float, NaN and bool values
+            {"snapshots": 100.0},
+            {"master_seed": float("nan")},
+            {"num_elements": 12.0},
+            {"dbscan_min_pts": 2.5},
+            {"klocalmax_neighbors": 8.0},
+            {"snapshots": True},
+            {"optimizer": {"population_size": 64.5}},
+            {"optimizer": {"max_iterations": float("nan")}},
+            {"optimizer": {"neighborhood_size": 16.0}},
+            {"optimizer": {"rng_seed": float("nan")}},
+            {"optimizer": {"rng_seed": False}},
         ],
     )
     def test_config_errors_caught_before_trials(self, tmp_path, capsys, mapping):
@@ -473,6 +485,15 @@ class TestCli:
         code = cli_main(["compare-extract", "--trials", "1", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("trials", [2.5, 3.0, True])
+    def test_non_integer_trials_caught_before_trials(self, tmp_path, capsys, trials):
+        # no --trials flag here: it would override the config's value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"trials": trials}), encoding="utf-8")
+        code = cli_main(["compare-extract", "--config", str(bad), "--out", str(tmp_path)])
+        assert code == 2
+        assert "trials must be an integer" in capsys.readouterr().err
 
     def test_duplicate_snr_exits_nonzero(self, tmp_path, capsys):
         code = cli_main(["run", "--algo", "grid", "--trials", "1", "--snr", "0", "0", "--out", str(tmp_path)])

@@ -20,7 +20,7 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
-from doakit.music import _local_maxima_mask
+from doakit.music import _grid_manifold, _local_maxima_mask
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -228,6 +228,50 @@ class TestGridSearch:
         assert values.shape == (361, 91)
         assert np.all(values > 0)
         assert np.all(np.isfinite(values))
+
+
+def spectrum_over_meshgrid(proj, spec):
+    """The grid spectrum through the population path, for comparison."""
+    az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
+    return music_values(proj, np.deg2rad(az_mesh.ravel()), np.deg2rad(el_mesh.ravel())).reshape(az_mesh.shape)
+
+
+def random_noise_matrix(num_elements, seed, num_sources=3):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((num_elements, 40)) + 1j * rng.standard_normal((num_elements, 40))
+    return noise_projector(subspace_split(sample_covariance(x), num_sources), ArrayGeometry.uca(num_elements)).matrix
+
+
+class TestGridManifold:
+    @pytest.mark.parametrize(
+        "num_elements, radius, step",
+        [(5, None, 1.0), (12, None, 1.0), (12, 0.7, 1.0), (12, None, 2.0)],
+    )
+    def test_equals_music_values_over_the_meshgrid(self, num_elements, radius, step):
+        geom = ArrayGeometry.uca(num_elements, radius=radius)
+        proj = NoiseProjector(random_noise_matrix(num_elements, seed=num_elements), 3, geom)
+        spec = GridSpec(azimuth_step=step, elevation_step=step)
+        np.testing.assert_array_equal(evaluate_grid(proj, spec), spectrum_over_meshgrid(proj, spec))
+
+    def test_alternating_geometries_of_equal_size(self):
+        # same projector matrix and element count: only the element positions tell the spectra apart
+        matrix = random_noise_matrix(12, seed=3)
+        projs = [NoiseProjector(matrix, 3, ArrayGeometry.uca(12, radius=r)) for r in (1.0, 0.6)]
+        expected = [spectrum_over_meshgrid(proj, GridSpec()) for proj in projs]
+        assert not np.array_equal(expected[0], expected[1])
+        for _ in range(2):
+            for proj, values in zip(projs, expected):
+                np.testing.assert_array_equal(evaluate_grid(proj, GridSpec()), values)
+
+    def test_cached_arrays_are_read_only(self, noiseless_projector):
+        geom = noiseless_projector.geometry
+        evaluate_grid(noiseless_projector, GridSpec())
+        key = (geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), GridSpec())
+        hits = _grid_manifold.cache_info().hits
+        for array in _grid_manifold(*key):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+        assert _grid_manifold.cache_info().hits == hits + 1
 
 
 class TestFlopModel:
