@@ -25,7 +25,6 @@ from .music import (
     flops_music,
     flops_population,
     grid_search,
-    music_value,
     music_values,
     noise_projector,
     spectrum_objective,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -348,17 +348,14 @@ class AggregateReport:
     raw_mae_theta_deg: float
     raw_mae_phi_deg: float
     flops_ratio_vs_grid: float
-    theta_error_samples: tuple[float, ...]
-    phi_error_samples: tuple[float, ...]
 
     def csv_row(self) -> dict:
-        return dict(zip(SUMMARY_COLUMNS, (getattr(self, name) for name in _SUMMARY_FIELD_NAMES)))
+        return dict(zip(SUMMARY_COLUMNS, astuple(self)))
 
 
-# summary.csv holds every AggregateReport field but the error samples; the
-# array and source counts are written as M and L.
-_SUMMARY_FIELD_NAMES = tuple(f.name for f in fields(AggregateReport) if not f.name.endswith("_samples"))
-SUMMARY_COLUMNS = tuple({"num_elements": "M", "num_sources": "L"}.get(name, name) for name in _SUMMARY_FIELD_NAMES)
+# summary.csv holds every AggregateReport field; the array and source counts
+# are written as M and L.
+SUMMARY_COLUMNS = tuple({"num_elements": "M", "num_sources": "L"}.get(f.name, f.name) for f in fields(AggregateReport))
 
 
 def _mean(samples: list[float]) -> float:
@@ -391,8 +388,6 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
         raw_mae_theta_deg=_mean(raw_theta),
         raw_mae_phi_deg=_mean(raw_phi),
         flops_ratio_vs_grid=config.model_flops() / flops_music(config.flop_model()),
-        theta_error_samples=tuple(raw_theta),
-        phi_error_samples=tuple(raw_phi),
     )
 
 

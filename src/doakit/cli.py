@@ -105,7 +105,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 def _cmd_run(args) -> int:
     config = _load_config(args)
     aggregates, reports = run_sweep(config, args.snr, workers=args.workers)
-    args.out.mkdir(parents=True, exist_ok=True)
     write_summary_csv(aggregates, args.out / "summary.csv")
     write_errors_csv(config, reports, args.out / "errors.csv")
     for agg in aggregates:

@@ -8,7 +8,7 @@ whose steering vectors are nearly orthogonal to the noise subspace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -22,8 +22,6 @@ DENOMINATOR_FLOOR = 1e-12
 __all__ = [
     "NoiseProjector",
     "noise_projector",
-    "projection_power",
-    "music_value",
     "music_values",
     "spectrum_objective",
     "GridSpec",
@@ -67,36 +65,35 @@ def noise_projector(split: SubspaceSplit, geometry: ArrayGeometry) -> NoiseProje
     return NoiseProjector(matrix=g, num_sources=split.signal_basis.shape[1], geometry=geometry)
 
 
-def projection_power(proj: NoiseProjector, azimuths_rad, elevations_rad) -> np.ndarray:
-    """a^H G a per angle pair; lies in [0, M] since G is an orthogonal projector.
+def _steering_columns(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
+    """Steering matrix with one column per (azimuth_deg, elevation_deg) row.
 
-    Azimuth wraps modulo 2*pi; elevation is clipped to [0, pi/2] to absorb
-    floating-point overshoot from degree conversions.
+    The one direction rule of the spectrum: azimuth wraps modulo 360
+    degrees, elevation is clipped to [0, 90] to absorb floating-point
+    overshoot from degree arithmetic.
     """
-    az = np.mod(np.atleast_1d(np.asarray(azimuths_rad, dtype=float)), TWO_PI)
-    el = np.clip(np.atleast_1d(np.asarray(elevations_rad, dtype=float)), 0.0, np.pi / 2.0)
-    a = steering_matrix(proj.geometry, az, el)
-    return np.einsum("mn,mn->n", a.conj(), proj.matrix @ a).real
+    pos = np.atleast_2d(np.asarray(positions_deg, dtype=float))
+    az = np.mod(np.deg2rad(pos[:, 0]), TWO_PI)
+    el = np.clip(np.deg2rad(pos[:, 1]), 0.0, np.pi / 2.0)
+    return steering_matrix(geometry, az, el)
 
 
-def music_values(proj: NoiseProjector, azimuths_rad, elevations_rad) -> np.ndarray:
-    """Pseudo-spectrum heights 1 / max(a^H G a, floor) for a batch of angles."""
-    return 1.0 / np.maximum(projection_power(proj, azimuths_rad, elevations_rad), DENOMINATOR_FLOOR)
+def _spectrum(matrix: np.ndarray, a: np.ndarray, a_conj: np.ndarray) -> np.ndarray:
+    """1 / max(a^H G a, floor) per steering column; a^H G a lies in [0, M]
+    since G is an orthogonal projector, so every height is at least 1/M."""
+    power = np.einsum("mn,mn->n", a_conj, matrix @ a).real
+    return 1.0 / np.maximum(power, DENOMINATOR_FLOOR)
 
 
-def music_value(proj: NoiseProjector, azimuth_rad: float, elevation_rad: float) -> float:
-    """Pseudo-spectrum height at one direction (radians). Strictly positive."""
-    return float(music_values(proj, [azimuth_rad], [elevation_rad])[0])
+def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
+    """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg)."""
+    a = _steering_columns(proj.geometry, positions_deg)
+    return _spectrum(proj.matrix, a, a.conj())
 
 
 def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarray]:
     """Batched objective over (azimuth_deg, elevation_deg) rows, for optimizers."""
-
-    def objective(positions_deg: np.ndarray) -> np.ndarray:
-        pos = np.atleast_2d(np.asarray(positions_deg, dtype=float))
-        return music_values(proj, np.deg2rad(pos[:, 0]), np.deg2rad(pos[:, 1]))
-
-    return objective
+    return partial(music_values, proj)
 
 
 @dataclass(frozen=True)
@@ -146,16 +143,14 @@ def _grid_manifold(
     """Read-only steering matrix A of every grid point and its conjugate.
 
     Keyed on the geometry's values, since ``ArrayGeometry`` holds arrays and
-    cannot be hashed. Angles go through the same conversion, wrap and clip as
-    ``projection_power``, so the grid spectrum equals ``music_values`` bit for
-    bit. Holding both arrays costs 2 * M * J * 16 bytes (12.6 MB for the
+    cannot be hashed. The grid's angles go through ``_steering_columns`` like
+    any population, so the grid spectrum equals ``music_values`` bit for bit.
+    Holding both arrays costs 2 * M * J * 16 bytes (12.6 MB for the
     1-degree grid at M = 12).
     """
     geom = ArrayGeometry(num_elements, wavelength, np.frombuffer(element_x), np.frombuffer(element_y))
     az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
-    az = np.mod(np.deg2rad(az_mesh.ravel()), TWO_PI)
-    el = np.clip(np.deg2rad(el_mesh.ravel()), 0.0, np.pi / 2.0)
-    manifold = steering_matrix(geom, az, el)
+    manifold = _steering_columns(geom, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
     manifold_conj = manifold.conj()
     manifold.flags.writeable = False
     manifold_conj.flags.writeable = False
@@ -173,9 +168,7 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
     a, a_conj = _grid_manifold(
         geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), spec
     )
-    power = np.einsum("mn,mn->n", a_conj, proj.matrix @ a).real
-    values = 1.0 / np.maximum(power, DENOMINATOR_FLOOR)
-    return values.reshape(spec.num_azimuth, spec.num_elevation)
+    return _spectrum(proj.matrix, a, a_conj).reshape(spec.num_azimuth, spec.num_elevation)
 
 
 # Relative margin for strict dominance: spectrum values equal up to a few ulps

@@ -7,8 +7,9 @@ input to subspace DOA estimators.
 
 Angle conventions: azimuth measured in the array plane, elevation
 measured from zenith (elevation 0 points along the array normal, pi/2
-lies in the array plane). Geometry-level operations use radians; source
-descriptions and everything downstream of them use degrees.
+lies in the array plane). Geometry-level operations (steering vectors and
+matrices) use radians; source descriptions and everything downstream of
+them, the MUSIC spectrum included, use degrees.
 """
 
 from __future__ import annotations

@@ -239,8 +239,8 @@ class TestAggregate:
 
     def test_cdf_properties(self):
         config = ScenarioConfig(algorithm="denm", snr_db=10.0, trials=4, optimizer=FAST_DE)
-        agg = aggregate(config, run_trials(config))
-        values, fractions = empirical_cdf(agg.phi_error_samples)
+        reports = run_trials(config)
+        values, fractions = empirical_cdf(np.concatenate([r.match.phi_errors_deg for r in reports]))
         assert np.all(np.diff(values) >= 0)
         assert np.all(np.diff(fractions) > 0)
         assert fractions[-1] == 1.0

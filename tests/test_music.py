@@ -11,7 +11,6 @@ from doakit import (
     flops_music,
     flops_population,
     grid_search,
-    music_value,
     music_values,
     noise_projector,
     sample_covariance,
@@ -65,6 +64,11 @@ class TestNoiseProjector:
             bad.validate()
 
 
+def random_rows(rng, count):
+    """(azimuth_deg, elevation_deg) rows drawn uniformly over the search box."""
+    return np.column_stack((rng.uniform(0.0, 360.0, count), rng.uniform(0.0, 90.0, count)))
+
+
 class TestMusicValue:
     def test_matches_unprojected_form(self):
         # 1/(a^H (U_n U_n^H) a) computed from the basis directly
@@ -73,50 +77,40 @@ class TestMusicValue:
         x = rng.standard_normal((8, 40)) + 1j * rng.standard_normal((8, 40))
         split = subspace_split(sample_covariance(x), 3)
         proj = noise_projector(split, geom)
-        for _ in range(20):
-            azimuth = float(rng.uniform(0, 2 * np.pi))
-            elevation = float(rng.uniform(0, np.pi / 2))
-            a = steering_vector(geom, azimuth, elevation)
+        for azimuth, elevation in random_rows(rng, 20):
+            a = steering_vector(geom, np.deg2rad(azimuth), np.deg2rad(elevation))
             direct = 1.0 / (a.conj() @ split.noise_basis @ split.noise_basis.conj().T @ a).real
-            assert abs(music_value(proj, azimuth, elevation) - direct) / direct < 1e-10
+            assert abs(music_values(proj, [azimuth, elevation])[0] - direct) / direct < 1e-10
 
     def test_identity_projector_gives_one_over_m(self, uca12):
         proj = NoiseProjector(matrix=np.eye(12, dtype=complex), num_sources=0, geometry=uca12)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            value = music_value(proj, float(rng.uniform(0, 2 * np.pi)), float(rng.uniform(0, np.pi / 2)))
-            assert abs(value - 1.0 / 12.0) < 1e-14
+        values = music_values(proj, random_rows(np.random.default_rng(1), 10))
+        assert np.all(np.abs(values - 1.0 / 12.0) < 1e-14)
 
     def test_noiseless_peak_dominates(self):
         geom = ArrayGeometry.uca(12)
         sources = SourceSet(np.array([140.0]), np.array([50.0]))
         snapshots = synthesize_snapshots(geom, sources, np.inf, 64, rng_seed=3)
         proj = noise_projector(subspace_split(sample_covariance(snapshots), 1), geom)
-        peak = music_value(proj, np.deg2rad(140.0), np.deg2rad(50.0))
+        peak = music_values(proj, [140.0, 50.0])[0]
         assert peak >= 1e10  # floor-limited at exact orthogonality
-        for d_az, d_el in ((10.0, 0.0), (-10.0, 0.0), (0.0, 10.0), (0.0, -10.0), (8.0, 8.0)):
-            off = music_value(proj, np.deg2rad(140.0 + d_az), np.deg2rad(50.0 + d_el))
-            assert peak / off >= 1e3
-
-    def test_periodic_in_azimuth(self):
-        proj = projector_from_random_covariance(7)
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            azimuth = float(rng.uniform(0, 2 * np.pi))
-            elevation = float(rng.uniform(0, np.pi / 2))
-            base = music_value(proj, azimuth, elevation)
-            wrapped = music_value(proj, azimuth + 2 * np.pi, elevation)
-            assert abs(base - wrapped) / base < 1e-12
+        offsets = np.array([(10.0, 0.0), (-10.0, 0.0), (0.0, 10.0), (0.0, -10.0), (8.0, 8.0)])
+        off = music_values(proj, np.array([140.0, 50.0]) + offsets)
+        assert np.all(peak / off >= 1e3)
 
     def test_projection_power_bounded_so_value_at_least_one_over_m(self):
         for seed in range(5):
             proj = projector_from_random_covariance(seed, num_elements=10, num_sources=4)
-            rng = np.random.default_rng(seed + 50)
-            azimuths = rng.uniform(0, 2 * np.pi, 200)
-            elevations = rng.uniform(0, np.pi / 2, 200)
-            values = music_values(proj, azimuths, elevations)
+            values = music_values(proj, random_rows(np.random.default_rng(seed + 50), 200))
             assert np.all(values >= 1.0 / 10.0 - 1e-12)
             assert np.all(values > 0)
+
+    def test_periodic_in_azimuth(self):
+        proj = projector_from_random_covariance(7)
+        rows = random_rows(np.random.default_rng(7), 20)
+        base = music_values(proj, rows)
+        wrapped = music_values(proj, rows + [360.0, 0.0])
+        assert np.all(np.abs(base - wrapped) / base < 1e-12)
 
     def test_spectrum_objective_wraps_degrees(self):
         proj = projector_from_random_covariance(9)
@@ -124,6 +118,19 @@ class TestMusicValue:
         pos = np.array([[350.0, 45.0], [710.0, 45.0]])  # same direction mod 360
         values = objective(pos)
         assert abs(values[0] - values[1]) / values[0] < 1e-12
+
+    def test_direction_rule_clips_elevation_and_wraps_azimuth(self):
+        # the rule both the grid and the population go through: exact, not approximate
+        proj = projector_from_random_covariance(11)
+        rows = [
+            (40.0, 90.0 + 1e-9), (40.0, 100.0), (40.0, 90.0),
+            (40.0, -1e-9), (40.0, -10.0), (40.0, 0.0),
+            (-10.0, 45.0), (350.0, 45.0),
+        ]
+        values = music_values(proj, rows)
+        assert values[0] == values[2] and values[1] == values[2]
+        assert values[3] == values[5] and values[4] == values[5]
+        assert values[6] == values[7]
 
 
 class TestGridSpec:
@@ -233,7 +240,7 @@ class TestGridSearch:
 def spectrum_over_meshgrid(proj, spec):
     """The grid spectrum through the population path, for comparison."""
     az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
-    return music_values(proj, np.deg2rad(az_mesh.ravel()), np.deg2rad(el_mesh.ravel())).reshape(az_mesh.shape)
+    return music_values(proj, np.column_stack((az_mesh.ravel(), el_mesh.ravel()))).reshape(az_mesh.shape)
 
 
 def random_noise_matrix(num_elements, seed, num_sources=3):
