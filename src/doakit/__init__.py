@@ -33,7 +33,6 @@ from .optimizer import (
     ALGORITHMS,
     CountingObjective,
     DEConfig,
-    Individual,
     Population,
     SearchBox,
     de_crossover,

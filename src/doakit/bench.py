@@ -441,12 +441,13 @@ TABLE_SENSOR_COUNTS = (12, 32, 128)
 TABLE_SOURCE_COUNTS = (1, 3, 10)
 
 
-def complexity_cells(grid_points: int = 361 * 91, population_size: int = 256, max_iterations: int = 20):
-    """The nine (sensors, sources) cost-model cells as MFLOP pairs and ratios."""
+def complexity_cells():
+    """The nine (sensors, sources) cost-model cells as MFLOP pairs and ratios,
+    at FlopModel's default grid, population and iteration counts."""
     cells = []
     for num_sources in TABLE_SOURCE_COUNTS:
         for num_sensors in TABLE_SENSOR_COUNTS:
-            model = FlopModel(num_sensors, num_sources, grid_points, population_size, max_iterations)
+            model = FlopModel(num_sensors, num_sources)
             music = flops_music(model)
             population = flops_population(model)
             cells.append(

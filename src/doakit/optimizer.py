@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -36,7 +37,6 @@ __all__ = [
     "ALGORITHMS",
     "SearchBox",
     "DEConfig",
-    "Individual",
     "Population",
     "CountingObjective",
     "de_mutate",
@@ -114,8 +114,8 @@ class DEConfig:
             neighborhood_size=self.neighborhood_size,
             rng_seed=self.rng_seed,
         )
-        if self.population_size < 4:
-            raise ValueError("population_size must be at least 4")
+        if self.population_size < 5:
+            raise ValueError("population_size must be at least 5, so that four neighbors exist besides each point")
         if not 4 <= self.neighborhood_size <= self.population_size - 1:
             # three donors distinct from the target must exist among the
             # neighbors, and a point is never its own neighbor
@@ -128,25 +128,15 @@ class DEConfig:
             raise ValueError("max_iterations must be non-negative")
 
 
-class Individual(NamedTuple):
-    position: np.ndarray  # (azimuth_deg, elevation_deg)
-    fitness: float
-
-
 @dataclass
 class Population:
     """Candidate points plus fitness; length is invariant across generations."""
 
     positions: np.ndarray  # (P, 2)
     fitness: np.ndarray  # (P,)
-    generation: int = 0
 
     def __len__(self) -> int:
         return len(self.fitness)
-
-    def best(self) -> Individual:
-        i = int(np.argmax(self.fitness))  # ties: lowest index
-        return Individual(self.positions[i].copy(), float(self.fitness[i]))
 
 
 class CountingObjective:
@@ -183,33 +173,21 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     """Each point's ``count`` nearest neighbors by Euclidean distance,
     self excluded, distance ties broken toward the lower index."""
     pos = np.asarray(positions, dtype=float)
-    return _nearest_neighbors(pos, count, np.empty((2, len(pos), len(pos))))
-
-
-def _nearest_neighbors(pos: np.ndarray, count: int, work: np.ndarray) -> np.ndarray:
-    """nearest_neighbor_indices with a caller-owned (2, N, N) float scratch
-    array, whose contents are overwritten."""
     if not 1 <= count <= len(pos) - 1:
         raise ValueError("count must lie in [1, len(positions) - 1]")
-    dist_sq, partitioned = work
-    cdist(pos, pos, "sqeuclidean", out=dist_sq)
-    np.fill_diagonal(dist_sq, np.inf)
-    # Everything at or below each row's count-th smallest distance, read in
-    # ascending column order, then stable-sorted by distance: O(N^2) in all.
-    np.copyto(partitioned, dist_sq)
-    partitioned.partition(count - 1, axis=1)
-    within = dist_sq <= partitioned[:, count - 1, None]
-    # More than count entries at or below the cut means a distance tie
-    # straddles it; only those rows need the full sort to pick the lower
-    # indices among the tied.
-    tied = np.count_nonzero(within, axis=1) > count
-    fast = ~tied
-    cols = np.flatnonzero(within[fast]).reshape(-1, count) % len(pos)
-    order = np.argsort(dist_sq[np.flatnonzero(fast)[:, None], cols], axis=1, kind="stable")
-    result = np.empty((len(pos), count), dtype=np.intp)
-    result[fast] = np.take_along_axis(cols, order, axis=1)
-    if tied.any():
-        result[tied] = np.argsort(dist_sq[tied], axis=1, kind="stable")[:, :count]
+    # Self, the count neighbors and one more point, by ascending distance. A
+    # row whose distances strictly increase has one right answer, and the
+    # tree returns it. Equal distances (a duplicate of the point, a tie inside
+    # the list or at the cut) may come back in any order, so those rows are
+    # sorted exactly; the tree's square roots are monotone, so rounding can
+    # only make distances equal, never swap them.
+    dist, idx = cKDTree(pos).query(pos, k=min(count + 2, len(pos)))
+    result = idx[:, 1 : count + 1]
+    tied = np.flatnonzero(np.any(dist[:, 1:] == dist[:, :-1], axis=1))
+    if len(tied):
+        exact = cdist(pos[tied], pos, "sqeuclidean")
+        exact[np.arange(len(tied)), tied] = np.inf
+        result[tied] = np.argsort(exact, axis=1, kind="stable")[:, :count]
     return result
 
 
@@ -295,13 +273,6 @@ class _Run:
     def global_candidates(self) -> np.ndarray:
         return _global_donor_candidates(self.config.population_size)
 
-    @cached_property
-    def neighbor_work(self) -> np.ndarray:
-        # _nearest_neighbors scratch, one per run: fresh N x N matrices every
-        # generation let glibc trim the heap and fault ~4400 pages back in
-        # per trial, a quarter of a denm trial at N = 256 (two-core x86-64).
-        return np.empty((2, self.config.population_size, self.config.population_size))
-
 
 def _generation_trials(run: _Run, positions: np.ndarray, pool, candidates, valid=None) -> np.ndarray:
     """Mutate + crossover for every slot, from the generation-start snapshot.
@@ -321,7 +292,7 @@ def _global_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
 def _neighbor_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
     """Donors drawn from each individual's m nearest neighbors. Local donor
     pools keep subpopulations on their own optima."""
-    return positions, _nearest_neighbors(positions, run.config.neighborhood_size, run.neighbor_work), None
+    return positions, nearest_neighbor_indices(positions, run.config.neighborhood_size), None
 
 
 def _species_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
@@ -409,4 +380,4 @@ def run_population(
         trials = _generation_trials(run, positions, *donor_rule(run, positions, fitness))
         trial_fitness = _evaluate(objective, trials)
         replacement_rule(run, positions, fitness, trials, trial_fitness)
-    return Population(positions, fitness, config.max_iterations)
+    return Population(positions, fitness)

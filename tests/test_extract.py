@@ -101,7 +101,7 @@ def random_instance(rng):
 
 
 def make_population(positions, fitness):
-    return Population(np.asarray(positions, dtype=float), np.asarray(fitness, dtype=float), generation=0)
+    return Population(np.asarray(positions, dtype=float), np.asarray(fitness, dtype=float))
 
 
 class TestDbscan:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,10 @@ class TestDEConfig:
             DEConfig(neighborhood_size=3)
         with pytest.raises(ValueError):
             DEConfig(population_size=3)
+        # four neighbors besides the point itself need five points, whatever
+        # neighborhood_size is asked for
+        with pytest.raises(ValueError, match="population_size must be at least 5"):
+            DEConfig(population_size=4, neighborhood_size=3)
         with pytest.raises(ValueError):
             DEConfig(crossover_rate=1.5)
 
@@ -199,19 +205,30 @@ class TestNearestNeighbors:
         lattice = rng.integers(0, 6, size=(40, 2)).astype(float)
         collapsed = rng.uniform(0.0, 100.0, size=(45, 2))
         collapsed[:15] = collapsed[0]  # a third of the rows on one point
-        # the centre sees four points at distance 1, the cut at 2 splits them
+        # the centre sees four points at distance 1: the cut at 2 splits them,
+        # the cut at 4 holds all of them, a tie inside the list only
         cross = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0], [0.0, -1.0], [5.0, 5.0]])
+        # rows 7 and 19 sit on one point: a distance-0 tie with self
+        twin = rng.uniform(0.0, 100.0, size=(30, 2))
+        twin[19] = twin[7]
+        # denm populations on the two-peak objective, mid-run and converged:
+        # clustered, with duplicates and near-ties that uniform draws lack
+        config = DEConfig(population_size=256, neighborhood_size=16, rng_seed=0)
+        mid_run = run_population("denm", bimodal, BOX, config).positions
+        converged = run_population("denm", bimodal, BOX, replace(config, max_iterations=100)).positions
         cases = [
-            (lattice, 1), (lattice, 7), (lattice, 39),
-            (collapsed, 4), (collapsed, 14), (collapsed, 20), (collapsed, 44),
-            (cross, 2), (cross, 5),
-        ]
+            (lattice, 1), (lattice, 7), (lattice, 38), (lattice, 39),
+            (collapsed, 4), (collapsed, 14), (collapsed, 20), (collapsed, 43), (collapsed, 44),
+            (cross, 2), (cross, 4), (cross, 5),
+            (twin, 3), (twin, 28),
+            (mid_run, 16), (converged, 16),
+        ]  # count = n - 2 asks the tree for every point
         seen = set()
         for positions, count in cases:
             expected, straddles = bruteforce_neighbors(positions, count)
             np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
             seen.update(straddles)
-        # both the partial-sort rows and the tie fallback rows were exercised
+        # rows with and without a distance tie straddling the cut both occur
         assert seen == {False, True}
 
     def test_matches_bruteforce(self):
@@ -230,30 +247,36 @@ class TestNearestNeighbors:
             nearest_neighbor_indices(np.zeros((5, 2)), 5)
 
 
+def fittest(population):
+    """Position and fitness of the fittest individual, the lowest index on ties."""
+    top = int(np.argmax(population.fitness))
+    return population.positions[top], population.fitness[top]
+
+
 class TestDeRun:
     def test_unimodal_convergence(self):
         config = DEConfig(population_size=64, max_iterations=50, neighborhood_size=8)
         for seed in range(20):
-            best = run_population("de", unimodal, BOX, DEConfig(**{**config.__dict__, "rng_seed": seed})).best()
-            assert abs(best.position[0] - 100.0) <= 0.5
-            assert abs(best.position[1] - 45.0) <= 0.5
+            position, _ = fittest(run_population("de", unimodal, BOX, replace(config, rng_seed=seed)))
+            assert abs(position[0] - 100.0) <= 0.5
+            assert abs(position[1] - 45.0) <= 0.5
 
     def test_zero_iterations_returns_best_initial(self):
         config = DEConfig(population_size=32, max_iterations=0, neighborhood_size=8, rng_seed=12)
-        best = run_population("de", unimodal, BOX, config).best()
+        position, fitness = fittest(run_population("de", unimodal, BOX, config))
         rng = np.random.default_rng(12)
         initial = BOX.sample(rng, 32)
         values = unimodal(initial)
         top = int(np.argmax(values))
-        np.testing.assert_array_equal(best.position, initial[top])
-        assert best.fitness == values[top]
+        np.testing.assert_array_equal(position, initial[top])
+        assert fitness == values[top]
 
     def test_deterministic(self):
         config = DEConfig(population_size=32, max_iterations=15, neighborhood_size=8, rng_seed=5)
-        first = run_population("de", unimodal, BOX, config).best()
-        second = run_population("de", unimodal, BOX, config).best()
-        np.testing.assert_array_equal(first.position, second.position)
-        assert first.fitness == second.fitness
+        first = fittest(run_population("de", unimodal, BOX, config))
+        second = fittest(run_population("de", unimodal, BOX, config))
+        np.testing.assert_array_equal(first[0], second[0])
+        assert first[1] == second[1]
 
 
 class TestDenmRun:
@@ -271,7 +294,6 @@ class TestDenmRun:
         config = DEConfig(population_size=48, max_iterations=30, neighborhood_size=8, rng_seed=2)
         population = run_population("denm", bimodal, BOX, config)
         assert len(population) == 48
-        assert population.generation == 30
         assert BOX.contains(population.positions)
 
     def test_large_neighborhood_still_runs(self):
