@@ -176,6 +176,36 @@ def seeded_output_digest(reports) -> str:
     return digest.hexdigest()
 
 
+# sha256 of the same trials without the spectrum heights: trial, estimated
+# directions, measured_evals, match errors and success. A change to how the
+# spectrum is computed may move fitness by rounding, and must leave these.
+ESTIMATE_DIGESTS = {
+    ("grid", "dbscan"): "0c43a50f4ba00466a3ea125dd9068522413c954721a0315ccefdb01a35934a11",
+    ("de", "dbscan"): "4bfd9e865b2429d8a40e202bea67cb0007018f97e555ab8c845c9ef5ca00ed50",
+    ("denm", "dbscan"): "df5422bbd3c3934796165bb64a9deae3aeb7e75c6095a83eb44acc8bfb59415c",
+    ("dcde", "dbscan"): "ae3e4258b794c5dffcfb795d9e89b1d057d805f6075399ac1ef35f011b49f5b5",
+    ("sharede", "dbscan"): "95fd922b4ed70ef8b9a130f121d5a0bff363239f8a14bc6de6080955395137e4",
+    ("sde", "dbscan"): "40e1f1f8ef2cd859c95688b8395e3b6b75f622716417b820696b8853f3d0a4cb",
+    ("denm", "klocalmax"): "6917348ead94b70b6d4497a6c68c9821a333227d1e41842eda9f66f297a59820",
+    ("denm", "kmeanspp"): "d926b01b947a96deb335f72c5a00ef6ea6728dd39aa3d84f570a9823b2a6ff94",
+}
+
+
+def estimate_digest(reports) -> str:
+    digest = hashlib.sha256()
+    for report in reports:
+        record = (
+            report.trial,
+            [(e.azimuth_deg, e.elevation_deg) for e in report.estimates],
+            report.measured_evals,
+            report.match.theta_errors_deg.tolist(),
+            report.match.phi_errors_deg.tolist(),
+            report.success,
+        )
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
 # the reference scenario with its first source moved next to the azimuth seam
 SEAM_CONFIG = ScenarioConfig(source_azimuth_deg=(0.3, 120.27, 240.51), algorithm="grid", snr_db=-5.0, trials=40)
 
@@ -195,20 +225,29 @@ class TestGridSeam:
                 assert not (apart_az <= step and apart_el <= step)
 
 
+def golden_config(algorithm, extraction):
+    return ScenarioConfig(
+        algorithm=algorithm,
+        extraction=extraction,
+        snr_db=5.0,
+        trials=3,
+        optimizer=GOLDEN_DE,
+        dbscan_eps_deg=10.0,  # wide enough that dbscan finds clusters in every variant's population
+        dbscan_min_pts=3,
+        master_seed=11,
+    )
+
+
 class TestGoldenOutputs:
     @pytest.mark.parametrize("algorithm,extraction", sorted(GOLDEN_DIGESTS))
     def test_seeded_outputs_match_recorded_digest(self, algorithm, extraction):
-        config = ScenarioConfig(
-            algorithm=algorithm,
-            extraction=extraction,
-            snr_db=5.0,
-            trials=3,
-            optimizer=GOLDEN_DE,
-            dbscan_eps_deg=10.0,  # wide enough that dbscan finds clusters in every variant's population
-            dbscan_min_pts=3,
-            master_seed=11,
-        )
+        config = golden_config(algorithm, extraction)
         assert seeded_output_digest(run_trials(config)) == GOLDEN_DIGESTS[(algorithm, extraction)]
+
+    @pytest.mark.parametrize("algorithm,extraction", sorted(ESTIMATE_DIGESTS))
+    def test_seeded_estimates_match_recorded_digest(self, algorithm, extraction):
+        config = golden_config(algorithm, extraction)
+        assert estimate_digest(run_trials(config)) == ESTIMATE_DIGESTS[(algorithm, extraction)]
 
 
 class TestAggregate:
