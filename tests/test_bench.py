@@ -151,14 +151,14 @@ GOLDEN_DE = DEConfig(population_size=32, max_iterations=5, neighborhood_size=8)
 # cover exact float values: a refactor must leave them unchanged, and only a
 # change meant to move seeded outputs may re-record them.
 GOLDEN_DIGESTS = {
-    ("grid", "dbscan"): "5feb66e7328077977e3128b03030073ea068b7aa4bbf9a4ca833fceb410dc4e3",
-    ("de", "dbscan"): "207174d888ad435d1f789f2cdddb3655093a3a45205c7e515966e40fce641104",
-    ("denm", "dbscan"): "3416a77fde6e12a564d2247f5f8d2e2b2b98ae8cade70697f8736e2c759bb7ca",
-    ("dcde", "dbscan"): "6f7e17021100632a7335c7a1b0237cda3e8afe1eb8cc4e71aecb04de088e4f2f",
-    ("sharede", "dbscan"): "d8b8de1b2a77e2ba9d88dcdb7975ea07e3f798b2893a5f5f5a4a6e874edb120f",
-    ("sde", "dbscan"): "fd2f540f74a2e03c7cb78846418df8d0426300177c34509a4ecded6d4247e81f",
-    ("denm", "klocalmax"): "0e3127ead1ab2d8709b1e74550ac91bd954b5ee3ef96b5c19234b45ceceb40fb",
-    ("denm", "kmeanspp"): "f89e2895841ea5ac3e74ed370d1e688b4db793bf747870ccbfae42c9d232277f",
+    ("grid", "dbscan"): "279c3dc66982d7bd4b0235d3dd352fbaa88943892178b6a8b027e29eb9d341d5",
+    ("de", "dbscan"): "39a1c4888bf5c264755ec2c3c9769488b4abae7a68bf7df9bd19d0fcb509433f",
+    ("denm", "dbscan"): "88a1de7140d2c434c23e97fb07605db5b14c3481b0bd8a9edde5b84cb07e0b7c",
+    ("dcde", "dbscan"): "5805e02d9b799b8916e1a3d27cc4f07fcbbaa49ccbcf637fa4f98ebe7355a377",
+    ("sharede", "dbscan"): "91b224e435b79be8e3077e2811d708c18dbb8114126ae0b974451b3e4d7a1859",
+    ("sde", "dbscan"): "2f6b9089a9f92fd3931f2316455822ca8f19151c8ea19eb9c5060e758ade0cf3",
+    ("denm", "klocalmax"): "a4b43d5e7d83cb003b8a2d414eb88287bf595a3d873ab5cf7894017a834db6a0",
+    ("denm", "kmeanspp"): "d914179b8f3cf01332f35872188fe051aaf4aba6152878ee83f123cf5f8bd267",
 }
 
 

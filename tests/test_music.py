@@ -19,7 +19,7 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
-from doakit.music import _grid_manifold, _local_maxima_mask
+from doakit.music import DENOMINATOR_FLOOR, _grid_manifold, _local_maxima_mask
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -56,12 +56,20 @@ class TestNoiseProjector:
     def test_invariants_on_random_covariances(self):
         for seed in range(10):
             proj = projector_from_random_covariance(seed)
-            proj.validate()  # Hermitian, idempotent, trace = M - L
+            proj.validate()  # an (M, L) basis with orthonormal columns
 
     def test_validate_rejects_non_projector(self, uca12):
-        bad = NoiseProjector(matrix=np.eye(12) * 2.0, num_sources=3, geometry=uca12)
+        basis = projector_from_random_covariance(0, num_elements=12).signal_basis
+        bad = NoiseProjector(signal_basis=basis * 2.0, geometry=uca12)
         with pytest.raises(ValueError):
             bad.validate()
+
+    def test_validate_rejects_wrong_shape(self, uca12):
+        basis = projector_from_random_covariance(0, num_elements=12).signal_basis
+        NoiseProjector(np.zeros((12, 0), dtype=complex), uca12).validate()  # L = 0 is the identity projector
+        for bad in (basis[:11], basis[:, 0], np.eye(12, dtype=complex), np.eye(13, 3, dtype=complex)):
+            with pytest.raises(ValueError, match="shape"):
+                NoiseProjector(bad, uca12).validate()
 
 
 def random_rows(rng, count):
@@ -82,8 +90,31 @@ class TestMusicValue:
             direct = 1.0 / (a.conj() @ split.noise_basis @ split.noise_basis.conj().T @ a).real
             assert abs(music_values(proj, [azimuth, elevation])[0] - direct) / direct < 1e-10
 
+    @pytest.mark.parametrize("num_elements", [5, 12, 128])
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0, np.inf])
+    def test_equals_explicit_noise_subspace_form(self, num_elements, snr_db, truth_sources):
+        # the spectrum goes through M - ||U_s^H a||^2; compare it with 1/(a^H U_n U_n^H a)
+        geom = ArrayGeometry.uca(num_elements)
+        snapshots = synthesize_snapshots(geom, truth_sources, snr_db, 100, rng_seed=num_elements)
+        split = subspace_split(sample_covariance(snapshots), truth_sources.count)
+        truth_rows = np.column_stack((truth_sources.azimuth_deg, truth_sources.elevation_deg))
+        rows = np.vstack((random_rows(np.random.default_rng(num_elements), 200), truth_rows))
+        values = music_values(noise_projector(split, geom), rows)
+        a = np.column_stack([steering_vector(geom, *np.deg2rad(row)) for row in rows])
+        u_n = split.noise_basis
+        direct = np.einsum("mn,mn->n", a.conj(), u_n @ (u_n.conj().T @ a)).real
+        # the subtraction loses about M * eps absolutely, so compare where the power is at least 1e-4
+        away = direct >= 1e-4
+        assert away.sum() >= 200
+        np.testing.assert_allclose(values[away], 1.0 / direct[away], rtol=1e-9, atol=0.0)
+        assert np.all(values >= 1.0 / num_elements)
+        if snr_db == np.inf:  # the sources are exact nulls of the noiseless spectrum
+            assert np.all(values[-truth_sources.count :] == 1.0 / DENOMINATOR_FLOOR)
+        basis_free = NoiseProjector(np.zeros((num_elements, 0), dtype=complex), geom)
+        assert np.all(music_values(basis_free, rows) == 1.0 / num_elements)
+
     def test_identity_projector_gives_one_over_m(self, uca12):
-        proj = NoiseProjector(matrix=np.eye(12, dtype=complex), num_sources=0, geometry=uca12)
+        proj = NoiseProjector(np.zeros((12, 0), dtype=complex), uca12)
         values = music_values(proj, random_rows(np.random.default_rng(1), 10))
         assert np.all(np.abs(values - 1.0 / 12.0) < 1e-14)
 
@@ -206,7 +237,7 @@ class TestGridSearch:
             assert abs(el - true_el) <= 0.5
 
     def test_constant_spectrum_shortfall(self, uca12):
-        proj = NoiseProjector(matrix=np.eye(12, dtype=complex), num_sources=0, geometry=uca12)
+        proj = NoiseProjector(np.zeros((12, 0), dtype=complex), uca12)
         result = grid_search(proj, GridSpec(), 2)
         assert result.shortfall
         assert len(result.values) == 0
@@ -243,10 +274,10 @@ def spectrum_over_meshgrid(proj, spec):
     return music_values(proj, np.column_stack((az_mesh.ravel(), el_mesh.ravel()))).reshape(az_mesh.shape)
 
 
-def random_noise_matrix(num_elements, seed, num_sources=3):
+def random_split(num_elements, seed, num_sources=3):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((num_elements, 40)) + 1j * rng.standard_normal((num_elements, 40))
-    return noise_projector(subspace_split(sample_covariance(x), num_sources), ArrayGeometry.uca(num_elements)).matrix
+    return subspace_split(sample_covariance(x), num_sources)
 
 
 class TestGridManifold:
@@ -256,14 +287,14 @@ class TestGridManifold:
     )
     def test_equals_music_values_over_the_meshgrid(self, num_elements, radius, step):
         geom = ArrayGeometry.uca(num_elements, radius=radius)
-        proj = NoiseProjector(random_noise_matrix(num_elements, seed=num_elements), 3, geom)
+        proj = noise_projector(random_split(num_elements, seed=num_elements), geom)
         spec = GridSpec(azimuth_step=step, elevation_step=step)
         np.testing.assert_array_equal(evaluate_grid(proj, spec), spectrum_over_meshgrid(proj, spec))
 
     def test_alternating_geometries_of_equal_size(self):
-        # same projector matrix and element count: only the element positions tell the spectra apart
-        matrix = random_noise_matrix(12, seed=3)
-        projs = [NoiseProjector(matrix, 3, ArrayGeometry.uca(12, radius=r)) for r in (1.0, 0.6)]
+        # same subspace split and element count: only the element positions tell the spectra apart
+        split = random_split(12, seed=3)
+        projs = [noise_projector(split, ArrayGeometry.uca(12, radius=r)) for r in (1.0, 0.6)]
         expected = [spectrum_over_meshgrid(proj, GridSpec()) for proj in projs]
         assert not np.array_equal(expected[0], expected[1])
         for _ in range(2):
@@ -275,9 +306,10 @@ class TestGridManifold:
         evaluate_grid(noiseless_projector, GridSpec())
         key = (geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), GridSpec())
         hits = _grid_manifold.cache_info().hits
-        for array in _grid_manifold(*key):
-            with pytest.raises(ValueError):
-                array[0, 0] = 0.0
+        manifold = _grid_manifold(*key)
+        assert manifold.shape == (geom.num_elements, GridSpec().num_points)
+        with pytest.raises(ValueError):
+            manifold[0, 0] = 0.0
         assert _grid_manifold.cache_info().hits == hits + 1
 
 
