@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 Objective = Callable[[np.ndarray], np.ndarray]
@@ -175,15 +174,20 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if not 1 <= count <= len(pos) - 1:
         raise ValueError("count must lie in [1, len(positions) - 1]")
-    # Self, the count neighbors and one more point, by ascending distance. A
-    # row whose distances strictly increase has one right answer, and the
-    # tree returns it. Equal distances (a duplicate of the point, a tie inside
-    # the list or at the cut) may come back in any order, so those rows are
-    # sorted exactly; the tree's square roots are monotone, so rounding can
-    # only make distances equal, never swap them.
-    dist, idx = cKDTree(pos).query(pos, k=min(count + 2, len(pos)))
-    result = idx[:, 1 : count + 1]
-    tied = np.flatnonzero(np.any(dist[:, 1:] == dist[:, :-1], axis=1))
+    # Sort keys: each squared distance's bits (non-negative floats sort as
+    # their bits do) with the lowest ones replaced by the column index. That
+    # truncation can make distances equal, never swap them, so a row where it
+    # does among self, the count neighbors and one more point (a duplicate, a
+    # tie or near-tie in the list or at the cut) is sorted exactly.
+    bits = (len(pos) - 1).bit_length()
+    low = np.uint64((1 << bits) - 1)
+    keys = cdist(pos, pos, "sqeuclidean").view(np.uint64)
+    keys &= ~low
+    keys |= np.arange(len(pos), dtype=np.uint64)
+    keys.sort(axis=1)
+    result = (keys[:, 1 : count + 1] & low).astype(np.intp)
+    head = keys[:, : count + 2] >> bits
+    tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=1))
     if len(tied):
         exact = cdist(pos[tied], pos, "sqeuclidean")
         exact[np.arange(len(tied)), tied] = np.inf

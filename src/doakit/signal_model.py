@@ -137,9 +137,13 @@ def steering_matrix(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
     """
     az = np.atleast_1d(np.asarray(azimuths, dtype=float))
     el = np.atleast_1d(np.asarray(elevations, dtype=float))
-    wavenumber = TWO_PI / geom.wavelength
-    in_plane = geom.element_x[:, None] * np.cos(az)[None, :] + geom.element_y[:, None] * np.sin(az)[None, :]
-    return np.exp(-1j * wavenumber * in_plane * np.sin(el)[None, :])
+    phase = np.multiply.outer(geom.element_x, np.cos(az)) + np.multiply.outer(geom.element_y, np.sin(az))
+    phase *= -TWO_PI / geom.wavelength
+    phase *= np.sin(el)
+    columns = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=columns.real)
+    np.sin(phase, out=columns.imag)
+    return columns
 
 
 def steering_vector(geom: ArrayGeometry, azimuth: float, elevation: float) -> np.ndarray:

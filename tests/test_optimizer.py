@@ -222,7 +222,7 @@ class TestNearestNeighbors:
             (cross, 2), (cross, 4), (cross, 5),
             (twin, 3), (twin, 28),
             (mid_run, 16), (converged, 16),
-        ]  # count = n - 2 asks the tree for every point
+        ]  # count = n - 2 checks every key of a row for ties
         seen = set()
         for positions, count in cases:
             expected, straddles = bruteforce_neighbors(positions, count)
@@ -241,6 +241,34 @@ class TestNearestNeighbors:
                 positions[3] = positions[7]  # force distance ties
             expected, _ = bruteforce_neighbors(positions, count)
             np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
+
+    def test_near_tie_below_the_index_bits(self):
+        # point 2 is closer to point 0 than point 1 is, by a few ulps of the
+        # squared distance: the two differ only in the lowest bits, which the
+        # sort keys give to the column index, so the keys alone would rank 1 first
+        bits = 3  # index bits of a 5-point row
+        x = 3.0
+        while True:
+            x = np.nextafter(x, 4.0)
+            y = np.nextafter(x, 0.0)
+            near, far = np.array([y * y, x * x]).view(np.uint64)
+            if near < far and near >> bits == far >> bits:
+                break
+        positions = np.array([[0.0, 0.0], [x, 0.0], [0.0, y], [40.0, 40.0], [-40.0, 35.0]])
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [2])
+        for count in (1, 2, 4):
+            expected, _ = bruteforce_neighbors(positions, count)
+            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
+
+    @pytest.mark.parametrize("size", [2, 255, 256, 257])
+    def test_whole_rows_where_index_bits_grow(self, size):
+        # (size - 1).bit_length() index bits: 1, 8, 8 and 9; the last point
+        # duplicates the first, so the highest index also sits in a tied row
+        positions = np.random.default_rng(size).uniform(0.0, 100.0, size=(size, 2))
+        if size > 2:
+            positions[-1] = positions[0]
+        expected, _ = bruteforce_neighbors(positions, size - 1)
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, size - 1), expected)
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):

@@ -101,6 +101,32 @@ class TestSteeringVector:
         np.testing.assert_allclose(steering_vector(geom, azimuth, elevation), expected, atol=1e-12)
 
 
+class TestSteeringMatrix:
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            ArrayGeometry.uca(5),
+            ArrayGeometry.uca(12),
+            ArrayGeometry.uca(128),
+            # not circular: seven elements scattered over a 6 x 4 m aperture at a 0.8 m wavelength
+            ArrayGeometry(7, 0.8, *np.random.default_rng(5).uniform((-3.0, -2.0), (3.0, 2.0), size=(7, 2)).T),
+        ],
+        ids=["uca5", "uca12", "uca128", "scattered7"],
+    )
+    def test_matches_complex_exponential(self, geom):
+        rng = np.random.default_rng(geom.num_elements)
+        azimuths = np.concatenate([[1.234], rng.uniform(0.0, 2.0 * np.pi, 300)])
+        elevations = np.concatenate([[0.0], rng.uniform(0.0, np.pi / 2.0, 300)])
+        wavenumber = 2.0 * np.pi / geom.wavelength
+        in_plane = np.outer(geom.element_x, np.cos(azimuths)) + np.outer(geom.element_y, np.sin(azimuths))
+        expected = np.exp(-1j * wavenumber * in_plane * np.sin(elevations))
+        columns = steering_matrix(geom, azimuths, elevations)
+        assert columns.dtype == np.complex128 and columns.flags.c_contiguous
+        assert columns.shape == (geom.num_elements, 301)
+        np.testing.assert_allclose(columns, expected, rtol=0.0, atol=1e-15)
+        assert np.all(columns[:, 0] == 1 + 0j)  # zenith: exactly one on every element
+
+
 class TestSourceSet:
     def test_validation(self):
         with pytest.raises(ValueError):
