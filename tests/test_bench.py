@@ -206,6 +206,15 @@ def estimate_digest(reports) -> str:
     return digest.hexdigest()
 
 
+# the same fitness-free digest for denm + dbscan on circular arrays of other
+# sizes: an even M pairs each element with its point reflection M/2 places on,
+# an odd M has no such pairs
+ARRAY_SIZE_ESTIMATE_DIGESTS = {
+    11: "61a25a063344d0426d8f7b47a52fda84106714a9a11a1fef1c34cdf88978fc4b",
+    128: "58487d692e09a87ba28e9893e839ede62c9f36497539bd5ac6263b9f0d88cc73",
+}
+
+
 # the reference scenario with its first source moved next to the azimuth seam
 SEAM_CONFIG = ScenarioConfig(source_azimuth_deg=(0.3, 120.27, 240.51), algorithm="grid", snr_db=-5.0, trials=40)
 
@@ -248,6 +257,11 @@ class TestGoldenOutputs:
     def test_seeded_estimates_match_recorded_digest(self, algorithm, extraction):
         config = golden_config(algorithm, extraction)
         assert estimate_digest(run_trials(config)) == ESTIMATE_DIGESTS[(algorithm, extraction)]
+
+    @pytest.mark.parametrize("num_elements", sorted(ARRAY_SIZE_ESTIMATE_DIGESTS))
+    def test_seeded_estimates_at_other_array_sizes(self, num_elements):
+        config = replace(golden_config("denm", "dbscan"), num_elements=num_elements, optimizer=FAST_DE)
+        assert estimate_digest(run_trials(config)) == ARRAY_SIZE_ESTIMATE_DIGESTS[num_elements]
 
 
 class TestAggregate:
