@@ -166,16 +166,27 @@ def _grid_manifold(
     return manifold
 
 
+# Grid points per spectrum pass. At L = 3 a pass's temporaries stay below
+# 128 KB, where allocators serve them from the heap instead of mapping and
+# unmapping fresh pages every trial.
+GRID_BLOCK_COLUMNS = 2048
+
+
 def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
-    """Pseudo-spectrum at every grid point (one batched pass), shaped
-    (num_azimuth, num_elevation): values[i, j] at (azimuth i, elevation j).
+    """Pseudo-spectrum at every grid point, shaped (num_azimuth,
+    num_elevation): values[i, j] at (azimuth i, elevation j).
 
     The steering matrix of the grid is built once per process for the latest
-    (geometry, grid) pair; a trial pays only the projection.
+    (geometry, grid) pair; a trial pays only the projection, in passes of
+    ``GRID_BLOCK_COLUMNS`` points.
     """
     geom = proj.geometry
     a = _grid_manifold(geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), spec)
-    return _spectrum(proj.signal_basis, a).reshape(spec.num_azimuth, spec.num_elevation)
+    values = np.empty(a.shape[1])
+    for start in range(0, a.shape[1], GRID_BLOCK_COLUMNS):
+        stop = start + GRID_BLOCK_COLUMNS
+        values[start:stop] = _spectrum(proj.signal_basis, a[:, start:stop])
+    return values.reshape(spec.num_azimuth, spec.num_elevation)
 
 
 # Relative margin for strict dominance: spectrum values equal up to a few ulps

@@ -14,7 +14,7 @@ them, the MUSIC spectrum included, use degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,12 +38,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Planar antenna array, element positions in meters."""
+    """Planar antenna array, element positions in meters.
+
+    ``mirrored_elements`` is derived, not passed: M/2 when M is even and the
+    trailing half of the elements is exactly the negation of the leading half
+    (element m + M/2 is the point reflection of element m through the
+    origin), else 0. A mirrored element's steering entry is the complex
+    conjugate of its partner's.
+    """
 
     num_elements: int
     wavelength: float
     element_x: np.ndarray
     element_y: np.ndarray
+    mirrored_elements: int = field(init=False)
 
     def __post_init__(self):
         if self.num_elements < 2:
@@ -54,6 +62,13 @@ class ArrayGeometry:
         object.__setattr__(self, "element_y", np.asarray(self.element_y, dtype=float))
         if self.element_x.shape != (self.num_elements,) or self.element_y.shape != (self.num_elements,):
             raise ValueError("element positions must have exactly num_elements entries")
+        if not (np.all(np.isfinite(self.element_x)) and np.all(np.isfinite(self.element_y))):
+            raise ValueError("element positions must be finite")
+        half = self.num_elements // 2
+        point_symmetric = self.num_elements % 2 == 0 and all(
+            np.array_equal(p[half:], -p[:half]) for p in (self.element_x, self.element_y)
+        )
+        object.__setattr__(self, "mirrored_elements", half if point_symmetric else 0)
 
     @classmethod
     def uca(cls, num_elements: int, wavelength: float = 1.0, radius: float | None = None) -> "ArrayGeometry":
@@ -61,14 +76,20 @@ class ArrayGeometry:
         m = 1..M; radius defaults to one wavelength.
 
         With radius equal to the wavelength the steering phase prefactor
-        2*pi*radius/wavelength reduces to 2*pi.
+        2*pi*radius/wavelength reduces to 2*pi. For even M the trailing half
+        is set to the exact negation of the leading half (phi_m + pi), which
+        moves it by at most an ulp and makes the array exactly point-symmetric.
         """
         if radius is None:
             radius = wavelength
         if not 0 < radius < np.inf:  # NaN fails too
             raise ValueError("radius (default: the wavelength) must be positive and finite")
         azimuths = TWO_PI * np.arange(1, num_elements + 1) / num_elements
-        return cls(num_elements, wavelength, radius * np.cos(azimuths), radius * np.sin(azimuths))
+        x, y = radius * np.cos(azimuths), radius * np.sin(azimuths)
+        if num_elements % 2 == 0:
+            half = num_elements // 2
+            x[half:], y[half:] = -x[:half], -y[:half]
+        return cls(num_elements, wavelength, x, y)
 
 
 @dataclass(frozen=True)
@@ -134,15 +155,23 @@ def steering_matrix(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
     Element m responds with exp(-1j * (2*pi/lam) * (x_m cos(az) + y_m sin(az)) * sin(el)).
     For a circular array this reduces to exp(-1j * (2*pi*r/lam) * cos(phi_m - az) * sin(el)).
     Angles in radians; no range validation here since the phase wraps naturally.
+
+    Cosines and sines are taken for the first M - h rows only, h being the
+    geometry's ``mirrored_elements``; the last h rows are the conjugates of
+    the first h, exactly, since their phases are exact negations.
     """
     az = np.atleast_1d(np.asarray(azimuths, dtype=float))
     el = np.atleast_1d(np.asarray(elevations, dtype=float))
-    phase = np.multiply.outer(geom.element_x, np.cos(az)) + np.multiply.outer(geom.element_y, np.sin(az))
+    mirrored = geom.mirrored_elements
+    computed = geom.num_elements - mirrored
+    phase = np.multiply.outer(geom.element_x[:computed], np.cos(az))
+    phase += np.multiply.outer(geom.element_y[:computed], np.sin(az))
     phase *= -TWO_PI / geom.wavelength
     phase *= np.sin(el)
-    columns = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=columns.real)
-    np.sin(phase, out=columns.imag)
+    columns = np.empty((geom.num_elements, len(az)), dtype=complex)
+    np.cos(phase, out=columns.real[:computed])
+    np.sin(phase, out=columns.imag[:computed])
+    np.conjugate(columns[:mirrored], out=columns[computed:])
     return columns
 
 

@@ -151,14 +151,14 @@ GOLDEN_DE = DEConfig(population_size=32, max_iterations=5, neighborhood_size=8)
 # cover exact float values: a refactor must leave them unchanged, and only a
 # change meant to move seeded outputs may re-record them.
 GOLDEN_DIGESTS = {
-    ("grid", "dbscan"): "279c3dc66982d7bd4b0235d3dd352fbaa88943892178b6a8b027e29eb9d341d5",
-    ("de", "dbscan"): "39a1c4888bf5c264755ec2c3c9769488b4abae7a68bf7df9bd19d0fcb509433f",
-    ("denm", "dbscan"): "88a1de7140d2c434c23e97fb07605db5b14c3481b0bd8a9edde5b84cb07e0b7c",
-    ("dcde", "dbscan"): "5805e02d9b799b8916e1a3d27cc4f07fcbbaa49ccbcf637fa4f98ebe7355a377",
-    ("sharede", "dbscan"): "91b224e435b79be8e3077e2811d708c18dbb8114126ae0b974451b3e4d7a1859",
-    ("sde", "dbscan"): "2f6b9089a9f92fd3931f2316455822ca8f19151c8ea19eb9c5060e758ade0cf3",
-    ("denm", "klocalmax"): "a4b43d5e7d83cb003b8a2d414eb88287bf595a3d873ab5cf7894017a834db6a0",
-    ("denm", "kmeanspp"): "d914179b8f3cf01332f35872188fe051aaf4aba6152878ee83f123cf5f8bd267",
+    ("grid", "dbscan"): "75b60cc65614967f5b7600666dd967ba4a86749e07f9adfda89dcf1d1a1e2adc",
+    ("de", "dbscan"): "fd0d234bcddc4ac55f4a4d6b0d1bdf6aaf11ee431417d6d1a8a5064b97eff3a5",
+    ("denm", "dbscan"): "30a948d875c9c45084e2f4e1b092e4801ab3486550971cdc9a484f604e942120",
+    ("dcde", "dbscan"): "f1b96d8d78cd6abf0c2c58cea312eda78cb053e4bb8220b54fcc8b4282f582d8",
+    ("sharede", "dbscan"): "1383046681d4314f9d740e854a3e5065cc865ca2be950af9b02a726976ed746c",
+    ("sde", "dbscan"): "61bb49d6537847d4ab7cba83a4fc09a33f2f8443295c9001925136e465dbe290",
+    ("denm", "klocalmax"): "4e15218d81c9d06e7eab023d48a98bebb3b615a8882eef391160a7c7ede312f4",
+    ("denm", "kmeanspp"): "a5081dcae5ad86c3bbc700168460297fc60c5b4af8aca886425e3667d5a81b0e",
 }
 
 

@@ -43,6 +43,39 @@ class TestArrayGeometry:
         with pytest.raises(ValueError):
             ArrayGeometry(3, 1.0, np.zeros(2), np.zeros(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_positions(self, bad):
+        # a NaN or infinite position would turn every steering entry of its element into NaN
+        with pytest.raises(ValueError):
+            ArrayGeometry(3, 1.0, np.array([0.0, bad, 1.0]), np.zeros(3))
+        with pytest.raises(ValueError):
+            ArrayGeometry(3, 1.0, np.zeros(3), np.array([0.0, 1.0, bad]))
+
+    @pytest.mark.parametrize("num_elements", [2, 4, 6, 12, 128, 1000])
+    def test_even_uca_is_exactly_point_symmetric(self, num_elements):
+        geom = ArrayGeometry.uca(num_elements)
+        half = num_elements // 2
+        assert geom.mirrored_elements == half
+        np.testing.assert_array_equal(geom.element_x[half:], -geom.element_x[:half])
+        np.testing.assert_array_equal(geom.element_y[half:], -geom.element_y[:half])
+        # the mirrored half sits within an ulp of its own azimuths phi_m = 2*pi*m/M
+        azimuths = 2.0 * np.pi * np.arange(1, num_elements + 1) / num_elements
+        np.testing.assert_allclose(geom.element_x, np.cos(azimuths), rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(geom.element_y, np.sin(azimuths), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("num_elements", [3, 5, 11, 127])
+    def test_odd_uca_has_no_mirrored_elements(self, num_elements):
+        assert ArrayGeometry.uca(num_elements).mirrored_elements == 0
+
+    def test_mirror_must_be_exact(self):
+        geom = ArrayGeometry.uca(12)
+        x = geom.element_x.copy()
+        x[7] = np.nextafter(x[7], np.inf)
+        assert ArrayGeometry(12, 1.0, x, geom.element_y).mirrored_elements == 0
+        # the pairs must sit M/2 apart: the same points with two neighbours swapped do not count
+        order = np.array([1, 0, *range(2, 12)])
+        assert ArrayGeometry(12, 1.0, geom.element_x[order], geom.element_y[order]).mirrored_elements == 0
+
 
 class TestSteeringVector:
     def test_zenith_gives_all_ones(self):
@@ -101,6 +134,22 @@ class TestSteeringVector:
         np.testing.assert_allclose(steering_vector(geom, azimuth, elevation), expected, atol=1e-12)
 
 
+def centred_4x4_grid():
+    """Point-symmetric, not circular: a centred 4 x 4 half-wavelength grid whose
+    y < 0 half lists the negations of the y > 0 half, so mirror pairs sit M/2 apart."""
+    lead_x, lead_y = np.meshgrid([-0.75, -0.25, 0.25, 0.75], [0.25, 0.75])
+    lead_x, lead_y = lead_x.ravel(), lead_y.ravel()
+    return ArrayGeometry(16, 1.0, np.concatenate([lead_x, -lead_x]), np.concatenate([lead_y, -lead_y]))
+
+
+def uca12_one_ulp_off():
+    """uca12 with its last element moved by one ulp: no exact mirror, so every row is computed."""
+    uca12 = ArrayGeometry.uca(12)
+    x = uca12.element_x.copy()
+    x[-1] = np.nextafter(x[-1], np.inf)
+    return ArrayGeometry(12, 1.0, x, uca12.element_y)
+
+
 class TestSteeringMatrix:
     @pytest.mark.parametrize(
         "geom",
@@ -110,8 +159,10 @@ class TestSteeringMatrix:
             ArrayGeometry.uca(128),
             # not circular: seven elements scattered over a 6 x 4 m aperture at a 0.8 m wavelength
             ArrayGeometry(7, 0.8, *np.random.default_rng(5).uniform((-3.0, -2.0), (3.0, 2.0), size=(7, 2)).T),
+            centred_4x4_grid(),
+            uca12_one_ulp_off(),
         ],
-        ids=["uca5", "uca12", "uca128", "scattered7"],
+        ids=["uca5", "uca12", "uca128", "scattered7", "rect4x4", "uca12_ulp_off"],
     )
     def test_matches_complex_exponential(self, geom):
         rng = np.random.default_rng(geom.num_elements)
@@ -125,6 +176,20 @@ class TestSteeringMatrix:
         assert columns.shape == (geom.num_elements, 301)
         np.testing.assert_allclose(columns, expected, rtol=0.0, atol=1e-15)
         assert np.all(columns[:, 0] == 1 + 0j)  # zenith: exactly one on every element
+
+    def test_mirrored_elements_of_the_parametrized_geometries(self):
+        assert centred_4x4_grid().mirrored_elements == 8
+        assert uca12_one_ulp_off().mirrored_elements == 0
+
+    @pytest.mark.parametrize("num_elements", [12, 128])
+    def test_trailing_half_is_the_conjugate_of_the_leading_half(self, num_elements):
+        rng = np.random.default_rng(num_elements)
+        azimuths = np.concatenate([[0.0, 1.234], rng.uniform(0.0, 2.0 * np.pi, 500)])
+        elevations = np.concatenate([[0.0, np.pi / 2.0], rng.uniform(0.0, np.pi / 2.0, 500)])
+        columns = steering_matrix(ArrayGeometry.uca(num_elements), azimuths, elevations)
+        half = num_elements // 2
+        # bit for bit, signed zeros included
+        np.testing.assert_array_equal(columns[half:].view(np.uint64), columns[:half].conj().view(np.uint64))
 
 
 class TestSourceSet:
