@@ -156,8 +156,9 @@ def _grid_manifold(
     cannot be hashed. The grid's angles go through ``_steering_columns`` like
     any population, so the grid spectrum equals ``music_values`` bit for bit.
     Holding it costs M * J * 16 bytes (6.3 MB for the 1-degree grid at
-    M = 12, 67 MB at M = 128). Building it peaks at 1.5 times that: 98 MB
-    above the baseline at M = 128, down from 163 MB through a complex exponential.
+    M = 12, 67 MB at M = 128). Building it peaks at 1.2 times that, since a
+    point-symmetric array's real phase array holds only M/2 rows: 82 MB above
+    the baseline at M = 128, built in about 100 ms on a 2-core Xeon.
     """
     geom = ArrayGeometry(num_elements, wavelength, np.frombuffer(element_x), np.frombuffer(element_y))
     az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
@@ -169,7 +170,7 @@ def _grid_manifold(
 # Grid points per spectrum pass. At L = 3 a pass's temporaries stay below
 # 128 KB, where allocators serve them from the heap instead of mapping and
 # unmapping fresh pages every trial.
-GRID_BLOCK_COLUMNS = 2048
+_GRID_BLOCK_COLUMNS = 2048
 
 
 def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
@@ -178,13 +179,13 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
 
     The steering matrix of the grid is built once per process for the latest
     (geometry, grid) pair; a trial pays only the projection, in passes of
-    ``GRID_BLOCK_COLUMNS`` points.
+    2048 points.
     """
     geom = proj.geometry
     a = _grid_manifold(geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), spec)
     values = np.empty(a.shape[1])
-    for start in range(0, a.shape[1], GRID_BLOCK_COLUMNS):
-        stop = start + GRID_BLOCK_COLUMNS
+    for start in range(0, a.shape[1], _GRID_BLOCK_COLUMNS):
+        stop = start + _GRID_BLOCK_COLUMNS
         values[start:stop] = _spectrum(proj.signal_basis, a[:, start:stop])
     return values.reshape(spec.num_azimuth, spec.num_elevation)
 
@@ -294,9 +295,10 @@ def flops_population(model: FlopModel) -> float:
     evaluation per individual plus the pairwise-distance bookkeeping N(N-1).
     This is the paper's formula; it leaves out the initial population's N
     evaluations, so a run's measured_evals is (I+1) N, not I N. Each
-    evaluation costs the code M cosines and M sines plus M * L complex
-    multiply-adds, against the (M+1)(M-L) charged here; each generation's
-    neighbour search pays all N^2 distances and one sort of each row."""
+    evaluation costs the code M/2 cosine and sine pairs on a point-symmetric
+    array (M on any other) plus M * L complex multiply-adds, against the
+    (M+1)(M-L) charged here; each generation's neighbour search pays all N^2
+    distances and one sort of each row."""
     m, l = model.num_sensors, model.num_sources
     n, iters = model.population_size, model.max_iterations
     return float(m * m * (l + 2) + iters * n * ((m + 1) * (m - l) + (n - 1)))

@@ -23,6 +23,22 @@ def direct_uca_steering(num_elements, radius, wavelength, azimuth, elevation):
     return out
 
 
+def centred_4x4_grid():
+    """Point-symmetric, not circular: a centred 4 x 4 half-wavelength grid whose
+    y < 0 half lists the negations of the y > 0 half, so mirror pairs sit M/2 apart."""
+    lead_x, lead_y = np.meshgrid([-0.75, -0.25, 0.25, 0.75], [0.25, 0.75])
+    lead_x, lead_y = lead_x.ravel(), lead_y.ravel()
+    return ArrayGeometry(16, 1.0, np.concatenate([lead_x, -lead_x]), np.concatenate([lead_y, -lead_y]))
+
+
+def uca12_one_ulp_off():
+    """uca12 with its last element moved by one ulp: no exact mirror, so every row is computed."""
+    uca12 = ArrayGeometry.uca(12)
+    x = uca12.element_x.copy()
+    x[-1] = np.nextafter(x[-1], np.inf)
+    return ArrayGeometry(12, 1.0, x, uca12.element_y)
+
+
 class TestArrayGeometry:
     def test_uca_layout(self):
         geom = ArrayGeometry.uca(8, wavelength=2.0)
@@ -67,12 +83,11 @@ class TestArrayGeometry:
     def test_odd_uca_has_no_mirrored_elements(self, num_elements):
         assert ArrayGeometry.uca(num_elements).mirrored_elements == 0
 
-    def test_mirror_must_be_exact(self):
+    def test_mirrored_elements_need_an_exact_mirror_m_over_2_places_on(self):
+        assert centred_4x4_grid().mirrored_elements == 8
+        assert uca12_one_ulp_off().mirrored_elements == 0
+        # the same points with two neighbours swapped: their mirrors no longer sit M/2 places on
         geom = ArrayGeometry.uca(12)
-        x = geom.element_x.copy()
-        x[7] = np.nextafter(x[7], np.inf)
-        assert ArrayGeometry(12, 1.0, x, geom.element_y).mirrored_elements == 0
-        # the pairs must sit M/2 apart: the same points with two neighbours swapped do not count
         order = np.array([1, 0, *range(2, 12)])
         assert ArrayGeometry(12, 1.0, geom.element_x[order], geom.element_y[order]).mirrored_elements == 0
 
@@ -134,22 +149,6 @@ class TestSteeringVector:
         np.testing.assert_allclose(steering_vector(geom, azimuth, elevation), expected, atol=1e-12)
 
 
-def centred_4x4_grid():
-    """Point-symmetric, not circular: a centred 4 x 4 half-wavelength grid whose
-    y < 0 half lists the negations of the y > 0 half, so mirror pairs sit M/2 apart."""
-    lead_x, lead_y = np.meshgrid([-0.75, -0.25, 0.25, 0.75], [0.25, 0.75])
-    lead_x, lead_y = lead_x.ravel(), lead_y.ravel()
-    return ArrayGeometry(16, 1.0, np.concatenate([lead_x, -lead_x]), np.concatenate([lead_y, -lead_y]))
-
-
-def uca12_one_ulp_off():
-    """uca12 with its last element moved by one ulp: no exact mirror, so every row is computed."""
-    uca12 = ArrayGeometry.uca(12)
-    x = uca12.element_x.copy()
-    x[-1] = np.nextafter(x[-1], np.inf)
-    return ArrayGeometry(12, 1.0, x, uca12.element_y)
-
-
 class TestSteeringMatrix:
     @pytest.mark.parametrize(
         "geom",
@@ -176,10 +175,6 @@ class TestSteeringMatrix:
         assert columns.shape == (geom.num_elements, 301)
         np.testing.assert_allclose(columns, expected, rtol=0.0, atol=1e-15)
         assert np.all(columns[:, 0] == 1 + 0j)  # zenith: exactly one on every element
-
-    def test_mirrored_elements_of_the_parametrized_geometries(self):
-        assert centred_4x4_grid().mirrored_elements == 8
-        assert uca12_one_ulp_off().mirrored_elements == 0
 
     @pytest.mark.parametrize("num_elements", [12, 128])
     def test_trailing_half_is_the_conjugate_of_the_leading_half(self, num_elements):
