@@ -50,6 +50,9 @@ EXTRACTIONS = {
     ),
 }
 
+# Every search a scenario can name: the exhaustive grid, then the population optimizers.
+SEARCHES = ("grid", *ALGORITHMS)
+
 ERROR_COLUMNS = ("algo", "extraction", "snr_db", "trial", "source", "theta_error_deg", "phi_error_deg")
 
 __all__ = [
@@ -118,7 +121,7 @@ class ScenarioConfig:
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.algorithm != "grid" and self.algorithm not in ALGORITHMS:
+        if self.algorithm not in SEARCHES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.extraction not in EXTRACTIONS:
             raise ConfigError(f"unknown extraction {self.extraction!r}")
@@ -144,6 +147,11 @@ class ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
+    @property
+    def population_search(self) -> bool:
+        """Whether the search hands a population to an extraction; the grid finds its own peaks."""
+        return self.algorithm != "grid"
+
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.uca(self.num_elements, self.wavelength, self.radius)
 
@@ -165,8 +173,7 @@ class ScenarioConfig:
 
     def model_flops(self) -> float:
         """Closed-form cost of one trial's search: the grid's or the population's."""
-        model = self.flop_model()
-        return flops_music(model) if self.algorithm == "grid" else flops_population(model)
+        return (flops_population if self.population_search else flops_music)(self.flop_model())
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ScenarioConfig":
@@ -246,8 +253,8 @@ class TrialReport:
     wall_ms: float
 
 
-def _score(config: ScenarioConfig, trial_index: int, estimates, shortfall, evals, wall_ms) -> TrialReport:
-    match = match_estimates(config.sources(), list(estimates))
+def _score(config: ScenarioConfig, sources, flops, trial_index: int, estimates, shortfall, evals, wall_ms) -> TrialReport:
+    match = match_estimates(sources, list(estimates))
     threshold = config.success_threshold_deg
     success = (
         not shortfall
@@ -261,7 +268,7 @@ def _score(config: ScenarioConfig, trial_index: int, estimates, shortfall, evals
         match=match,
         shortfall=shortfall,
         success=success,
-        model_flops=config.model_flops(),
+        model_flops=flops,
         measured_evals=evals,
         wall_ms=wall_ms,
     )
@@ -279,14 +286,15 @@ def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> lis
     proj = noise_projector(subspace_split(sample_covariance(snapshots), sources.count), geom)
     # freed before the search: held through it, they made M = 128 denm trials several percent slower
     del snapshots
+    score = partial(_score, config, sources, config.model_flops(), trial_index)
     started = time.perf_counter()
-    if config.algorithm == "grid":
+    if not config.population_search:
         result = grid_search(proj, config.grid_spec(), sources.count)
         estimates = tuple(
             map(DoaEstimate, result.azimuth_deg.tolist(), result.elevation_deg.tolist(), result.values.tolist())
         )
         wall_ms = (time.perf_counter() - started) * 1e3
-        return [_score(config, trial_index, estimates, result.shortfall, result.num_evaluations, wall_ms)]
+        return [score(estimates, result.shortfall, result.num_evaluations, wall_ms)]
     objective = CountingObjective(spectrum_objective(proj))
     population = run_population(
         config.algorithm,
@@ -302,7 +310,7 @@ def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> lis
         started = time.perf_counter()
         found = EXTRACTIONS[method](config, population, trial_index)
         wall_ms = search_ms + (time.perf_counter() - started) * 1e3
-        reports.append(_score(config, trial_index, found.estimates, found.shortfall, objective.count, wall_ms))
+        reports.append(score(found.estimates, found.shortfall, objective.count, wall_ms))
     return reports
 
 
@@ -314,11 +322,12 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
 
 def _map_trials(trial_fn, config: ScenarioConfig, workers: int) -> list:
     """trial_fn(config, i) for every trial index, in index order regardless of workers."""
-    indices = range(config.trials)
-    if workers <= 1:
-        return [trial_fn(config, i) for i in indices]
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
+    if workers == 1:
+        return [trial_fn(config, i) for i in range(config.trials)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, [config] * config.trials, indices, chunksize=8))
+        return list(pool.map(trial_fn, [config] * config.trials, range(config.trials), chunksize=8))
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialReport]:
@@ -373,7 +382,7 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
             success_phi.extend(report.match.phi_errors_deg.tolist())
     return AggregateReport(
         algo=config.algorithm,
-        extraction="" if config.algorithm == "grid" else config.extraction,
+        extraction=config.extraction if config.population_search else "",
         num_elements=config.num_elements,
         num_sources=len(config.source_azimuth_deg),
         snr_db=config.snr_db,
@@ -391,17 +400,19 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
     )
 
 
+def _run_scenarios(scenarios: list[ScenarioConfig], workers: int):
+    """Every trial of each scenario in turn: one aggregate and one report list per scenario, in order."""
+    reports = [run_trials(scenario, workers=workers) for scenario in scenarios]
+    return [aggregate(scenario, rows) for scenario, rows in zip(scenarios, reports)], reports
+
+
 def run_sweep(config: ScenarioConfig, snr_values, workers: int = 1):
     """One aggregate per SNR value, plus the per-trial reports for CDF export."""
     snr_values = [float(snr) for snr in snr_values]
     if len(set(snr_values)) != len(snr_values):
         raise ConfigError("SNR values must be distinct")
-    aggregates, reports_by_snr = [], {}
-    for snr in snr_values:
-        scenario = replace(config, snr_db=snr)
-        reports_by_snr[snr] = run_trials(scenario, workers=workers)
-        aggregates.append(aggregate(scenario, reports_by_snr[snr]))
-    return aggregates, reports_by_snr
+    aggregates, reports = _run_scenarios([replace(config, snr_db=snr) for snr in snr_values], workers)
+    return aggregates, dict(zip(snr_values, reports))
 
 
 def run_extraction_comparison(
@@ -409,7 +420,7 @@ def run_extraction_comparison(
 ) -> dict[str, list[TrialReport]]:
     """Score several extraction methods on identical final populations: the
     optimizer runs once per trial and every method consumes that population."""
-    if config.algorithm == "grid":
+    if not config.population_search:
         raise ConfigError("extraction comparison needs a population algorithm")
     unknown = [method for method in methods if method not in EXTRACTIONS]
     if unknown:
@@ -420,15 +431,13 @@ def run_extraction_comparison(
 
 def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> list[AggregateReport]:
     """Accuracy/cost trade-off versus population size at a fixed SNR."""
-    aggregates = []
-    for size in sizes:
-        try:
-            optimizer = replace(config.optimizer, population_size=int(size))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        scenario = replace(config, optimizer=optimizer)
-        aggregates.append(aggregate(scenario, run_trials(scenario, workers=workers)))
-    return aggregates
+    if not config.population_search:
+        raise ConfigError("population sweep needs a population algorithm")
+    try:
+        optimizers = [replace(config.optimizer, population_size=int(size)) for size in sizes]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return _run_scenarios([replace(config, optimizer=optimizer) for optimizer in optimizers], workers)[0]
 
 
 def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
@@ -495,7 +504,7 @@ def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
 
 def write_errors_csv(config: ScenarioConfig, reports_by_snr: dict[float, list[TrialReport]], path) -> None:
     """Per-matched-pair absolute errors, one row each, for CDF plotting."""
-    extraction = "" if config.algorithm == "grid" else config.extraction
+    extraction = config.extraction if config.population_search else ""
     rows = (
         [config.algorithm, extraction, snr, report.trial, int(truth), t_err, p_err]
         for snr in sorted(reports_by_snr)

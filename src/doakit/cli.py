@@ -24,6 +24,7 @@ from pathlib import Path
 
 from .bench import (
     EXTRACTIONS,
+    SEARCHES,
     ConfigError,
     ScenarioConfig,
     aggregate,
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="sweep SNR for one algorithm/extraction pair")
     _add_common(run)
-    run.add_argument("--algo", choices=("grid", *ALGORITHMS), default=None, help="search algorithm (default: denm)")
+    run.add_argument("--algo", choices=SEARCHES, default=None, help="search algorithm (default: denm)")
     run.add_argument("--extract", choices=EXTRACTIONS, default=None, help="peak extraction (default: dbscan)")
     run.add_argument("--snr", type=float, nargs="+", default=[-10.0, -5.0, 0.0, 5.0, 10.0], help="SNR values in dB")
     run.add_argument("--snapshots", type=int, default=None, help="snapshots per trial (default: 100)")

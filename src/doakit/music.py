@@ -214,10 +214,10 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     return values > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
 
 
-def circular_difference_deg(a, b, period: float = 360.0) -> np.ndarray:
-    """Shortest angular distance, in [0, period/2]."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % period
-    return np.minimum(d, period - d)
+def circular_difference_deg(a, b) -> np.ndarray:
+    """Shortest angular distance in degrees, in [0, 180]."""
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 360.0
+    return np.minimum(d, 360.0 - d)
 
 
 @dataclass(frozen=True)

@@ -48,23 +48,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchBox:
-    """Axis-aligned (azimuth, elevation) search domain in degrees."""
+    """The (azimuth, elevation) search domain in degrees: [0, 360] x [0, 90]."""
 
-    azimuth_bounds: tuple[float, float] = (0.0, 360.0)
-    elevation_bounds: tuple[float, float] = (0.0, 90.0)
-
-    def __post_init__(self):
-        for lo, hi in (self.azimuth_bounds, self.elevation_bounds):
-            if not lo < hi:
-                raise ValueError("bounds must satisfy lo < hi")
-
-    @property
-    def lows(self) -> np.ndarray:
-        return np.array([self.azimuth_bounds[0], self.elevation_bounds[0]])
-
-    @property
-    def highs(self) -> np.ndarray:
-        return np.array([self.azimuth_bounds[1], self.elevation_bounds[1]])
+    lows = np.array([0.0, 0.0])
+    highs = np.array([360.0, 90.0])
+    lows.flags.writeable = highs.flags.writeable = False
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lows, self.highs, size=(count, 2))
@@ -125,6 +113,8 @@ class DEConfig:
             raise ValueError("crossover_rate must lie in [0, 1]")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
 
 
 @dataclass

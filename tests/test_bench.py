@@ -29,8 +29,8 @@ from doakit import (
     run_trial,
     run_trials,
 )
-from doakit.bench import EXTRACTIONS, write_errors_csv, write_summary_csv
-from doakit.cli import main as cli_main
+from doakit.bench import EXTRACTIONS, SEARCHES, write_errors_csv, write_summary_csv
+from doakit.cli import build_parser, main as cli_main
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -283,7 +283,8 @@ class TestAggregate:
         # forge a divergent failed trial by rescoring shifted estimates
         from doakit.bench import _score
 
-        bad = _score(config, 1, estimates_from([100.0, 200.0, 300.0], [10.0, 20.0, 30.0]), False, 1, 0.0)
+        shifted = estimates_from([100.0, 200.0, 300.0], [10.0, 20.0, 30.0])
+        bad = _score(config, config.sources(), config.model_flops(), 1, shifted, False, 1, 0.0)
         assert not bad.success
         agg = aggregate(config, [good, bad])
         assert agg.success_rate == 0.5
@@ -530,6 +531,7 @@ class TestCli:
             {"optimizer": {"neighborhood_size": 16.0}},
             {"optimizer": {"rng_seed": float("nan")}},
             {"optimizer": {"rng_seed": False}},
+            {"optimizer": {"rng_seed": -1}},
         ],
     )
     def test_config_errors_caught_before_trials(self, tmp_path, capsys, mapping):
@@ -547,6 +549,29 @@ class TestCli:
         code = cli_main(["compare-extract", "--config", str(bad), "--out", str(tmp_path)])
         assert code == 2
         assert "trials must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["compare-extract", "sweep-pop"])
+    def test_grid_scenario_refused_by_population_commands(self, tmp_path, capsys, command):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({"algorithm": "grid"}), encoding="utf-8")
+        code = cli_main([command, "--trials", "1", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", [["run", "--snr", "10"], ["sweep-pop", "--sizes", "32"]])
+    def test_workers_below_one_exits_nonzero(self, tmp_path, capsys, command):
+        code = cli_main([*command, "--workers", "-3", "--trials", "1", "--out", str(tmp_path)])
+        assert code == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_run_offers_every_search(self):
+        assert SEARCHES == ("grid", "de", "denm", "dcde", "sharede", "sde")
+        for name in SEARCHES:
+            assert build_parser().parse_args(["run", "--algo", name]).algo == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--algo", "newton"])
 
     def test_duplicate_snr_exits_nonzero(self, tmp_path, capsys):
         code = cli_main(["run", "--algo", "grid", "--trials", "1", "--snr", "0", "0", "--out", str(tmp_path)])

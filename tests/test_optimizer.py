@@ -70,9 +70,11 @@ class TestSearchBox:
         np.testing.assert_allclose(BOX.reflect(np.array([365.0, 95.0])), [355.0, 85.0])
         np.testing.assert_allclose(BOX.reflect(np.array([120.0, 45.0])), [120.0, 45.0])
 
-    def test_rejects_inverted_bounds(self):
+    def test_bounds_are_fixed(self):
+        np.testing.assert_array_equal(SearchBox().lows, [0.0, 0.0])
+        np.testing.assert_array_equal(SearchBox().highs, [360.0, 90.0])
         with pytest.raises(ValueError):
-            SearchBox(azimuth_bounds=(10.0, 10.0))
+            BOX.lows[0] = 10.0
 
 
 class TestDEConfig:
@@ -89,6 +91,11 @@ class TestDEConfig:
             DEConfig(population_size=4, neighborhood_size=3)
         with pytest.raises(ValueError):
             DEConfig(crossover_rate=1.5)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="rng_seed must be non-negative"):
+            DEConfig(rng_seed=-1)
+        assert DEConfig(rng_seed=0).rng_seed == 0
 
 
 class TestMutate:
