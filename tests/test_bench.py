@@ -25,6 +25,7 @@ from doakit import (
     format_complexity_table,
     match_estimates,
     run_extraction_comparison,
+    run_population_sweep,
     run_sweep,
     run_trial,
     run_trials,
@@ -40,6 +41,15 @@ def estimates_from(azimuths, elevations):
 
 
 FAST_DE = DEConfig(population_size=64, max_iterations=10, neighborhood_size=8)
+
+
+def refuse_trials(monkeypatch):
+    """Make any attempt to run a trial fail the test."""
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("doakit.bench._map_trials", no_trials)
 
 
 class TestMatchEstimates:
@@ -344,6 +354,14 @@ class TestSweepAndCsv:
                 assert (a.success, a.shortfall) == (b.success, b.shortfall)
                 assert (a.measured_evals, a.model_flops) == (b.measured_evals, b.model_flops)
 
+    def test_repeated_entries_refused_before_trials(self, monkeypatch):
+        refuse_trials(monkeypatch)
+        config = ScenarioConfig(trials=1, optimizer=FAST_DE)
+        with pytest.raises(ConfigError, match="population sizes must be distinct"):
+            run_population_sweep(config, [32, 64, 32])
+        with pytest.raises(ConfigError, match="extraction methods must be distinct"):
+            run_extraction_comparison(config, ["dbscan", "kmeanspp", "dbscan"])
+
     def test_parallel_matches_serial(self):
         config = ScenarioConfig(algorithm="denm", snr_db=5.0, trials=4, optimizer=FAST_DE)
         serial = run_trials(config, workers=1)
@@ -578,6 +596,13 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "summary.csv").exists()
+
+    def test_duplicate_population_size_exits_before_trials(self, tmp_path, capsys, monkeypatch):
+        refuse_trials(monkeypatch)
+        code = cli_main(["sweep-pop", "--trials", "2", "--sizes", "32", "32", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: population sizes must be distinct" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_malformed_json_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

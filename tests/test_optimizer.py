@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,13 @@ import pytest
 from doakit import (
     CountingObjective,
     DEConfig,
+    ScenarioConfig,
     SearchBox,
     de_crossover,
     de_mutate,
     nearest_neighbor_indices,
     run_population,
+    run_trial,
     shared_fitness,
 )
 from doakit.optimizer import _assign_species, _global_donor_candidates, _pick_donors, _species_donor_table
@@ -198,9 +201,8 @@ def bruteforce_neighbors(positions, count):
     next-nearest distances are equal, so the lower index has to win it."""
     neighbors, straddles = [], []
     for i in range(len(positions)):
-        dist = sorted(
-            (float(np.sum((positions[i] - positions[j]) ** 2)), j) for j in range(len(positions)) if j != i
-        )
+        row = np.sum((positions[i] - positions) ** 2, axis=1).tolist()
+        dist = sorted((row[j], j) for j in range(len(positions)) if j != i)
         neighbors.append([j for _, j in dist[:count]])
         straddles.append(count < len(dist) and dist[count - 1][0] == dist[count][0])
     return neighbors, straddles
@@ -280,6 +282,76 @@ class TestNearestNeighbors:
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             nearest_neighbor_indices(np.zeros((5, 2)), 5)
+
+
+def assert_matches_bruteforce(positions, counts):
+    for count in counts:
+        expected, _ = bruteforce_neighbors(positions, count)
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
+
+
+class TestFloat32Keys:
+    """The sort keys hold squared distances rounded to float32; every case
+    where that rounding loses an order the float64 distances have."""
+
+    def test_distances_equal_in_float32(self):
+        # point 1 is farther from point 0 than point 2 is, by 9e-12 of the
+        # squared distance 9: apart in float64, one float32, so its key ranks 1 first
+        positions = np.array([[0.0, 0.0], [3.0, 3e-6], [0.0, 3.0], [40.0, 40.0], [-40.0, 35.0]])
+        near, far = 9.0, 9.0 + 3e-6**2
+        assert near < far and np.float32(near) == np.float32(far)
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [2])
+        assert_matches_bruteforce(positions, (1, 2, 4))
+
+    def test_squared_distances_beyond_float32_range(self):
+        # squared distances up to about 4e40 overflow float32 (max 3.4e38) to
+        # inf; ten points within 1e18 of each other keep finite keys
+        rng = np.random.default_rng(21)
+        positions = rng.uniform(-1e20, 1e20, size=(40, 2))
+        positions[:10] = rng.uniform(0.0, 1e18, size=(10, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_bruteforce(positions, (1, 5, 12, 38))
+
+    def test_squared_distances_subnormal_in_float64(self):
+        # separations near 1e-160 square to about 1e-320: subnormal, and
+        # still ordered, in float64 but 0 in float32; five points at unit scale
+        rng = np.random.default_rng(22)
+        positions = rng.uniform(0.0, 4e-160, size=(30, 2))
+        positions[25:] = rng.uniform(1.0, 2.0, size=(5, 2))
+        sq = np.sum((positions[0] - positions[1:25]) ** 2, axis=1)
+        assert np.all(sq < np.finfo(float).tiny) and len(np.unique(sq)) > 1
+        assert not np.any(sq.astype(np.float32))
+        assert_matches_bruteforce(positions, (1, 3, 24, 28))
+
+    def test_nine_index_bits(self):
+        # 257 points need 9 index bits; the highest index is the nearest
+        # neighbor of point 0, and point 1 is farther by 8 float32 ulps of
+        # the squared distance: apart in float32, equal once 9 bits give way
+        positions = np.random.default_rng(23).uniform(50.0, 100.0, size=(257, 2))
+        positions[0] = [0.0, 0.0]
+        positions[1] = [3.0, 3.0 * 2.0**-10]
+        positions[256] = [0.0, 3.0]
+        near, far = np.array([9.0, 9.0 + 9.0 * 2.0**-20], dtype=np.float32).view(np.uint32)
+        assert near < far and near >> 9 == far >> 9
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [256])
+        assert_matches_bruteforce(positions, (1, 2, 16, 255))
+
+    @pytest.mark.parametrize("num_elements", [12, 128])
+    def test_every_generation_of_a_seeded_denm_trial(self, num_elements, monkeypatch):
+        searched = []
+
+        def recording(positions, count):
+            searched.append((positions.copy(), count))
+            return nearest_neighbor_indices(positions, count)
+
+        monkeypatch.setattr("doakit.optimizer.nearest_neighbor_indices", recording)
+        run_trial(ScenarioConfig(num_elements=num_elements, master_seed=1), 0)
+        config = DEConfig()
+        assert len(searched) == config.max_iterations
+        for positions, count in searched:
+            assert positions.shape == (config.population_size, 2) and count == config.neighborhood_size
+            assert_matches_bruteforce(positions, (count,))
 
 
 def fittest(population):
