@@ -291,12 +291,12 @@ def assert_matches_bruteforce(positions, counts):
 
 
 class TestFloat32Keys:
-    """The sort keys hold squared distances rounded to float32; every case
+    """The sort keys hold squared distances rounded to float32; the cases
     where that rounding loses an order the float64 distances have."""
 
     def test_distances_equal_in_float32(self):
-        # point 1 is farther from point 0 than point 2 is, by 9e-12 of the
-        # squared distance 9: apart in float64, one float32, so its key ranks 1 first
+        # point 1 is farther from point 0 than point 2 is, by 9e-12 on a
+        # squared distance of 9: apart in float64, one float32, so the keys rank 1 first
         positions = np.array([[0.0, 0.0], [3.0, 3e-6], [0.0, 3.0], [40.0, 40.0], [-40.0, 35.0]])
         near, far = 9.0, 9.0 + 3e-6**2
         assert near < far and np.float32(near) == np.float32(far)
