@@ -27,7 +27,6 @@ from .extract import DoaEstimate, extract_dbscan, extract_klocalmax, extract_kme
 from .music import (
     FlopModel,
     GridSpec,
-    circular_difference_deg,
     flops_music,
     flops_population,
     grid_search,
@@ -177,24 +176,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ScenarioConfig":
-        """Build from a plain mapping (the JSON config-file schema). Unknown
-        keys are rejected; the ``optimizer`` entry is a nested mapping with
-        DEConfig field names."""
-        unknown = sorted(set(mapping) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigError(f"unknown config keys: {unknown}")
+        """Build from a plain mapping (the JSON config-file schema): ScenarioConfig
+        field names, the ``optimizer`` entry a nested mapping with DEConfig field
+        names. The constructors reject unknown keys."""
         kwargs = dict(mapping)
-        optimizer = kwargs.get("optimizer")
-        nested = optimizer is not None and not isinstance(optimizer, DEConfig)
-        unknown = sorted(set(optimizer) - {f.name for f in fields(DEConfig)}) if nested else []
-        if unknown:
-            raise ConfigError(f"unknown optimizer keys: {unknown}")
-        for key in ("source_azimuth_deg", "source_elevation_deg", "source_power"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = tuple(kwargs[key])
         try:
-            if nested:
-                kwargs["optimizer"] = DEConfig(**optimizer)
+            if "optimizer" in kwargs:
+                kwargs["optimizer"] = DEConfig(**kwargs["optimizer"])
+            for key in ("source_azimuth_deg", "source_elevation_deg", "source_power"):
+                if kwargs.get(key) is not None:
+                    kwargs[key] = tuple(kwargs[key])
             return cls(**kwargs)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -220,6 +211,12 @@ class MatchResult:
     theta_errors_deg: np.ndarray
     phi_errors_deg: np.ndarray
     unmatched_truths: np.ndarray
+
+
+def circular_difference_deg(a, b) -> np.ndarray:
+    """Shortest angular distance in degrees, in [0, 180]."""
+    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 360.0
+    return np.minimum(d, 360.0 - d)
 
 
 def match_estimates(truth: SourceSet, estimates: list[DoaEstimate] | tuple[DoaEstimate, ...]) -> MatchResult:
@@ -358,9 +355,6 @@ class AggregateReport:
     raw_mae_phi_deg: float
     flops_ratio_vs_grid: float
 
-    def csv_row(self) -> dict:
-        return dict(zip(SUMMARY_COLUMNS, astuple(self)))
-
 
 # summary.csv holds every AggregateReport field; the array and source counts
 # are written as M and L.
@@ -415,19 +409,13 @@ def run_sweep(config: ScenarioConfig, snr_values, workers: int = 1):
     return aggregates, dict(zip(snr_values, reports))
 
 
-def run_extraction_comparison(
-    config: ScenarioConfig, methods=EXTRACTIONS, workers: int = 1
-) -> dict[str, list[TrialReport]]:
-    """Score several extraction methods on identical final populations: the
-    optimizer runs once per trial and every method consumes that population."""
+def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[str, list[TrialReport]]:
+    """Score every extraction of EXTRACTIONS, in registry order, on identical
+    final populations: the optimizer runs once per trial and every method
+    consumes that population."""
     if not config.population_search:
         raise ConfigError("extraction comparison needs a population algorithm")
-    methods = tuple(methods)
-    unknown = [method for method in methods if method not in EXTRACTIONS]
-    if unknown:
-        raise ConfigError(f"unknown extraction {unknown[0]!r}")
-    if len(set(methods)) != len(methods):
-        raise ConfigError("extraction methods must be distinct")
+    methods = tuple(EXTRACTIONS)  # the names, which pickle for worker processes; the lambdas do not
     rows = _map_trials(partial(_trial_reports, extractions=methods), config, workers)
     return {method: [row[k] for row in rows] for k, method in enumerate(methods)}
 
@@ -504,7 +492,7 @@ def write_csv(path, columns, rows) -> None:
 
 
 def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
-    write_csv(path, SUMMARY_COLUMNS, (agg.csv_row().values() for agg in aggregates))
+    write_csv(path, SUMMARY_COLUMNS, map(astuple, aggregates))
 
 
 def write_errors_csv(config: ScenarioConfig, reports_by_snr: dict[float, list[TrialReport]], path) -> None:

@@ -31,7 +31,6 @@ __all__ = [
     "evaluate_grid",
     "GridSearchResult",
     "grid_search",
-    "circular_difference_deg",
     "FlopModel",
     "flops_music",
     "flops_population",
@@ -43,17 +42,13 @@ class NoiseProjector:
     """The noise-subspace projector G = I - U_s U_s^H, held as its (M, L)
     orthonormal signal basis U_s: the cached objective kernel.
 
-    ``num_sources`` and the M x M ``matrix`` are derived from the basis; the
-    spectrum never forms ``matrix``. A zero-column basis is the identity
-    projector, whose spectrum is 1/M everywhere.
+    The M x M ``matrix`` is derived from the basis; the spectrum never forms
+    it. A zero-column basis is the identity projector, whose spectrum is 1/M
+    everywhere.
     """
 
     signal_basis: np.ndarray
     geometry: ArrayGeometry
-
-    @property
-    def num_sources(self) -> int:
-        return self.signal_basis.shape[1]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -158,7 +153,7 @@ def _grid_manifold(
     Holding it costs M * J * 16 bytes (6.3 MB for the 1-degree grid at
     M = 12, 67 MB at M = 128). Building it peaks at 1.2 times that, since a
     point-symmetric array's real phase array holds only M/2 rows: 82 MB above
-    the baseline at M = 128, built in about 100 ms on a 2-core Xeon.
+    the baseline at M = 128.
     """
     geom = ArrayGeometry(num_elements, wavelength, np.frombuffer(element_x), np.frombuffer(element_y))
     az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
@@ -212,12 +207,6 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
             shifted = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
             neighbor_max = np.maximum(neighbor_max, shifted)
     return values > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
-
-
-def circular_difference_deg(a, b) -> np.ndarray:
-    """Shortest angular distance in degrees, in [0, 180]."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 360.0
-    return np.minimum(d, 360.0 - d)
 
 
 @dataclass(frozen=True)
@@ -298,8 +287,7 @@ def flops_population(model: FlopModel) -> float:
     evaluation costs the code M/2 cosine and sine pairs on a point-symmetric
     array (M on any other) plus M * L complex multiply-adds, against the
     (M+1)(M-L) charged here; each generation's neighbour search pays all N^2
-    distances and one sort of each row of 32-bit keys, measured at 162 us
-    per generation at N = 256 on a 2-vCPU Xeon (226 us with 64-bit keys)."""
+    distances and one sort of each row of 32-bit keys."""
     m, l = model.num_sensors, model.num_sources
     n, iters = model.population_size, model.max_iterations
     return float(m * m * (l + 2) + iters * n * ((m + 1) * (m - l) + (n - 1)))

@@ -117,9 +117,9 @@ class SourceSet:
             raise ValueError("azimuths must lie in [0, 360) degrees")
         if not np.all((el >= 0.0) & (el <= 90.0)):
             raise ValueError("elevations must lie in [0, 90] degrees")
-        pairs = {(float(a), float(e)) for a, e in zip(az, el)}
-        if len(pairs) != len(az):
-            raise ValueError("sources must have distinct (azimuth, elevation) pairs")
+        directions = {(float(a) if e else 0.0, float(e)) for a, e in zip(az, el)}
+        if len(directions) != len(az):
+            raise ValueError("sources must have distinct directions (every azimuth at elevation 0 is the zenith)")
         power = self.power
         if power is None:
             power = np.ones(len(az))

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,8 +360,6 @@ class TestSweepAndCsv:
         config = ScenarioConfig(trials=1, optimizer=FAST_DE)
         with pytest.raises(ConfigError, match="population sizes must be distinct"):
             run_population_sweep(config, [32, 64, 32])
-        with pytest.raises(ConfigError, match="extraction methods must be distinct"):
-            run_extraction_comparison(config, ["dbscan", "kmeanspp", "dbscan"])
 
     def test_parallel_matches_serial(self):
         config = ScenarioConfig(algorithm="denm", snr_db=5.0, trials=4, optimizer=FAST_DE)
@@ -411,6 +410,14 @@ class TestScenarioConfig:
     def test_zero_generation_search_runs(self):
         config = ScenarioConfig.from_dict({"optimizer": {"max_iterations": 0}})
         assert run_trial(config, 0).measured_evals == config.optimizer.population_size
+
+    def test_readme_example_builds(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        documented = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        config = ScenarioConfig.from_dict(documented)
+        assert config.optimizer == DEConfig(**documented.pop("optimizer"))
+        for key, value in documented.items():
+            assert getattr(config, key) == (tuple(value) if isinstance(value, list) else value)
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
@@ -550,6 +557,14 @@ class TestCli:
             {"optimizer": {"rng_seed": float("nan")}},
             {"optimizer": {"rng_seed": False}},
             {"optimizer": {"rng_seed": -1}},
+            # entries of the wrong type, refused by the constructors
+            {"optimizer": None},
+            {"optimizer": 5},
+            {"source_azimuth_deg": 5},
+            {"source_power": 2},
+            # every azimuth at elevation 0 is the same direction
+            {"source_azimuth_deg": [0.0, 90.0, 240.51], "source_elevation_deg": [0.0, 0.0, 45.55]},
+            {"optimizer": {"pop": 3}},
         ],
     )
     def test_config_errors_caught_before_trials(self, tmp_path, capsys, mapping):
