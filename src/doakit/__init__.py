@@ -61,7 +61,6 @@ from .bench import (
     circular_difference_deg,
     complexity_cells,
     derive_seed,
-    empirical_cdf,
     format_complexity_table,
     match_estimates,
     run_extraction_comparison,

@@ -14,6 +14,7 @@ outside the contract.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -33,7 +34,7 @@ from .music import (
     noise_projector,
     spectrum_objective,
 )
-from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, require_integers, run_population
+from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, check_field_types, run_population
 from .signal_model import ArrayGeometry, SourceSet, sample_covariance, subspace_split, synthesize_snapshots
 
 # Each extraction reads its own settings from the scenario: (config, population, trial_index) -> ExtractionResult.
@@ -69,7 +70,6 @@ __all__ = [
     "run_sweep",
     "run_extraction_comparison",
     "run_population_sweep",
-    "empirical_cdf",
     "complexity_cells",
     "format_complexity_table",
     "write_csv",
@@ -88,8 +88,7 @@ class ScenarioConfig:
     12-element circular array receiving three sources at fixed directions."""
 
     num_elements: int = 12
-    wavelength: float = 1.0
-    radius: float | None = None  # None: one wavelength
+    radius: float = 1.0  # in wavelengths: only radius / wavelength enters the steering phase
     source_azimuth_deg: tuple[float, ...] = (30.42, 120.27, 240.51)
     source_elevation_deg: tuple[float, ...] = (60.39, 29.42, 45.55)
     source_power: tuple[float, ...] | None = None
@@ -109,17 +108,9 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        try:
-            require_integers(
-                num_elements=self.num_elements,
-                snapshots=self.snapshots,
-                trials=self.trials,
-                dbscan_min_pts=self.dbscan_min_pts,
-                klocalmax_neighbors=self.klocalmax_neighbors,
-                master_seed=self.master_seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_field_types(self, ConfigError)
+        if self.optimizer.rng_seed != DEConfig.rng_seed:
+            raise ConfigError("optimizer.rng_seed cannot be set: every trial derives it from master_seed")
         if self.algorithm not in SEARCHES:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.extraction not in EXTRACTIONS:
@@ -145,6 +136,9 @@ class ScenarioConfig:
             self.geometry(), self.sources(), self.flop_model()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # a positive finite step by now; 90/step whole makes 360/step = 4 * 90/step whole too
+        if not math.isclose(90.0 / self.grid_step_deg, round(90.0 / self.grid_step_deg)):
+            raise ConfigError(f"grid_step_deg must divide 360 and 90 degrees evenly, got {self.grid_step_deg!r}")
 
     @property
     def population_search(self) -> bool:
@@ -152,11 +146,10 @@ class ScenarioConfig:
         return self.algorithm != "grid"
 
     def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry.uca(self.num_elements, self.wavelength, self.radius)
+        return ArrayGeometry.uca(self.num_elements, radius=self.radius)
 
     def sources(self) -> SourceSet:
-        power = None if self.source_power is None else np.asarray(self.source_power)
-        return SourceSet(np.asarray(self.source_azimuth_deg), np.asarray(self.source_elevation_deg), power)
+        return SourceSet(self.source_azimuth_deg, self.source_elevation_deg, self.source_power)
 
     def grid_spec(self) -> GridSpec:
         return GridSpec(azimuth_step=self.grid_step_deg, elevation_step=self.grid_step_deg)
@@ -178,14 +171,12 @@ class ScenarioConfig:
     def from_dict(cls, mapping: dict) -> "ScenarioConfig":
         """Build from a plain mapping (the JSON config-file schema): ScenarioConfig
         field names, the ``optimizer`` entry a nested mapping with DEConfig field
-        names. The constructors reject unknown keys."""
-        kwargs = dict(mapping)
+        names, JSON lists as tuples. The constructors reject unknown keys and
+        values whose type does not match their field."""
+        kwargs = {key: tuple(value) if isinstance(value, list) else value for key, value in mapping.items()}
         try:
             if "optimizer" in kwargs:
                 kwargs["optimizer"] = DEConfig(**kwargs["optimizer"])
-            for key in ("source_azimuth_deg", "source_elevation_deg", "source_power"):
-                if kwargs.get(key) is not None:
-                    kwargs[key] = tuple(kwargs[key])
             return cls(**kwargs)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -431,12 +422,6 @@ def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> lis
     if len({optimizer.population_size for optimizer in optimizers}) != len(optimizers):
         raise ConfigError("population sizes must be distinct")
     return _run_scenarios([replace(config, optimizer=optimizer) for optimizer in optimizers], workers)[0]
-
-
-def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted samples and cumulative fractions (1/n .. 1); empty input allowed."""
-    values = np.sort(np.asarray(samples, dtype=float))
-    return values, np.arange(1, len(values) + 1) / max(len(values), 1)
 
 
 TABLE_SENSOR_COUNTS = (12, 32, 128)

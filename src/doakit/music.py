@@ -55,14 +55,6 @@ class NoiseProjector:
         u = self.signal_basis
         return np.eye(u.shape[0]) - u @ u.conj().T
 
-    def validate(self, orthonormal_tol: float = 1e-8) -> None:
-        u = np.asarray(self.signal_basis)
-        num_elements = self.geometry.num_elements
-        if u.ndim != 2 or u.shape[0] != num_elements or u.shape[1] >= num_elements:
-            raise ValueError(f"signal basis must have shape (M, L) with M = {num_elements} and 0 <= L < M")
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])), initial=0.0) > orthonormal_tol:
-            raise ValueError("signal basis columns are not orthonormal")
-
 
 def noise_projector(split: SubspaceSplit, geometry: ArrayGeometry) -> NoiseProjector:
     """The noise projector of a subspace split, held as its signal basis."""

@@ -23,9 +23,9 @@ snapshot, and replacements are applied afterwards in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -70,12 +70,39 @@ class SearchBox:
         return lo + span - np.abs(folded - span)
 
 
-def require_integers(**values) -> None:
-    """Raise ValueError naming the first value that is not an integer; a
-    bool is refused too, and so is an integral float such as 12.0."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _admits(annotation) -> tuple[Callable[[object], bool], str]:
+    """The test a field value must pass under its annotation, and how a refusal
+    names it: int, float, tuple[float, ...], another class, or any of these | None."""
+    if type(None) in get_args(annotation):
+        test, expected = _admits(get_args(annotation)[0])  # X | None lists X first
+        return (lambda value: value is None or test(value)), f"{expected} or null"
+    if annotation is int:
+        return (lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool)), "an integer"
+    if annotation is float:
+        return _is_number, "a number"
+    if get_origin(annotation) is tuple:
+        return (lambda value: isinstance(value, tuple) and all(map(_is_number, value))), "a tuple of numbers"
+    return (lambda value: isinstance(value, annotation)), f"a {annotation.__name__}"
+
+
+@cache
+def _field_rules(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_admits(hints[f.name])) for f in fields(cls) if f.init)
+
+
+def check_field_types(instance, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first dataclass field whose value does not
+    match its annotation. A bool is refused everywhere, and an int field
+    refuses an integral float such as 12.0 too."""
+    for name, test, expected in _field_rules(type(instance)):
+        value = getattr(instance, name)
+        if not test(value):
+            raise error(f"{name} must be {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +122,7 @@ class DEConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        require_integers(
-            population_size=self.population_size,
-            max_iterations=self.max_iterations,
-            neighborhood_size=self.neighborhood_size,
-            rng_seed=self.rng_seed,
-        )
+        check_field_types(self)
         if self.population_size < 5:
             raise ValueError("population_size must be at least 5, so that four neighbors exist besides each point")
         if not 4 <= self.neighborhood_size <= self.population_size - 1:

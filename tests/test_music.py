@@ -55,21 +55,9 @@ def projector_from_random_covariance(seed, num_elements=8, num_sources=3):
 class TestNoiseProjector:
     def test_invariants_on_random_covariances(self):
         for seed in range(10):
-            proj = projector_from_random_covariance(seed)
-            proj.validate()  # an (M, L) basis with orthonormal columns
-
-    def test_validate_rejects_non_projector(self, uca12):
-        basis = projector_from_random_covariance(0, num_elements=12).signal_basis
-        bad = NoiseProjector(signal_basis=basis * 2.0, geometry=uca12)
-        with pytest.raises(ValueError):
-            bad.validate()
-
-    def test_validate_rejects_wrong_shape(self, uca12):
-        basis = projector_from_random_covariance(0, num_elements=12).signal_basis
-        NoiseProjector(np.zeros((12, 0), dtype=complex), uca12).validate()  # L = 0 is the identity projector
-        for bad in (basis[:11], basis[:, 0], np.eye(12, dtype=complex), np.eye(13, 3, dtype=complex)):
-            with pytest.raises(ValueError, match="shape"):
-                NoiseProjector(bad, uca12).validate()
+            basis = projector_from_random_covariance(seed).signal_basis
+            assert basis.shape == (8, 3)  # (M, L)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-8)  # orthonormal columns
 
 
 def random_rows(rng, count):
