@@ -39,7 +39,7 @@ class ClusterLabeling:
     num_clusters: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DoaEstimate:
     azimuth_deg: float
     elevation_deg: float

@@ -4,19 +4,21 @@ The pseudo-spectrum height at a candidate direction is
 1 / (a^H G a) with G the noise-subspace projector; peaks mark directions
 whose steering vectors are nearly orthogonal to the noise subspace. With
 U_s the L-column signal basis, G = I - U_s U_s^H and steering entries of unit
-modulus give a^H G a = M - ||U_s^H a||^2 (Schmidt, IEEE TAP 1986): M * L
-complex multiply-adds per direction instead of M^2.
+modulus give a^H G a = M - ||U_s^H a||^2 (Schmidt, IEEE TAP 1986). On a
+point-symmetric array U_s^H a is a real-linear map of the M/2 computed
+phases' cosines and sines (Huarng & Yeh, IEEE TSP 1991), so the spectrum
+costs 2 * M * L real multiply-adds per direction instead of M^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
-from .signal_model import ArrayGeometry, SubspaceSplit, steering_matrix, TWO_PI
+from .signal_model import ArrayGeometry, SubspaceSplit, steering_rows, TWO_PI
 
 # Floor for the projected power a^H G a: keeps the spectrum finite at exact
 # orthogonality (noiseless peaks) without disturbing peak ordering.
@@ -42,6 +44,16 @@ class NoiseProjector:
     """The noise-subspace projector G = I - U_s U_s^H, held as its (M, L)
     orthonormal signal basis U_s: the cached objective kernel.
 
+    ``projection`` is derived, not passed: the real (2L, 2k) matrix B with
+    ||U_s^H a||^2 = ||B r||^2 for the real steering rows r = [cos theta;
+    sin theta] of ``steering_rows``, k = M - h and h the geometry's
+    ``mirrored_elements``. With c = conj(U_s), element k + m (m < h) carries
+    the conjugate of element m's entry, so U_s^H a = P^T cos theta + Q^T sin theta
+    with P_m = c_m + c_{k+m} and Q_m = i (c_m - c_{k+m}), the c_{k+m} terms
+    counting only for m < h; B = [[Re P^T, Re Q^T], [Im P^T, Im Q^T]]. A
+    direction then costs 4 k L real multiply-adds: 2 M L on an even circle,
+    4 M L on an array with no mirrored elements.
+
     The M x M ``matrix`` is derived from the basis; the spectrum never forms
     it. A zero-column basis is the identity projector, whose spectrum is 1/M
     everywhere.
@@ -49,6 +61,19 @@ class NoiseProjector:
 
     signal_basis: np.ndarray
     geometry: ArrayGeometry
+    projection: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = np.conjugate(self.signal_basis)
+        mirrored = self.geometry.mirrored_elements
+        computed = self.geometry.num_elements - mirrored
+        head = c[:computed]
+        tail = np.zeros_like(head)
+        tail[:mirrored] = c[computed:]
+        weights = np.concatenate((head + tail, 1j * (head - tail))).T  # [P^T, Q^T], (L, 2k)
+        projection = np.concatenate((weights.real, weights.imag))
+        projection.flags.writeable = False
+        object.__setattr__(self, "projection", projection)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -61,8 +86,8 @@ def noise_projector(split: SubspaceSplit, geometry: ArrayGeometry) -> NoiseProje
     return NoiseProjector(signal_basis=split.signal_basis, geometry=geometry)
 
 
-def _steering_columns(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
-    """Steering matrix with one column per (azimuth_deg, elevation_deg) row.
+def _steering_rows(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
+    """Real steering rows with one column per (azimuth_deg, elevation_deg) row.
 
     The one direction rule of the spectrum: azimuth wraps modulo 360
     degrees, elevation is clipped to [0, 90] to absorb floating-point
@@ -71,21 +96,27 @@ def _steering_columns(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
     pos = np.atleast_2d(np.asarray(positions_deg, dtype=float))
     az = np.mod(np.deg2rad(pos[:, 0]), TWO_PI)
     el = np.clip(np.deg2rad(pos[:, 1]), 0.0, np.pi / 2.0)
-    return steering_matrix(geometry, az, el)
+    return steering_rows(geometry, az, el)
 
 
-def _spectrum(signal_basis: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """1 / max(a^H G a, floor) per unit-modulus steering column, with
-    a^H G a = M - ||U_s^H a||^2. It lies in [0, M] since G is an orthogonal
-    projector, so every height is at least 1/M (exactly 1/M when L = 0)."""
-    captured = signal_basis.conj().T @ a
-    power = a.shape[0] - (captured.real**2 + captured.imag**2).sum(axis=0)
+def _spectrum(proj: NoiseProjector, rows: np.ndarray) -> np.ndarray:
+    """1 / max(a^H G a, floor) per column of real steering rows, with
+    a^H G a = M - ||B r||^2. It lies in [0, M] since G is an orthogonal
+    projector, so every height is at least 1/M (exactly 1/M when L = 0).
+
+    B r holds the real parts of U_s^H a above the imaginary parts; the squares
+    are summed as the complex form sums them, re^2 + im^2 per source, then over
+    the sources, so the heights differ from it only by the rounding of B r."""
+    captured = np.square(proj.projection @ rows)
+    num_sources = len(captured) // 2
+    captured[:num_sources] += captured[num_sources:]
+    power = proj.geometry.num_elements - captured[:num_sources].sum(axis=0)
     return 1.0 / np.maximum(power, DENOMINATOR_FLOOR)
 
 
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
     """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg)."""
-    return _spectrum(proj.signal_basis, _steering_columns(proj.geometry, positions_deg))
+    return _spectrum(proj, _steering_rows(proj.geometry, positions_deg))
 
 
 def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarray]:
@@ -111,6 +142,9 @@ class GridSpec:
         # written as "not both positive" so that NaN is rejected too
         if not (self.azimuth_step > 0 and self.elevation_step > 0):
             raise ValueError("grid step must be positive")
+        # a step so small that 360/step overflows or the point count leaves np.intp cannot be indexed
+        if not (360.0 / self.azimuth_step + 1) * (90.0 / self.elevation_step + 1) < np.iinfo(np.intp).max:
+            raise ValueError("grid step too small: the grid's point count does not fit an array index")
         if self.num_azimuth < 3 or self.num_elevation < 2:
             raise ValueError("grid needs at least two distinct azimuth columns and two elevation rows")
 
@@ -137,19 +171,20 @@ class GridSpec:
 def _grid_manifold(
     num_elements: int, wavelength: float, element_x: bytes, element_y: bytes, spec: GridSpec
 ) -> np.ndarray:
-    """Read-only steering matrix A of every grid point.
+    """Read-only real steering rows r of every grid point, float64 (2k, J)
+    with k = M - h computed phases per point.
 
     Keyed on the geometry's values, since ``ArrayGeometry`` holds arrays and
-    cannot be hashed. The grid's angles go through ``_steering_columns`` like
+    cannot be hashed. The grid's angles go through ``_steering_rows`` like
     any population, so the grid spectrum equals ``music_values`` bit for bit.
-    Holding it costs M * J * 16 bytes (6.3 MB for the 1-degree grid at
-    M = 12, 67 MB at M = 128). Building it peaks at 1.2 times that, since a
-    point-symmetric array's real phase array holds only M/2 rows: 82 MB above
-    the baseline at M = 128.
+    Holding it costs 2k * J * 8 bytes, M * J * 8 on a point-symmetric array
+    (3.2 MB for the 1-degree grid at M = 12, 34 MB at M = 128; an array
+    with no mirrored elements holds twice that). Building it makes no other
+    array of its size.
     """
     geom = ArrayGeometry(num_elements, wavelength, np.frombuffer(element_x), np.frombuffer(element_y))
     az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
-    manifold = _steering_columns(geom, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
+    manifold = _steering_rows(geom, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
     manifold.flags.writeable = False
     return manifold
 
@@ -164,16 +199,16 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
     """Pseudo-spectrum at every grid point, shaped (num_azimuth,
     num_elevation): values[i, j] at (azimuth i, elevation j).
 
-    The steering matrix of the grid is built once per process for the latest
+    The steering rows of the grid are built once per process for the latest
     (geometry, grid) pair; a trial pays only the projection, in passes of
     2048 points.
     """
     geom = proj.geometry
-    a = _grid_manifold(geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), spec)
-    values = np.empty(a.shape[1])
-    for start in range(0, a.shape[1], _GRID_BLOCK_COLUMNS):
+    rows = _grid_manifold(geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), spec)
+    values = np.empty(rows.shape[1])
+    for start in range(0, rows.shape[1], _GRID_BLOCK_COLUMNS):
         stop = start + _GRID_BLOCK_COLUMNS
-        values[start:stop] = _spectrum(proj.signal_basis, a[:, start:stop])
+        values[start:stop] = _spectrum(proj, rows[:, start:stop])
     return values.reshape(spec.num_azimuth, spec.num_elevation)
 
 
@@ -264,8 +299,9 @@ class FlopModel:
 
 def flops_music(model: FlopModel) -> float:
     """Grid-search cost: M^2 (L+2) + J (M+1)(M-L) floating-point operations.
-    This is the paper's formula; the code pays M * L complex multiply-adds per
-    grid point (``_spectrum``) and builds the grid's steering matrix once."""
+    This is the paper's formula; the code pays 4 (M - h) L real multiply-adds
+    per grid point (``_spectrum``), h the array's mirrored elements: 2 M L on
+    an even circle. It takes the grid's cosines and sines once per process."""
     m, l, j = model.num_sensors, model.num_sources, model.grid_points
     return float(m * m * (l + 2) + j * (m + 1) * (m - l))
 
@@ -276,10 +312,11 @@ def flops_population(model: FlopModel) -> float:
     evaluation per individual plus the pairwise-distance bookkeeping N(N-1).
     This is the paper's formula; it leaves out the initial population's N
     evaluations, so a run's measured_evals is (I+1) N, not I N. Each
-    evaluation costs the code M/2 cosine and sine pairs on a point-symmetric
-    array (M on any other) plus M * L complex multiply-adds, against the
-    (M+1)(M-L) charged here; each generation's neighbour search pays all N^2
-    distances and one sort of each row of 32-bit keys."""
+    evaluation costs the code M - h cosine and sine pairs plus 4 (M - h) L
+    real multiply-adds, h the array's mirrored elements: M/2 pairs and
+    2 M L multiply-adds on an even circle, against the (M+1)(M-L) charged
+    here; each generation's neighbour search pays all N^2 distances and one
+    sort of each row of 32-bit keys."""
     m, l = model.num_sensors, model.num_sources
     n, iters = model.population_size, model.max_iterations
     return float(m * m * (l + 2) + iters * n * ((m + 1) * (m - l) + (n - 1)))

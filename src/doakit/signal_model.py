@@ -29,11 +29,19 @@ __all__ = [
     "SourceSet",
     "SubspaceSplit",
     "steering_vector",
+    "steering_rows",
     "steering_matrix",
     "synthesize_snapshots",
     "sample_covariance",
     "subspace_split",
 ]
+
+
+def _read_only_floats(values) -> np.ndarray:
+    """A read-only float copy of ``values``, at least 1-D."""
+    array = np.array(values, dtype=float, ndmin=1)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,8 @@ class ArrayGeometry:
     trailing half of the elements is exactly the negation of the leading half
     (element m + M/2 is the point reflection of element m through the
     origin), else 0. A mirrored element's steering entry is the complex
-    conjugate of its partner's.
+    conjugate of its partner's. The position arrays are read-only copies, so a
+    geometry shared between trials cannot be changed through them.
     """
 
     num_elements: int
@@ -58,8 +67,8 @@ class ArrayGeometry:
             raise ValueError("array needs at least two elements")
         if not 0 < self.wavelength < np.inf:  # NaN fails too
             raise ValueError("wavelength must be positive and finite")
-        object.__setattr__(self, "element_x", np.asarray(self.element_x, dtype=float))
-        object.__setattr__(self, "element_y", np.asarray(self.element_y, dtype=float))
+        object.__setattr__(self, "element_x", _read_only_floats(self.element_x))
+        object.__setattr__(self, "element_y", _read_only_floats(self.element_y))
         if self.element_x.shape != (self.num_elements,) or self.element_y.shape != (self.num_elements,):
             raise ValueError("element positions must have exactly num_elements entries")
         if not (np.all(np.isfinite(self.element_x)) and np.all(np.isfinite(self.element_y))):
@@ -98,7 +107,8 @@ class SourceSet:
 
     Powers are relative weights (default all ones). The source count must stay
     below the element count of whatever array the set is used with, so that a
-    noise subspace exists; that check happens at synthesis time.
+    noise subspace exists; that check happens at synthesis time. The arrays are
+    read-only copies, as in ``ArrayGeometry``.
     """
 
     azimuth_deg: np.ndarray
@@ -106,8 +116,8 @@ class SourceSet:
     power: np.ndarray | None = None
 
     def __post_init__(self):
-        az = np.atleast_1d(np.asarray(self.azimuth_deg, dtype=float))
-        el = np.atleast_1d(np.asarray(self.elevation_deg, dtype=float))
+        az = _read_only_floats(self.azimuth_deg)
+        el = _read_only_floats(self.elevation_deg)
         object.__setattr__(self, "azimuth_deg", az)
         object.__setattr__(self, "elevation_deg", el)
         if az.ndim != 1 or az.shape != el.shape or len(az) < 1:
@@ -123,7 +133,7 @@ class SourceSet:
         power = self.power
         if power is None:
             power = np.ones(len(az))
-        power = np.atleast_1d(np.asarray(power, dtype=float))
+        power = _read_only_floats(power)
         if power.shape != az.shape or not np.all((power > 0) & np.isfinite(power)):
             raise ValueError("power must list one positive finite value per source")
         object.__setattr__(self, "power", power)
@@ -149,28 +159,48 @@ class SubspaceSplit:
     degenerate_gap: bool
 
 
-def steering_matrix(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
-    """Stack steering vectors as columns, one per (azimuth, elevation) pair.
+def steering_rows(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
+    """Real rows [cos theta; sin theta] of the computed steering phases, one
+    column per (azimuth, elevation) pair, shaped (2 * (M - h), n).
 
-    Element m responds with exp(-1j * (2*pi/lam) * (x_m cos(az) + y_m sin(az)) * sin(el)).
-    For a circular array this reduces to exp(-1j * (2*pi*r/lam) * cos(phi_m - az) * sin(el)).
-    Angles in radians; no range validation here since the phase wraps naturally.
-
-    Cosines and sines are taken for the first M - h rows only, h being the
-    geometry's ``mirrored_elements``; the last h rows are the conjugates of
-    the first h, exactly, since their phases are exact negations.
+    Element m carries phase theta_m = -(2*pi/lam) * (x_m cos(az) + y_m sin(az)) * sin(el).
+    Only the first M - h phases are computed, h being the geometry's
+    ``mirrored_elements``: element M - h + m (m < h) carries phase -theta_m
+    exactly, since its position is the exact negation of element m's. Angles
+    in radians; no range validation here since the phase wraps naturally. The
+    phases are built in the cosine half, with the sine half as scratch, so the
+    result is the only array of its size made.
     """
     az = np.atleast_1d(np.asarray(azimuths, dtype=float))
     el = np.atleast_1d(np.asarray(elevations, dtype=float))
-    mirrored = geom.mirrored_elements
-    computed = geom.num_elements - mirrored
-    phase = np.multiply.outer(geom.element_x[:computed], np.cos(az))
-    phase += np.multiply.outer(geom.element_y[:computed], np.sin(az))
+    computed = geom.num_elements - geom.mirrored_elements
+    rows = np.empty((2, computed, len(az)))
+    phase, scratch = rows
+    np.multiply.outer(geom.element_x[:computed], np.cos(az), out=phase)
+    np.multiply.outer(geom.element_y[:computed], np.sin(az), out=scratch)
+    phase += scratch
     phase *= -TWO_PI / geom.wavelength
     phase *= np.sin(el)
-    columns = np.empty((geom.num_elements, len(az)), dtype=complex)
-    np.cos(phase, out=columns.real[:computed])
-    np.sin(phase, out=columns.imag[:computed])
+    np.sin(phase, out=scratch)
+    np.cos(phase, out=phase)
+    return rows.reshape(2 * computed, len(az))
+
+
+def steering_matrix(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
+    """Stack steering vectors as columns, one per (azimuth, elevation) pair.
+
+    Element m responds with exp(1j * theta_m), theta_m as in ``steering_rows``.
+    For a circular array this reduces to exp(-1j * (2*pi*r/lam) * cos(phi_m - az) * sin(el)).
+    Angles in radians. The first M - h rows are cos + 1j sin of the computed
+    phases; the last h rows are the conjugates of the first h, exactly. The
+    MUSIC spectrum reads the real rows directly; synthesis uses this form.
+    """
+    rows = steering_rows(geom, azimuths, elevations)
+    mirrored = geom.mirrored_elements
+    computed = geom.num_elements - mirrored
+    columns = np.empty((geom.num_elements, rows.shape[1]), dtype=complex)
+    columns.real[:computed] = rows[:computed]
+    columns.imag[:computed] = rows[computed:]
     np.conjugate(columns[:mirrored], out=columns[computed:])
     return columns
 

@@ -30,7 +30,7 @@ from doakit import (
     run_trial,
     run_trials,
 )
-from doakit.bench import EXTRACTIONS, SEARCHES, write_errors_csv, write_summary_csv
+from doakit.bench import EXTRACTIONS, SEARCHES, _fixtures, write_errors_csv, write_summary_csv
 from doakit.cli import build_parser, main as cli_main
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
@@ -140,6 +140,21 @@ class TestRunTrial:
         assert first.success == second.success
         assert first.measured_evals == second.measured_evals
 
+    def test_trials_of_one_scenario_share_read_only_fixtures(self):
+        # a master seed no other test uses, so the first trial builds the fixtures and the second reuses them
+        config = ScenarioConfig(algorithm="grid", trials=2, master_seed=917)
+        before = _fixtures.cache_info()
+        first, second = run_trial(config, 0), run_trial(config, 1)
+        after = _fixtures.cache_info()
+        assert (after.misses, after.hits) == (before.misses + 1, before.hits + 1)
+        assert first.model_flops == second.model_flops == flops_music(config.flop_model())
+        geom, sources, _ = _fixtures(config)
+        rebuilt_geom, rebuilt_sources, _ = _fixtures(ScenarioConfig(**config.__dict__))
+        assert rebuilt_geom is geom and rebuilt_sources is sources
+        for shared in (geom.element_x, geom.element_y, sources.azimuth_deg, sources.elevation_deg, sources.power):
+            with pytest.raises(ValueError):
+                shared[0] = 1.0
+
     def test_denm_measured_evals_match_budget(self):
         config = ScenarioConfig(algorithm="denm", snr_db=10.0, trials=1)
         report = run_trial(config, 0)
@@ -161,14 +176,14 @@ GOLDEN_DE = DEConfig(population_size=32, max_iterations=5, neighborhood_size=8)
 # cover exact float values: a refactor must leave them unchanged, and only a
 # change meant to move seeded outputs may re-record them.
 GOLDEN_DIGESTS = {
-    ("grid", "dbscan"): "75b60cc65614967f5b7600666dd967ba4a86749e07f9adfda89dcf1d1a1e2adc",
-    ("de", "dbscan"): "fd0d234bcddc4ac55f4a4d6b0d1bdf6aaf11ee431417d6d1a8a5064b97eff3a5",
-    ("denm", "dbscan"): "30a948d875c9c45084e2f4e1b092e4801ab3486550971cdc9a484f604e942120",
-    ("dcde", "dbscan"): "f1b96d8d78cd6abf0c2c58cea312eda78cb053e4bb8220b54fcc8b4282f582d8",
-    ("sharede", "dbscan"): "1383046681d4314f9d740e854a3e5065cc865ca2be950af9b02a726976ed746c",
-    ("sde", "dbscan"): "61bb49d6537847d4ab7cba83a4fc09a33f2f8443295c9001925136e465dbe290",
-    ("denm", "klocalmax"): "4e15218d81c9d06e7eab023d48a98bebb3b615a8882eef391160a7c7ede312f4",
-    ("denm", "kmeanspp"): "a5081dcae5ad86c3bbc700168460297fc60c5b4af8aca886425e3667d5a81b0e",
+    ("grid", "dbscan"): "91f0036baf1e635420aa47427eae28e96e1b0cfbe4fe693225c7fc87f28da5fd",
+    ("de", "dbscan"): "e7cdf3fdbef9a55fcffa245666676f76e014ab17067730f9669ff7dc95ca8409",
+    ("denm", "dbscan"): "4df6cac8039d4b2b96143347989c2d0317f50d546fc5a31f903fc7ec882ebeae",
+    ("dcde", "dbscan"): "c329151c6f67012d4bb1db528e5b7b4b2ca4750d9365ce3fe727abd7221d0fce",
+    ("sharede", "dbscan"): "149b4fb2591fe89a5b9665206925231a37e81f516fbf64bef3159d4c049aca15",
+    ("sde", "dbscan"): "1b41f828aa487a9301126b0d665eaa82c5bc5f0d0d725a1d16f8f1dd6c08d778",
+    ("denm", "klocalmax"): "250db63050b032e4281106a5a403acf2276cfe28b86e40679dc82565fd17fa8e",
+    ("denm", "kmeanspp"): "a96959f58c5b1188ae217e849e1655e1f358228ed7cacca060fcda24e33c86e9",
 }
 
 
@@ -441,6 +456,9 @@ NAMED_CONFIG_ERRORS = [
     ({"grid_step_deg": 0.7}, "grid_step_deg"),
     # radius is in wavelengths: there is no wavelength setting
     ({"wavelength": 1.0}, "wavelength"),
+    # steps whose grid would have more points than an array can index
+    ({"grid_step_deg": 5e-324}, "grid_step_deg"),
+    ({"grid_step_deg": 1e-300}, "grid_step_deg"),
 ]
 
 

@@ -15,13 +15,14 @@ from doakit import (
     noise_projector,
     sample_covariance,
     spectrum_objective,
+    steering_matrix,
     steering_vector,
     subspace_split,
     synthesize_snapshots,
 )
 from doakit.music import DENOMINATOR_FLOOR, _grid_manifold, _local_maxima_mask
 
-from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
+from conftest import STEERING_GEOMETRIES, TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
 # Reference complexity table this cost model reproduces: values are rounded
 # to one decimal MFLOP (ratios to two decimals), and three of them carry a
@@ -101,6 +102,28 @@ class TestMusicValue:
         basis_free = NoiseProjector(np.zeros((num_elements, 0), dtype=complex), geom)
         assert np.all(music_values(basis_free, rows) == 1.0 / num_elements)
 
+    @pytest.mark.parametrize("geom", list(STEERING_GEOMETRIES.values()), ids=list(STEERING_GEOMETRIES))
+    def test_real_projection_equals_complex_steering_columns(self, geom):
+        # ||B r||^2 over the real rows against ||U_s^H a||^2 over complex columns: mirrored pairs (h = M/2),
+        # no pairs (h = 0) and a point-symmetric array that is not a circle
+        num_elements = geom.num_elements
+        rows = random_rows(np.random.default_rng(num_elements), 300)
+        a = steering_matrix(geom, np.deg2rad(rows[:, 0]), np.deg2rad(rows[:, 1]))
+        basis = random_split(num_elements, seed=num_elements).signal_basis
+        captured = basis.conj().T @ a
+        power = num_elements - (captured.real**2 + captured.imag**2).sum(axis=0)
+        proj = NoiseProjector(basis, geom)
+        assert proj.projection.shape == (2 * 3, 2 * (num_elements - geom.mirrored_elements))
+        # the subtraction loses about M * eps absolutely, so compare away from the nulls
+        away = power >= 1e-2
+        assert away.all()
+        expected = 1.0 / np.maximum(power, DENOMINATOR_FLOOR)
+        np.testing.assert_allclose(music_values(proj, rows), expected, rtol=1e-12, atol=0.0)
+        # a zero-column basis, real or complex, is the identity projector
+        for dtype in (float, complex):
+            basis_free = NoiseProjector(np.zeros((num_elements, 0), dtype=dtype), geom)
+            assert np.all(music_values(basis_free, rows) == 1.0 / num_elements)
+
     def test_identity_projector_gives_one_over_m(self, uca12):
         proj = NoiseProjector(np.zeros((12, 0), dtype=complex), uca12)
         values = music_values(proj, random_rows(np.random.default_rng(1), 10))
@@ -170,6 +193,10 @@ class TestGridSpec:
             GridSpec(azimuth_step=1000.0)
         with pytest.raises(ValueError):
             GridSpec(azimuth_step=200.0, elevation_step=200.0)
+        # steps whose point count overflows to infinity or does not fit an array index
+        for tiny in (5e-324, 1e-300, 1e-10):
+            with pytest.raises(ValueError):
+                GridSpec(azimuth_step=tiny, elevation_step=tiny)
         assert GridSpec(azimuth_step=180.0, elevation_step=90.0).num_points == 3 * 2
 
 
@@ -295,10 +322,19 @@ class TestGridManifold:
         key = (geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), GridSpec())
         hits = _grid_manifold.cache_info().hits
         manifold = _grid_manifold(*key)
-        assert manifold.shape == (geom.num_elements, GridSpec().num_points)
         with pytest.raises(ValueError):
             manifold[0, 0] = 0.0
         assert _grid_manifold.cache_info().hits == hits + 1
+        # real cosine and sine rows of the M - h computed phases: M * J * 8 bytes on the even circle,
+        # twice that on an odd one
+        for geometry in (geom, ArrayGeometry.uca(5)):
+            evaluate_grid(NoiseProjector(np.zeros((geometry.num_elements, 0)), geometry), GridSpec())
+            x, y = geometry.element_x.tobytes(), geometry.element_y.tobytes()
+            manifold = _grid_manifold(geometry.num_elements, geometry.wavelength, x, y, GridSpec())
+            computed = geometry.num_elements - geometry.mirrored_elements
+            assert manifold.dtype == np.float64 and not manifold.flags.writeable
+            assert manifold.shape == (2 * computed, GridSpec().num_points)
+            assert manifold.nbytes == 2 * computed * GridSpec().num_points * 8
 
 
 class TestFlopModel:

@@ -11,6 +11,8 @@ from doakit import (
     synthesize_snapshots,
 )
 
+from conftest import STEERING_GEOMETRIES, centred_4x4_grid, uca12_one_ulp_off
+
 
 def direct_uca_steering(num_elements, radius, wavelength, azimuth, elevation):
     """Scalar-by-scalar oracle: element m carries phase
@@ -21,22 +23,6 @@ def direct_uca_steering(num_elements, radius, wavelength, azimuth, elevation):
         phase = -(2.0 * np.pi * radius / wavelength) * np.cos(phi_m - azimuth) * np.sin(elevation)
         out[m - 1] = np.exp(1j * phase)
     return out
-
-
-def centred_4x4_grid():
-    """Point-symmetric, not circular: a centred 4 x 4 half-wavelength grid whose
-    y < 0 half lists the negations of the y > 0 half, so mirror pairs sit M/2 apart."""
-    lead_x, lead_y = np.meshgrid([-0.75, -0.25, 0.25, 0.75], [0.25, 0.75])
-    lead_x, lead_y = lead_x.ravel(), lead_y.ravel()
-    return ArrayGeometry(16, 1.0, np.concatenate([lead_x, -lead_x]), np.concatenate([lead_y, -lead_y]))
-
-
-def uca12_one_ulp_off():
-    """uca12 with its last element moved by one ulp: no exact mirror, so every row is computed."""
-    uca12 = ArrayGeometry.uca(12)
-    x = uca12.element_x.copy()
-    x[-1] = np.nextafter(x[-1], np.inf)
-    return ArrayGeometry(12, 1.0, x, uca12.element_y)
 
 
 class TestArrayGeometry:
@@ -66,6 +52,16 @@ class TestArrayGeometry:
             ArrayGeometry(3, 1.0, np.array([0.0, bad, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
             ArrayGeometry(3, 1.0, np.zeros(3), np.array([0.0, 1.0, bad]))
+
+    def test_positions_are_read_only_copies(self):
+        # a geometry shared between trials cannot change under them, and freezing it leaves the caller's arrays alone
+        x, y = np.array([0.0, 1.0, -1.0]), np.zeros(3)
+        geom = ArrayGeometry(3, 1.0, x, y)
+        x[1] = 5.0
+        assert geom.element_x[1] == 1.0 and x.flags.writeable
+        for positions in (geom.element_x, geom.element_y):
+            with pytest.raises(ValueError):
+                positions[0] = 1.0
 
     @pytest.mark.parametrize("num_elements", [2, 4, 6, 12, 128, 1000])
     def test_even_uca_is_exactly_point_symmetric(self, num_elements):
@@ -150,19 +146,7 @@ class TestSteeringVector:
 
 
 class TestSteeringMatrix:
-    @pytest.mark.parametrize(
-        "geom",
-        [
-            ArrayGeometry.uca(5),
-            ArrayGeometry.uca(12),
-            ArrayGeometry.uca(128),
-            # not circular: seven elements scattered over a 6 x 4 m aperture at a 0.8 m wavelength
-            ArrayGeometry(7, 0.8, *np.random.default_rng(5).uniform((-3.0, -2.0), (3.0, 2.0), size=(7, 2)).T),
-            centred_4x4_grid(),
-            uca12_one_ulp_off(),
-        ],
-        ids=["uca5", "uca12", "uca128", "scattered7", "rect4x4", "uca12_ulp_off"],
-    )
+    @pytest.mark.parametrize("geom", list(STEERING_GEOMETRIES.values()), ids=list(STEERING_GEOMETRIES))
     def test_matches_complex_exponential(self, geom):
         rng = np.random.default_rng(geom.num_elements)
         azimuths = np.concatenate([[1.234], rng.uniform(0.0, 2.0 * np.pi, 300)])
