@@ -223,7 +223,8 @@ def match_estimates(truth: SourceSet, estimates: list[DoaEstimate] | tuple[DoaEs
     theta_cost = circular_difference_deg(truth.azimuth_deg[:, None], est_az[None, :])
     phi_cost = np.abs(truth.elevation_deg[:, None] - est_el[None, :])
     rows, cols = linear_sum_assignment(theta_cost + phi_cost)
-    unmatched = np.setdiff1d(np.arange(truth.count), rows)
+    # the assignment's row indices are unique and sorted, so deleting them leaves the unmatched truths in order
+    unmatched = np.delete(np.arange(truth.count), rows)
     return MatchResult(
         truth_indices=rows,
         estimate_indices=cols,

@@ -64,14 +64,21 @@ class NoiseProjector:
     projection: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.conjugate(self.signal_basis)
+        u = self.signal_basis
         mirrored = self.geometry.mirrored_elements
         computed = self.geometry.num_elements - mirrored
-        head = c[:computed]
-        tail = np.zeros_like(head)
-        tail[:mirrored] = c[computed:]
-        weights = np.concatenate((head + tail, 1j * (head - tail))).T  # [P^T, Q^T], (L, 2k)
-        projection = np.concatenate((weights.real, weights.imag))
+        # parts[b, :, a] is (M, L): the real (a = 0) and imaginary (a = 1) parts of the
+        # cosine weight c (b = 0) and of the sine weight i c (b = 1); the mirrored
+        # rows then add c_{k+m} to P and take i c_{k+m} from Q
+        parts = np.empty((2, len(u), 2, u.shape[1]))
+        parts[0, :, 0] = parts[1, :, 1] = u.real
+        parts[1, :, 0] = u.imag
+        np.negative(u.imag, out=parts[0, :, 1])
+        parts[0, :mirrored] += parts[0, computed:]
+        parts[1, :mirrored] -= parts[1, computed:]
+        # B^T = [[Re P, Im P], [Re Q, Im Q]], (2k, 2L), held row-major: BLAS can round
+        # B r differently for another layout of B, and the golden digests pin this one
+        projection = parts[:, :computed].reshape(2 * computed, 2 * u.shape[1]).T
         projection.flags.writeable = False
         object.__setattr__(self, "projection", projection)
 
@@ -215,25 +222,57 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
 # Relative margin for strict dominance: spectrum values equal up to a few ulps
 # (a flat spectrum region) must not register as local maxima.
 _STRICT_MARGIN = 1e-12
+# (row, column) offsets of a cell's eight neighbors
+_NEIGHBOR_ROWS = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
+_NEIGHBOR_COLUMNS = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 
 
 def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     """Cells strictly greater than every cell of their 8-neighborhood.
 
     Axis 0 (azimuth) is periodic: its first and last rows are neighbors.
-    Axis 1 (elevation) is padded with -inf, so its edge cells compare only
-    their real neighbors. Strictness carries a relative margin so
-    floating-point jitter on flat regions cannot fabricate peaks.
+    Axis 1 (elevation) is not: a neighbor past its edge counts as -inf, so
+    edge cells compare only their real neighbors. Strictness carries a
+    relative margin so floating-point jitter on flat regions cannot
+    fabricate peaks.
+
+    A strict maximum equals the maximum of its 3x3 block, so the block
+    maximum is taken first, in whole contiguous passes, and only the cells
+    equal to it are compared with their eight neighbors. The block maximum
+    only narrows the candidates; that comparison decides.
     """
-    padded = np.pad(np.pad(values, ((1, 1), (0, 0)), mode="wrap"), ((0, 0), (1, 1)), constant_values=-np.inf)
-    neighbor_max = np.full_like(values, -np.inf)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
-            neighbor_max = np.maximum(neighbor_max, shifted)
-    return values > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
+    num_elevation = values.shape[1]
+    # 3-max along azimuth, wrapped, over whole rows
+    rows = np.empty_like(values)
+    np.maximum(values[:-1], values[1:], out=rows[1:])
+    np.maximum(values[-1], values[0], out=rows[0])
+    np.maximum(rows[:-1], values[1:], out=rows[:-1])
+    np.maximum(rows[-1], values[0], out=rows[-1])
+    # 3-max along elevation on the flat array, which runs across the ends of
+    # the rows; the first and last elevation columns are then redone without
+    flat_rows = rows.ravel()
+    block = np.empty_like(flat_rows)
+    np.maximum(flat_rows[:-1], flat_rows[1:], out=block[1:])
+    block[0] = flat_rows[0]
+    np.maximum(block[:-1], flat_rows[1:], out=block[:-1])
+    block = block.reshape(values.shape)
+    inner = min(1, num_elevation - 1)  # the column next to an edge; the edge itself on one column
+    np.maximum(rows[:, 0], rows[:, inner], out=block[:, 0])
+    np.maximum(rows[:, -1], rows[:, -1 - inner], out=block[:, -1])
+
+    candidates = np.flatnonzero(values == block)
+    # each candidate against its eight neighbors: azimuth wraps, and a
+    # neighbor past an elevation edge reads as -inf
+    row, column = np.divmod(candidates, num_elevation)
+    neighbor_rows = (row[:, None] + _NEIGHBOR_ROWS) % len(values)
+    neighbor_columns = column[:, None] + _NEIGHBOR_COLUMNS
+    inside = (neighbor_columns >= 0) & (neighbor_columns < num_elevation)
+    neighbors = np.where(inside, values[neighbor_rows, neighbor_columns.clip(0, num_elevation - 1)], -np.inf)
+    neighbor_max = neighbors.max(axis=1)
+    strict = values[row, column] > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
+    mask = np.zeros(values.shape, dtype=bool)
+    mask.ravel()[candidates[strict]] = True
+    return mask
 
 
 @dataclass(frozen=True)
@@ -260,7 +299,7 @@ def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridS
         raise ValueError("num_sources must be positive")
     # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
     values = evaluate_grid(proj, spec)[:-1]
-    i_idx, j_idx = np.nonzero(_local_maxima_mask(values))
+    i_idx, j_idx = np.divmod(np.flatnonzero(_local_maxima_mask(values)), spec.num_elevation)
     az = spec.azimuth_values()[i_idx]
     el = spec.elevation_values()[j_idx]
     vals = values[i_idx, j_idx]

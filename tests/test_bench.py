@@ -104,6 +104,17 @@ class TestMatchEstimates:
         np.testing.assert_array_equal(empty.unmatched_truths, [0, 1, 2])
         assert empty.truth_indices.size == empty.estimate_indices.size == empty.theta_errors_deg.size == 0
 
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_unmatched_truths_equal_setdiff_form(self, count):
+        # estimates scattered at random, so the unmatched truths fall anywhere among the rows
+        rng = np.random.default_rng(count)
+        truth = SourceSet(rng.uniform(0, 360, count), rng.uniform(0, 90, count))
+        for num_estimates in sorted({0, 1, count - 1, count}):
+            result = match_estimates(truth, estimates_from(rng.uniform(0, 360, num_estimates), rng.uniform(0, 90, num_estimates)))
+            expected = np.setdiff1d(np.arange(truth.count), result.truth_indices)
+            np.testing.assert_array_equal(result.unmatched_truths, expected)
+            assert result.unmatched_truths.dtype == expected.dtype
+
     def test_rejects_excess_estimates(self, truth_sources):
         with pytest.raises(ValueError):
             match_estimates(truth_sources, estimates_from([0, 1, 2, 3], [10, 20, 30, 40]))

@@ -20,7 +20,7 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
-from doakit.music import DENOMINATOR_FLOOR, _grid_manifold, _local_maxima_mask
+from doakit.music import _STRICT_MARGIN, DENOMINATOR_FLOOR, _grid_manifold, _local_maxima_mask
 
 from conftest import STEERING_GEOMETRIES, TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -53,12 +53,42 @@ def projector_from_random_covariance(seed, num_elements=8, num_sources=3):
     return noise_projector(split, geom)
 
 
+def projection_oracle(signal_basis, geometry):
+    """B = [[Re P^T, Re Q^T], [Im P^T, Im Q^T]] built in complex arithmetic: P_m = c_m + c_{k+m}
+    and Q_m = i (c_m - c_{k+m}) with c = conj(U_s), the c_{k+m} terms only for m < h."""
+    c = np.conjugate(signal_basis)
+    mirrored = geometry.mirrored_elements
+    computed = geometry.num_elements - mirrored
+    head = c[:computed]
+    tail = np.zeros_like(head)
+    tail[:mirrored] = c[computed:]
+    weights = np.concatenate((head + tail, 1j * (head - tail))).T  # [P^T, Q^T], (L, 2k)
+    return np.concatenate((weights.real, weights.imag))
+
+
 class TestNoiseProjector:
     def test_invariants_on_random_covariances(self):
         for seed in range(10):
             basis = projector_from_random_covariance(seed).signal_basis
             assert basis.shape == (8, 3)  # (M, L)
             np.testing.assert_allclose(basis.conj().T @ basis, np.eye(3), atol=1e-8)  # orthonormal columns
+
+    @pytest.mark.parametrize("num_sources", [0, 1, 3])
+    @pytest.mark.parametrize("geom", list(STEERING_GEOMETRIES.values()), ids=list(STEERING_GEOMETRIES))
+    def test_projection_equals_complex_construction(self, geom, num_sources):
+        # array_equal holds +0 and -0 equal; the spectrum squares B r, so the sign of a zero cannot show
+        rng = np.random.default_rng(geom.num_elements + num_sources)
+        x = rng.standard_normal((geom.num_elements, 40)) + 1j * rng.standard_normal((geom.num_elements, 40))
+        if num_sources:
+            basis = subspace_split(sample_covariance(x), num_sources).signal_basis
+        else:
+            basis = np.zeros((geom.num_elements, 0), dtype=complex)
+        projection = NoiseProjector(basis, geom).projection
+        expected = projection_oracle(basis, geom)
+        assert projection.dtype == expected.dtype == np.float64
+        np.testing.assert_array_equal(projection, expected)
+        assert not projection.flags.writeable
+        assert projection.T.flags.c_contiguous  # BLAS rounds B r by layout; the golden digests pin this one
 
 
 def random_rows(rng, count):
@@ -200,6 +230,24 @@ class TestGridSpec:
         assert GridSpec(azimuth_step=180.0, elevation_step=90.0).num_points == 3 * 2
 
 
+def local_maxima_oracle(values):
+    """Strict local maxima from eight shifted comparisons: azimuth (axis 0) padded
+    by wrapping, elevation (axis 1) padded with -inf."""
+    padded = np.pad(np.pad(values, ((1, 1), (0, 0)), mode="wrap"), ((0, 0), (1, 1)), constant_values=-np.inf)
+    neighbor_max = np.full_like(values, -np.inf)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            shifted = padded[1 + di : padded.shape[0] - 1 + di, 1 + dj : padded.shape[1] - 1 + dj]
+            neighbor_max = np.maximum(neighbor_max, shifted)
+    return values > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
+
+
+# small shapes, the 1-degree grid's, a wide one, and single rows and columns
+MASK_SHAPES = [(3, 2), (4, 3), (360, 91), (7, 1000), (1, 5), (5, 1), (2, 2)]
+
+
 class TestLocalMaxima:
     def test_interior_strict_dominance(self):
         values = np.zeros((5, 5))
@@ -237,6 +285,40 @@ class TestLocalMaxima:
         values[2, 3] = 1.0
         mask = _local_maxima_mask(values)
         assert mask[2, 0] and mask[2, 3] and mask.sum() == 2
+
+    @pytest.mark.parametrize("shape", MASK_SHAPES, ids=str)
+    def test_random_floats_match_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(5):
+            values = rng.standard_normal(shape)
+            np.testing.assert_array_equal(_local_maxima_mask(values), local_maxima_oracle(values))
+
+    @pytest.mark.parametrize("shape", MASK_SHAPES, ids=str)
+    def test_small_integers_match_oracle(self, shape):
+        # few distinct values: ties between neighbors and plateaus everywhere
+        rng = np.random.default_rng(sum(shape))
+        for high in (2, 3, 5):
+            values = rng.integers(0, high, shape).astype(float)
+            np.testing.assert_array_equal(_local_maxima_mask(values), local_maxima_oracle(values))
+
+    @pytest.mark.parametrize("shape", MASK_SHAPES, ids=str)
+    def test_constant_and_negative_arrays_match_oracle(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for values in (np.zeros(shape), np.full(shape, 2.5), np.full(shape, -1.0), -rng.uniform(0.5, 1.5, shape)):
+            np.testing.assert_array_equal(_local_maxima_mask(values), local_maxima_oracle(values))
+
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("num_elements", [5, 12, 128])
+    def test_grid_spectra_match_oracle(self, num_elements, step, truth_sources):
+        geom = ArrayGeometry.uca(num_elements)
+        spec = GridSpec(azimuth_step=step, elevation_step=step)
+        for snr_db in (-20.0, -10.0, 0.0, 10.0, 20.0, np.inf):
+            snapshots = synthesize_snapshots(geom, truth_sources, snr_db, 100, rng_seed=num_elements)
+            proj = noise_projector(subspace_split(sample_covariance(snapshots), truth_sources.count), geom)
+            values = evaluate_grid(proj, spec)[:-1]
+            mask = _local_maxima_mask(values)
+            np.testing.assert_array_equal(mask, local_maxima_oracle(values))
+            assert mask.any()
 
 
 class TestGridSearch:
