@@ -16,13 +16,11 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .extract import DoaEstimate, extract_dbscan, extract_klocalmax, extract_kmeanspp
 from .music import (
@@ -214,23 +212,96 @@ def circular_difference_deg(a, b) -> np.ndarray:
     return np.minimum(d, 360.0 - d)
 
 
+def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of a rectangular cost matrix: (rows, cols) with
+    rows ascending, min(shape) pairs, as scipy's ``linear_sum_assignment``.
+
+    A port of scipy's ``rectangular_lsap``, the shortest augmenting path
+    method of Crouse (IEEE TAES 2016), that keeps its every rule so that ties
+    between optimal pairings break the same way: a tall matrix is transposed;
+    the unvisited columns are listed in reverse and drop out by swap-removal;
+    a path cost is (min_val + cost) - u - v, in that order; among equal path
+    costs a free column wins; the dual updates and the augmentation are
+    scipy's. Costs must be finite.
+    """
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix contains non-finite entries")
+    transpose = cost.shape[1] < cost.shape[0]
+    table = (cost.T if transpose else cost).tolist()
+    num_rows, num_cols = (cost.shape[1], cost.shape[0]) if transpose else cost.shape
+    inf = math.inf
+    u = [0.0] * num_rows
+    v = [0.0] * num_cols
+    path = [-1] * num_cols
+    col4row = [-1] * num_rows
+    row4col = [-1] * num_cols
+    for current in range(num_rows):
+        # shortest augmenting path from the current row to a free column
+        min_val = 0.0
+        shortest = [inf] * num_cols
+        remaining = list(range(num_cols - 1, -1, -1))
+        visited_rows, visited_cols = [], []
+        i, sink = current, -1
+        while sink < 0:
+            visited_rows.append(i)
+            row, u_i = table[i], u[i]
+            index, lowest = -1, inf
+            for it, j in enumerate(remaining):
+                reduced = min_val + row[j] - u_i - v[j]
+                if reduced < shortest[j]:
+                    path[j] = i
+                    shortest[j] = reduced
+                else:
+                    reduced = shortest[j]
+                if reduced < lowest or (reduced == lowest and row4col[j] < 0):
+                    index, lowest = it, reduced
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[current] += min_val
+        for i in visited_rows:
+            if i != current:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+        # flip the path's edges, from the sink back to the current row
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == current:
+                break
+    if transpose:
+        order = sorted(range(num_rows), key=col4row.__getitem__)
+        return np.array([col4row[k] for k in order], dtype=np.int64), np.array(order, dtype=np.int64)
+    return np.arange(num_rows, dtype=np.int64), np.array(col4row, dtype=np.int64)
+
+
 def match_estimates(truth: SourceSet, estimates: list[DoaEstimate] | tuple[DoaEstimate, ...]) -> MatchResult:
-    """Optimal assignment (exact, via the Hungarian method) of estimates to truths."""
+    """Optimal assignment of estimates to truths: the exact minimum-total-cost
+    pairing, ties broken as scipy's ``linear_sum_assignment`` breaks them."""
     if len(estimates) > truth.count:
         raise ValueError("cannot match more estimates than true sources")
     est_az = np.array([e.azimuth_deg for e in estimates])
     est_el = np.array([e.elevation_deg for e in estimates])
     theta_cost = circular_difference_deg(truth.azimuth_deg[:, None], est_az[None, :])
     phi_cost = np.abs(truth.elevation_deg[:, None] - est_el[None, :])
-    rows, cols = linear_sum_assignment(theta_cost + phi_cost)
-    # the assignment's row indices are unique and sorted, so deleting them leaves the unmatched truths in order
-    unmatched = np.delete(np.arange(truth.count), rows)
+    rows, cols = _assignment(theta_cost + phi_cost)
+    unmatched = np.ones(truth.count, dtype=bool)
+    unmatched[rows] = False
     return MatchResult(
         truth_indices=rows,
         estimate_indices=cols,
         theta_errors_deg=theta_cost[rows, cols],
         phi_errors_deg=phi_cost[rows, cols],
-        unmatched_truths=unmatched,
+        unmatched_truths=np.flatnonzero(unmatched),
     )
 
 
@@ -331,6 +402,9 @@ def _map_trials(trial_fn, config: ScenarioConfig, workers: int) -> list:
         raise ConfigError("workers must be at least 1")
     if workers == 1:
         return [trial_fn(config, i) for i in range(config.trials)]
+    # imported only here, so that a serial run never loads the process pool's modules
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(trial_fn, [config] * config.trials, range(config.trials), chunksize=8))
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .optimizer import Population, nearest_neighbor_indices
@@ -82,12 +80,23 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     labels = np.full(n, NOISE, dtype=int)
     if not core.any():
         return ClusterLabeling(labels, 0)
-    num_clusters, component = connected_components(csr_matrix(reachable[core][:, core]), directed=False)
-    # core indices ascend, so a component's first position is its smallest core
-    _, first = np.unique(component, return_index=True)
-    rank = np.empty(num_clusters, dtype=int)
-    rank[np.argsort(first)] = np.arange(num_clusters)
-    labels[core] = rank[component]
+    # row i: the cores within eps of point i
+    core_links = reachable & core
+    num_clusters = 0
+    for seed in np.flatnonzero(core):
+        if labels[seed] != NOISE:
+            continue
+        # breadth-first: each step adds every core linked to the last step's cores
+        members = np.zeros(n, dtype=bool)
+        members[seed] = True
+        frontier = members
+        while True:
+            frontier = core_links[frontier].any(axis=0) & ~members
+            if not frontier.any():
+                break
+            members |= frontier
+        labels[members] = num_clusters
+        num_clusters += 1
     border = np.where(reachable[~core][:, core], labels[core], num_clusters).min(axis=1)
     labels[~core] = np.where(border < num_clusters, border, NOISE)
     return ClusterLabeling(labels, num_clusters)

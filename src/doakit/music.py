@@ -196,6 +196,15 @@ def _grid_manifold(
     return manifold
 
 
+@lru_cache(maxsize=1)
+def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only azimuth and elevation values of the latest grid: ``linspace``
+    costs more than the rest of a grid search's bookkeeping, so it runs once."""
+    azimuth, elevation = spec.azimuth_values(), spec.elevation_values()
+    azimuth.flags.writeable = elevation.flags.writeable = False
+    return azimuth, elevation
+
+
 # Grid points per spectrum pass. At L = 3 a pass's temporaries stay below
 # 128 KB, where allocators serve them from the heap instead of mapping and
 # unmapping fresh pages every trial.
@@ -267,7 +276,8 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     neighbor_rows = (row[:, None] + _NEIGHBOR_ROWS) % len(values)
     neighbor_columns = column[:, None] + _NEIGHBOR_COLUMNS
     inside = (neighbor_columns >= 0) & (neighbor_columns < num_elevation)
-    neighbors = np.where(inside, values[neighbor_rows, neighbor_columns.clip(0, num_elevation - 1)], -np.inf)
+    # the modulo only keeps a column past an edge in range; ``inside`` masks what it reads there
+    neighbors = np.where(inside, values[neighbor_rows, neighbor_columns % num_elevation], -np.inf)
     neighbor_max = neighbors.max(axis=1)
     strict = values[row, column] > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
     mask = np.zeros(values.shape, dtype=bool)
@@ -300,8 +310,9 @@ def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridS
     # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
     values = evaluate_grid(proj, spec)[:-1]
     i_idx, j_idx = np.divmod(np.flatnonzero(_local_maxima_mask(values)), spec.num_elevation)
-    az = spec.azimuth_values()[i_idx]
-    el = spec.elevation_values()[j_idx]
+    azimuth, elevation = _grid_axes(spec)
+    az = azimuth[i_idx]
+    el = elevation[j_idx]
     vals = values[i_idx, j_idx]
     top = np.lexsort((el, az, -vals))[:num_sources]
     return GridSearchResult(

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from doakit import (
     ConfigError,
@@ -30,7 +31,7 @@ from doakit import (
     run_trial,
     run_trials,
 )
-from doakit.bench import EXTRACTIONS, SEARCHES, _fixtures, write_errors_csv, write_summary_csv
+from doakit.bench import EXTRACTIONS, SEARCHES, _assignment, _fixtures, write_errors_csv, write_summary_csv
 from doakit.cli import build_parser, main as cli_main
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
@@ -119,6 +120,47 @@ class TestMatchEstimates:
         with pytest.raises(ValueError):
             match_estimates(truth_sources, estimates_from([0, 1, 2, 3], [10, 20, 30, 40]))
 
+    def test_rejects_non_finite_estimates(self, truth_sources):
+        for azimuth, elevation in ((np.nan, 45.0), (30.0, np.inf)):
+            with pytest.raises(ValueError, match="non-finite"):
+                match_estimates(truth_sources, estimates_from([120.0, azimuth], [30.0, elevation]))
+
+
+def assignment_costs(rng, kind):
+    """An L x K cost matrix, 1 <= L <= 10 and 0 <= K <= L, of one of three kinds:
+    uniform, small integers (many optimal pairings), or the azimuth plus
+    elevation distances of whole-degree estimates near the truths (ties too)."""
+    num_truths = int(rng.integers(1, 11))
+    num_estimates = int(rng.integers(0, num_truths + 1))
+    if kind == "uniform":
+        return rng.uniform(0.0, 100.0, (num_truths, num_estimates))
+    if kind == "integer":
+        return rng.integers(0, 4, (num_truths, num_estimates)).astype(float)
+    azimuth, elevation = rng.uniform(0.0, 360.0, num_truths), rng.uniform(0.0, 90.0, num_truths)
+    est_az = np.round(azimuth[:num_estimates] + rng.integers(-2, 3, num_estimates)) % 360.0
+    est_el = np.round(elevation[:num_estimates])
+    return circular_difference_deg(azimuth[:, None], est_az) + np.abs(elevation[:, None] - est_el)
+
+
+class TestAssignment:
+    @pytest.mark.parametrize("kind", ["uniform", "integer", "angles"])
+    def test_equals_scipy_linear_sum_assignment(self, kind):
+        # the same pairs as scipy's solver, not just the same total: ties must break alike
+        rng = np.random.default_rng(["uniform", "integer", "angles"].index(kind))
+        for _ in range(1000):
+            cost = assignment_costs(rng, kind)
+            rows, cols = _assignment(cost)
+            expected_rows, expected_cols = linear_sum_assignment(cost)
+            np.testing.assert_array_equal(rows, expected_rows)
+            np.testing.assert_array_equal(cols, expected_cols)
+            assert rows.dtype == expected_rows.dtype and cols.dtype == expected_cols.dtype
+
+    def test_constant_cost_pairs_in_index_order(self):
+        for shape in ((1, 1), (3, 3), (4, 2), (2, 4), (5, 0)):
+            rows, cols = _assignment(np.ones(shape))
+            np.testing.assert_array_equal(rows, np.arange(min(shape)))
+            np.testing.assert_array_equal(cols, np.arange(min(shape)))
+
 
 class TestSeeds:
     def test_derivation_is_stable(self):
@@ -133,6 +175,23 @@ class TestSeeds:
 
 
 class TestRunTrial:
+    def test_trials_leave_optimize_csgraph_and_process_pool_unloaded(self):
+        # a fresh interpreter: this one has loaded them for the tests' oracles
+        import doakit
+
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(doakit.__file__).parents[1])!r})\n"
+            "import doakit\n"
+            "doakit.run_trial(doakit.ScenarioConfig(algorithm='denm'), 0)\n"
+            "doakit.run_trial(doakit.ScenarioConfig(algorithm='grid'), 0)\n"
+            "heavy = ('scipy.optimize', 'scipy.sparse.csgraph', 'concurrent.futures.process')\n"
+            "print(sorted(name for name in heavy if name in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_noiseless_grid_trial_succeeds(self):
         config = ScenarioConfig(algorithm="grid", snr_db=np.inf, trials=1)
         report = run_trial(config, 0)

@@ -100,6 +100,37 @@ def random_instance(rng):
     return points, eps, min_pts
 
 
+def edge_instances():
+    """Hand-made (points, eps, min_pts) that random blobs rarely produce."""
+    # two core chains along x = 0..9 and x = 100..109 whose indices interleave;
+    # within a chain they zigzag from end to end, so a chain closes only after
+    # a frontier of many hops
+    order = [0, 9, 1, 8, 2, 7, 3, 6, 4, 5]
+    chains = [[float(x), 0.0] for x in order] + [[100.0 + x, 0.0] for x in order]
+    zigzag = np.array(chains)[[0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 5, 15, 6, 16, 7, 17, 8, 18, 9, 19]]
+    # point 0 is a border within eps of the cores of two clusters, cores 1-4 and 5-8
+    two_clusters = np.array([[0.0], [0.9], [1.3], [1.5], [1.7], [-0.9], [-1.3], [-1.5], [-1.7]]) * [1.0, 0.0]
+    rng = np.random.default_rng(3)
+    blobs = np.vstack([rng.normal(scale=0.5, size=(8, 2)) + [20.0, 20.0], rng.uniform(0, 90, size=(6, 2))])
+    duplicates = np.vstack([blobs, blobs[[0, 0, 5, 9, 12]], np.repeat([[70.0, 70.0]], 3, axis=0)])
+    scatter = np.arange(12.0).reshape(6, 2) * 10.0
+    return [
+        (zigzag, 1.0, 2),
+        (zigzag, 1.0, 3),
+        (two_clusters, 1.0, 4),
+        (duplicates, 1.5, 3),
+        (duplicates, 1.5, 1),
+        (scatter, 1.0, 2),
+    ]
+
+
+def comparison_instances():
+    """Fifty random instances, then the hand-made ones."""
+    for seed in range(50):
+        yield random_instance(np.random.default_rng(seed))
+    yield from edge_instances()
+
+
 def make_population(positions, fitness):
     return Population(np.asarray(positions, dtype=float), np.asarray(fitness, dtype=float))
 
@@ -138,18 +169,14 @@ class TestDbscan:
         assert np.all(labeling.labels == NOISE)
 
     def test_matches_oracle_on_random_instances(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            points, eps, min_pts = random_instance(rng)
+        for points, eps, min_pts in comparison_instances():
             labeling = dbscan(points, eps, min_pts)
             expected_labels, expected_clusters = dbscan_oracle(points, eps, min_pts)
             np.testing.assert_array_equal(labeling.labels, expected_labels)
             assert labeling.num_clusters == expected_clusters
 
     def test_matches_scan_order_bfs_on_random_instances(self):
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            points, eps, min_pts = random_instance(rng)
+        for points, eps, min_pts in comparison_instances():
             labeling = dbscan(points, eps, min_pts)
             expected_labels, expected_clusters = dbscan_scan_order_bfs(points, eps, min_pts)
             np.testing.assert_array_equal(labeling.labels, expected_labels)
