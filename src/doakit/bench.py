@@ -2,7 +2,8 @@
 
 Runs seeded trials of synthesize -> covariance -> subspace -> projector ->
 search (grid or population optimizer) -> extraction -> truth matching, and
-aggregates MAE, error CDF samples, success rate, and model/measured cost.
+aggregates MAE, success rate, and model/measured cost; per-pair errors go
+to errors.csv for CDF plots.
 
 Determinism contract: every statistical output is fixed by (master_seed,
 config). Per-trial seeds derive from a documented stable hash,

@@ -103,8 +103,18 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(mapping)
 
 
+def _make_out_dir(path: Path) -> None:
+    """Create the output directory before any trial runs, so that a path
+    that cannot hold it fails at once instead of after the sweep."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_run(args) -> int:
     config = _load_config(args)
+    _make_out_dir(args.out)
     aggregates, reports = run_sweep(config, args.snr, workers=args.workers)
     write_summary_csv(aggregates, args.out / "summary.csv")
     write_errors_csv(config, reports, args.out / "errors.csv")
@@ -119,6 +129,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_table3(args) -> int:
+    if args.out is not None:
+        _make_out_dir(args.out)
     cells = complexity_cells()
     print(format_complexity_table(cells))
     if args.out is not None:
@@ -131,6 +143,7 @@ def _cmd_table3(args) -> int:
 
 def _cmd_compare_extract(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
+    _make_out_dir(args.out)
     by_method = run_extraction_comparison(config, workers=args.workers)
     rows = []
     for method, reports in by_method.items():
@@ -147,6 +160,7 @@ def _cmd_compare_extract(args) -> int:
 
 def _cmd_sweep_pop(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
+    _make_out_dir(args.out)
     aggregates = run_population_sweep(config, args.sizes, workers=args.workers)
     columns = ("snr_db", "trials", "success_rate", "mae_theta_deg", "mae_phi_deg", "model_mflops", "flops_ratio_vs_grid")
     rows = []

@@ -11,9 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .optimizer import Population, nearest_neighbor_indices
+from .optimizer import Population, nearest_neighbor_indices, squared_distances
 
 NOISE = -1  # label of points that belong to no cluster
 
@@ -75,7 +74,7 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     n = len(pts) if pts.size else 0
     if n == 0:
         return ClusterLabeling(np.empty(0, dtype=int), 0)
-    reachable = cdist(pts, pts, "sqeuclidean") <= eps * eps
+    reachable = squared_distances(pts, pts) <= eps * eps
     core = np.count_nonzero(reachable, axis=1) >= min_pts
     labels = np.full(n, NOISE, dtype=int)
     if not core.any():
@@ -178,7 +177,7 @@ def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     the squared distance from the centers already chosen."""
     centers = [points[int(rng.integers(len(points)))]]
     while len(centers) < k:
-        nearest_sq = cdist(points, np.asarray(centers), "sqeuclidean").min(axis=1)
+        nearest_sq = squared_distances(points, np.asarray(centers)).min(axis=1)
         total = nearest_sq.sum()
         if total > 0:
             idx = int(rng.choice(len(points), p=nearest_sq / total))
@@ -192,7 +191,7 @@ def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_rounds: in
     centers = _kmeans_pp_centers(points, k, rng)
     labels = None
     for _ in range(max_rounds):
-        dist_sq = cdist(points, centers, "sqeuclidean")
+        dist_sq = squared_distances(points, centers)
         new_labels = np.argmin(dist_sq, axis=1)  # ties: lowest center id
         new_labels = _fill_empty_clusters(new_labels, dist_sq, k)
         if labels is not None and np.array_equal(new_labels, labels):

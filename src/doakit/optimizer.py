@@ -28,7 +28,6 @@ from functools import cache, cached_property
 from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 Objective = Callable[[np.ndarray], np.ndarray]
 
@@ -180,6 +179,15 @@ def de_crossover(parent, mutant, crossover_rate: float, rng: np.random.Generator
     return np.where(take, mutant, parent)
 
 
+def squared_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from each row of points to each row of
+    others. scipy.spatial is imported on the first call, so ``import doakit``
+    and the grid search load numpy alone."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(points, others, "sqeuclidean")
+
+
 def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     """Each point's ``count`` nearest neighbors by Euclidean distance,
     self excluded, distance ties broken toward the lower index."""
@@ -196,7 +204,7 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     bits = (len(pos) - 1).bit_length()
     low = np.uint32((1 << bits) - 1)
     with np.errstate(over="ignore"):
-        keys = cdist(pos, pos, "sqeuclidean").astype(np.float32).view(np.uint32)
+        keys = squared_distances(pos, pos).astype(np.float32).view(np.uint32)
     keys &= ~low
     keys |= np.arange(len(pos), dtype=np.uint32)
     keys.sort(axis=1)
@@ -204,7 +212,7 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     head = keys[:, : count + 2] >> bits
     tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=1))
     if len(tied):
-        exact = cdist(pos[tied], pos, "sqeuclidean")
+        exact = squared_distances(pos[tied], pos)
         exact[np.arange(len(tied)), tied] = np.inf
         result[tied] = np.argsort(exact, axis=1, kind="stable")[:, :count]
     return result
@@ -244,7 +252,7 @@ def shared_fitness(positions: np.ndarray, fitness: np.ndarray, share_radius: flo
 
 
 def _niche_counts(points: np.ndarray, population: np.ndarray, share_radius: float) -> np.ndarray:
-    dist = np.sqrt(cdist(points, population, "sqeuclidean"))
+    dist = np.sqrt(squared_distances(points, population))
     return np.maximum(0.0, 1.0 - dist / share_radius).sum(axis=1)
 
 
@@ -254,7 +262,7 @@ def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: 
     individual within species_radius. Returns per-individual species ids in
     seed discovery order."""
     species_of = np.empty(len(fitness), dtype=int)
-    dist = np.sqrt(cdist(positions, positions, "sqeuclidean"))
+    dist = np.sqrt(squared_distances(positions, positions))
     pending = np.argsort(-np.asarray(fitness, dtype=float), kind="stable")
     num_species = 0
     while len(pending):

@@ -192,6 +192,24 @@ class TestRunTrial:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_table3_and_grid_trial_leave_scipy_unloaded(self):
+        # a fresh interpreter; the first pairwise distance, in a population search, loads scipy.spatial
+        import doakit
+
+        script = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(doakit.__file__).parents[1])!r})\n"
+            "import doakit, doakit.cli\n"
+            "doakit.cli.main(['table3'])\n"
+            "doakit.run_trial(doakit.ScenarioConfig(algorithm='grid'), 0)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+            "doakit.run_trial(doakit.ScenarioConfig(algorithm='denm'), 0)\n"
+            "print('scipy.spatial.distance' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+
     def test_noiseless_grid_trial_succeeds(self):
         config = ScenarioConfig(algorithm="grid", snr_db=np.inf, trials=1)
         report = run_trial(config, 0)
@@ -700,6 +718,23 @@ class TestCli:
         assert code == 2
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "command",
+        [["run", "--trials", "1"], ["compare-extract", "--trials", "1"], ["sweep-pop", "--trials", "1"], ["table3"]],
+    )
+    def test_unusable_out_exits_before_work(self, tmp_path, capsys, monkeypatch, command):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output directory was made")
+
+        for name in ("run_sweep", "run_extraction_comparison", "run_population_sweep", "complexity_cells"):
+            monkeypatch.setattr(f"doakit.cli.{name}", no_work)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        assert cli_main([*command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: cannot create output directory {out}" in captured.err
 
     def test_run_offers_every_search(self):
         assert SEARCHES == ("grid", "de", "denm", "dcde", "sharede", "sde")
