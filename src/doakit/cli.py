@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -103,38 +104,44 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig.from_dict(mapping)
 
 
-def _make_out_dir(path: Path) -> None:
-    """Create the output directory before any trial runs, so that a path
-    that cannot hold it fails at once instead of after the sweep."""
+def _output_files(directory: Path, *names: str) -> list[Path]:
+    """The paths of the named files in ``directory``. The directory is
+    created and each path checked before any trial runs, so that an output
+    that cannot be written fails at once instead of after the sweep."""
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        directory.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+        raise ConfigError(f"cannot create output directory {directory}: {exc.strerror or exc}") from exc
+    paths = [directory / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
+        if not os.access(path if path.exists() else directory, os.W_OK):
+            raise ConfigError(f"cannot write {path}: permission denied")
+    return paths
 
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    _make_out_dir(args.out)
+    summary_path, errors_path = _output_files(args.out, "summary.csv", "errors.csv")
     aggregates, reports = run_sweep(config, args.snr, workers=args.workers)
-    write_summary_csv(aggregates, args.out / "summary.csv")
-    write_errors_csv(config, reports, args.out / "errors.csv")
+    write_summary_csv(aggregates, summary_path)
+    write_errors_csv(config, reports, errors_path)
     for agg in aggregates:
         print(
             f"snr={agg.snr_db:+6.1f} dB  success={agg.success_rate:6.1%}  "
             f"mae_theta={agg.mae_theta_deg:7.3f}  mae_phi={agg.mae_phi_deg:7.3f}  "
             f"model={agg.model_mflops:.2f} MFLOPs"
         )
-    print(f"wrote {args.out / 'summary.csv'} and {args.out / 'errors.csv'}")
+    print(f"wrote {summary_path} and {errors_path}")
     return 0
 
 
 def _cmd_table3(args) -> int:
-    if args.out is not None:
-        _make_out_dir(args.out)
+    path = None if args.out is None else _output_files(args.out, "complexity.csv")[0]
     cells = complexity_cells()
     print(format_complexity_table(cells))
-    if args.out is not None:
-        path = args.out / "complexity.csv"
+    if path is not None:
         columns = ("M", "L", "music_mflops", "population_mflops", "ratio")
         write_csv(path, columns, ([cell[column] for column in columns] for cell in cells))
         print(f"wrote {path}")
@@ -143,7 +150,7 @@ def _cmd_table3(args) -> int:
 
 def _cmd_compare_extract(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
-    _make_out_dir(args.out)
+    (path,) = _output_files(args.out, "extraction_comparison.csv")
     by_method = run_extraction_comparison(config, workers=args.workers)
     rows = []
     for method, reports in by_method.items():
@@ -151,7 +158,6 @@ def _cmd_compare_extract(args) -> int:
         failures = sum(1 for r in reports if not r.success)
         rows.append([method, config.snr_db, len(reports), failures, agg.success_rate, agg.mae_theta_deg, agg.mae_phi_deg])
         print(f"{method:10s} failures={failures:4d}/{len(reports)}  mae_phi={agg.mae_phi_deg:7.3f}")
-    path = args.out / "extraction_comparison.csv"
     columns = ("extraction", "snr_db", "trials", "failures", "success_rate", "mae_theta_deg", "mae_phi_deg")
     write_csv(path, columns, rows)
     print(f"wrote {path}")
@@ -160,7 +166,7 @@ def _cmd_compare_extract(args) -> int:
 
 def _cmd_sweep_pop(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
-    _make_out_dir(args.out)
+    (path,) = _output_files(args.out, "population_sweep.csv")
     aggregates = run_population_sweep(config, args.sizes, workers=args.workers)
     columns = ("snr_db", "trials", "success_rate", "mae_theta_deg", "mae_phi_deg", "model_mflops", "flops_ratio_vs_grid")
     rows = []
@@ -170,7 +176,6 @@ def _cmd_sweep_pop(args) -> int:
             f"N={size:4d}  success={agg.success_rate:6.1%}  mae_theta={agg.mae_theta_deg:7.3f}  "
             f"mae_phi={agg.mae_phi_deg:7.3f}  cost={agg.flops_ratio_vs_grid:.2f}x grid"
         )
-    path = args.out / "population_sweep.csv"
     write_csv(path, ("population_size", *columns), rows)
     print(f"wrote {path}")
     return 0

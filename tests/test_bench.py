@@ -264,14 +264,14 @@ GOLDEN_DE = DEConfig(population_size=32, max_iterations=5, neighborhood_size=8)
 # cover exact float values: a refactor must leave them unchanged, and only a
 # change meant to move seeded outputs may re-record them.
 GOLDEN_DIGESTS = {
-    ("grid", "dbscan"): "91f0036baf1e635420aa47427eae28e96e1b0cfbe4fe693225c7fc87f28da5fd",
-    ("de", "dbscan"): "e7cdf3fdbef9a55fcffa245666676f76e014ab17067730f9669ff7dc95ca8409",
-    ("denm", "dbscan"): "4df6cac8039d4b2b96143347989c2d0317f50d546fc5a31f903fc7ec882ebeae",
-    ("dcde", "dbscan"): "c329151c6f67012d4bb1db528e5b7b4b2ca4750d9365ce3fe727abd7221d0fce",
-    ("sharede", "dbscan"): "149b4fb2591fe89a5b9665206925231a37e81f516fbf64bef3159d4c049aca15",
-    ("sde", "dbscan"): "1b41f828aa487a9301126b0d665eaa82c5bc5f0d0d725a1d16f8f1dd6c08d778",
-    ("denm", "klocalmax"): "250db63050b032e4281106a5a403acf2276cfe28b86e40679dc82565fd17fa8e",
-    ("denm", "kmeanspp"): "a96959f58c5b1188ae217e849e1655e1f358228ed7cacca060fcda24e33c86e9",
+    ("grid", "dbscan"): "2aa108b677aef186921d27a61c5e6f3559f4de0961747211126e496a5f6a8895",
+    ("de", "dbscan"): "7588b01deb5501081ed0af13f8f1b4951ed27c0c99cb4144c6a928655e6bfa2a",
+    ("denm", "dbscan"): "ee722cd011823f1a3c009cfb9833eb3f9068287e3c6ed5349e0e511a633c612f",
+    ("dcde", "dbscan"): "b1dfa450894c1fbffd86313c328e13487eba8d3c6495a80c0493f824e6245c1e",
+    ("sharede", "dbscan"): "ed3422f51169a0e1581232b7a04a6d5a63405162faa9f75944c2e7bf41e00854",
+    ("sde", "dbscan"): "61225bbe2f8009d620a09f906e083e4ca39c64a2b47b826c17267bffbfc492b3",
+    ("denm", "klocalmax"): "6aa01d0efcc6e819e1f52c868469a42218e7252b3217ac6aba636b8ade8b2cc4",
+    ("denm", "kmeanspp"): "ed10dd4eaa1d0b8f1fd229c910d130fc89448eb4efba726fb562c34f928509f5",
 }
 
 
@@ -735,6 +735,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"config error: cannot create output directory {out}" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,name",
+        [
+            (["run", "--trials", "1"], "summary.csv"),
+            (["run", "--trials", "1"], "errors.csv"),
+            (["compare-extract", "--trials", "1"], "extraction_comparison.csv"),
+            (["sweep-pop", "--trials", "1"], "population_sweep.csv"),
+            (["table3"], "complexity.csv"),
+        ],
+    )
+    def test_unwritable_csv_exits_before_work(self, tmp_path, capsys, monkeypatch, command, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work ran before the output files were checked")
+
+        for function in ("run_sweep", "run_extraction_comparison", "run_population_sweep", "complexity_cells"):
+            monkeypatch.setattr(f"doakit.cli.{function}", no_work)
+        (tmp_path / name).mkdir()
+        assert cli_main([*command, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: cannot write {tmp_path / name}: it is a directory" in captured.err
+
+    def test_read_only_out_exits_before_work(self, tmp_path, capsys, monkeypatch):
+        # os.access is stubbed: a permission check cannot fail for root, which some test runners are
+        refuse_trials(monkeypatch)
+        monkeypatch.setattr("doakit.cli.os.access", lambda path, mode: False)
+        assert cli_main(["run", "--trials", "1", "--out", str(tmp_path)]) == 2
+        assert f"config error: cannot write {tmp_path / 'summary.csv'}: permission denied" in capsys.readouterr().err
 
     def test_run_offers_every_search(self):
         assert SEARCHES == ("grid", "de", "denm", "dcde", "sharede", "sde")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
+
+from doakit.signal_model import _CHUNK, _TABLE_SIZE, MAX_ELEMENT_REACH, _cos_sin, steering_rows
 
 from conftest import STEERING_GEOMETRIES, centred_4x4_grid, uca12_one_ulp_off
 
@@ -169,6 +173,95 @@ class TestSteeringMatrix:
         half = num_elements // 2
         # bit for bit, signed zeros included
         np.testing.assert_array_equal(columns[half:].view(np.uint64), columns[:half].conj().view(np.uint64))
+
+
+# Half an ulp of a table entry plus half an ulp of the result, 2 * 2**-54, plus
+# 1e-18 for the rounding of the correction; the largest error measured on 10^6
+# random phases up to 2*pi*40 in magnitude was 1.110e-16 (numpy's libm cos and
+# sin: 5.6e-17).
+KERNEL_ERROR_BOUND = 2 * 2.0**-54 + 1e-18
+
+
+def table_cos_sin(phase):
+    phase = np.array(phase, dtype=float)
+    cos_out, sin_out = np.empty_like(phase), np.empty_like(phase)
+    _cos_sin(phase, cos_out, sin_out)
+    return cos_out, sin_out
+
+
+def assert_within_kernel_bound(phase):
+    """Both outputs against cos and sin evaluated in long double on the same float64 phases."""
+    cos_out, sin_out = table_cos_sin(phase)
+    wide = np.asarray(phase, dtype=np.longdouble)
+    assert float(np.max(np.abs(cos_out - np.cos(wide)))) <= KERNEL_ERROR_BOUND
+    assert float(np.max(np.abs(sin_out - np.sin(wide)))) <= KERNEL_ERROR_BOUND
+
+
+class TestCosSinKernel:
+    def test_error_bound_up_to_forty_wavelengths(self):
+        # 2*pi*40 is the largest phase of a 40-wavelength aperture
+        limit = 2.0 * np.pi * 40.0
+        phase = np.random.default_rng(21).uniform(-limit, limit, 200_000)
+        assert_within_kernel_bound(np.concatenate([phase, [limit, -limit]]))
+
+    def test_error_bound_at_the_reach_limit(self):
+        limit = 2.0 * np.pi * MAX_ELEMENT_REACH
+        assert_within_kernel_bound(np.random.default_rng(22).uniform(-limit, limit, 100_000))
+
+    def test_signed_zeros_give_exactly_one_and_zero(self):
+        cos_out, sin_out = table_cos_sin([0.0, -0.0])
+        assert np.all(cos_out == 1.0) and np.all(sin_out == 0.0)
+
+    def test_exact_multiples_of_the_table_step(self):
+        step = 2.0 * np.pi / _TABLE_SIZE
+        multiples = np.arange(-3 * _TABLE_SIZE, 3 * _TABLE_SIZE + 1)
+        assert_within_kernel_bound(multiples * step)
+        # the quadrant points, where the tables hold exact zeros and ones
+        assert_within_kernel_bound(np.arange(-12, 13) * (np.pi / 2.0))
+
+    def test_index_wraps_from_the_last_entry_to_the_first(self):
+        # phases whose nearest table step is T - 1, T or T + 1 (index T - 1, 0, 1),
+        # and their negatives, on both sides of each rounding boundary
+        step = 2.0 * np.pi / _TABLE_SIZE
+        centres = np.array([_TABLE_SIZE - 1, _TABLE_SIZE, _TABLE_SIZE + 1]) * step
+        offsets = np.array([-0.5, -0.4999, 0.0, 0.4999, 0.5]) * step
+        phase = (centres[:, None] + offsets).ravel()
+        assert_within_kernel_bound(np.concatenate([phase, -phase]))
+
+    def test_chunks_change_nothing(self):
+        # uca128 computes 64 phases a direction: 200 directions span several chunks
+        # and end part-way through one; each column must equal its own one-column call
+        geom = ArrayGeometry.uca(128)
+        rng = np.random.default_rng(23)
+        azimuths, elevations = rng.uniform(0.0, 2.0 * np.pi, 200), rng.uniform(0.0, np.pi / 2.0, 200)
+        rows = steering_rows(geom, azimuths, elevations)
+        assert rows[:64].size > 2 * _CHUNK and rows[:64].size % _CHUNK
+        columns = np.column_stack([steering_rows(geom, [a], [e])[:, 0] for a, e in zip(azimuths, elevations)])
+        np.testing.assert_array_equal(rows.view(np.uint64), columns.view(np.uint64))
+
+    def test_zenith_rows_are_exactly_one_and_zero(self):
+        for geom in STEERING_GEOMETRIES.values():
+            rows = steering_rows(geom, [0.0, 1.234, 5.0], [0.0, 0.0, 0.0])
+            computed = len(rows) // 2
+            assert np.all(rows[:computed] == 1.0) and np.all(rows[computed:] == 0.0)
+
+    def test_nan_angles_give_nan_rows_without_warnings(self):
+        geom = ArrayGeometry.uca(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = steering_rows(geom, [np.nan, 0.3, 0.3], [0.2, np.nan, 0.2])
+            cos_out, sin_out = table_cos_sin([np.nan, 1.0])
+        assert np.all(np.isnan(rows[:, :2])) and np.all(np.isfinite(rows[:, 2]))
+        assert np.isnan(cos_out[0]) and np.isnan(sin_out[0]) and np.isfinite(cos_out[1])
+
+    def test_aperture_beyond_the_exact_reduction_range_is_refused(self):
+        wavelength = 0.5
+        reach = MAX_ELEMENT_REACH * wavelength
+        ArrayGeometry(2, wavelength, np.array([reach, 0.0]), np.zeros(2))
+        with pytest.raises(ValueError, match=f"within {MAX_ELEMENT_REACH:g} wavelengths"):
+            ArrayGeometry(2, wavelength, np.array([np.nextafter(reach, np.inf), 0.0]), np.zeros(2))
+        with pytest.raises(ValueError, match=f"within {MAX_ELEMENT_REACH:g} wavelengths"):
+            ArrayGeometry.uca(12, wavelength, radius=2 * reach)
 
 
 class TestSourceSet:
