@@ -139,7 +139,9 @@ class GridSpec:
     The default 1-degree grid has 361 * 91 = 32851 points. Azimuth is
     periodic: the 360-degree column samples the same directions as the
     0-degree column, so at least three azimuth columns (two distinct) and two
-    elevation rows are required.
+    elevation rows are required. A step that does not divide its span is
+    rounded to a whole count: an elevation step of 4.0 gives 22 steps of
+    90/22 degrees. ``ScenarioConfig`` refuses such steps.
     """
 
     azimuth_step: float = 1.0
@@ -175,34 +177,23 @@ class GridSpec:
 
 
 @lru_cache(maxsize=1)
-def _grid_manifold(
-    num_elements: int, wavelength: float, element_x: bytes, element_y: bytes, spec: GridSpec
-) -> np.ndarray:
+def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only real steering rows r of every grid point, float64 (2k, J)
-    with k = M - h computed phases per point.
+    with k = M - h computed phases per point, and the grid's azimuth and
+    elevation values (``linspace`` costs more than the rest of a grid search's
+    bookkeeping), built once for the latest (geometry, grid) pair.
 
-    Keyed on the geometry's values, since ``ArrayGeometry`` holds arrays and
-    cannot be hashed. The grid's angles go through ``_steering_rows`` like
-    any population, so the grid spectrum equals ``music_values`` bit for bit.
-    Holding it costs 2k * J * 8 bytes, M * J * 8 on a point-symmetric array
-    (3.2 MB for the 1-degree grid at M = 12, 34 MB at M = 128; an array
-    with no mirrored elements holds twice that). Building it makes no other
-    array of its size.
+    The grid's angles go through ``_steering_rows`` like any population, so
+    the grid spectrum equals ``music_values`` bit for bit. The rows cost
+    2k * J * 8 bytes, M * J * 8 on a point-symmetric array (3.2 MB for the
+    1-degree grid at M = 12, 34 MB at M = 128; twice that with no mirrored
+    elements), and building them makes no other array of their size.
     """
-    geom = ArrayGeometry(num_elements, wavelength, np.frombuffer(element_x), np.frombuffer(element_y))
-    az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
-    manifold = _steering_rows(geom, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
-    manifold.flags.writeable = False
-    return manifold
-
-
-@lru_cache(maxsize=1)
-def _grid_axes(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only azimuth and elevation values of the latest grid: ``linspace``
-    costs more than the rest of a grid search's bookkeeping, so it runs once."""
     azimuth, elevation = spec.azimuth_values(), spec.elevation_values()
-    azimuth.flags.writeable = elevation.flags.writeable = False
-    return azimuth, elevation
+    az_mesh, el_mesh = np.meshgrid(azimuth, elevation, indexing="ij")
+    manifold = _steering_rows(geometry, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
+    manifold.flags.writeable = azimuth.flags.writeable = elevation.flags.writeable = False
+    return manifold, azimuth, elevation
 
 
 # Grid points per spectrum pass. At L = 3 a pass's temporaries stay below
@@ -219,8 +210,7 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
     (geometry, grid) pair; a trial pays only the projection, in passes of
     2048 points.
     """
-    geom = proj.geometry
-    rows = _grid_manifold(geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), spec)
+    rows = _grid_manifold(proj.geometry, spec)[0]
     values = np.empty(rows.shape[1])
     for start in range(0, rows.shape[1], _GRID_BLOCK_COLUMNS):
         stop = start + _GRID_BLOCK_COLUMNS
@@ -310,7 +300,7 @@ def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridS
     # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
     values = evaluate_grid(proj, spec)[:-1]
     i_idx, j_idx = np.divmod(np.flatnonzero(_local_maxima_mask(values)), spec.num_elevation)
-    azimuth, elevation = _grid_axes(spec)
+    _, azimuth, elevation = _grid_manifold(proj.geometry, spec)
     az = azimuth[i_idx]
     el = elevation[j_idx]
     vals = values[i_idx, j_idx]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import decimal
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -100,14 +101,16 @@ class ArrayGeometry:
     (element m + M/2 is the point reflection of element m through the
     origin), else 0. A mirrored element's steering entry is the complex
     conjugate of its partner's. The position arrays are read-only copies, so a
-    geometry shared between trials cannot be changed through them.
+    geometry shared between trials cannot be changed through them. Geometries
+    compare and hash by value, the positions by their bytes.
     """
 
     num_elements: int
     wavelength: float
-    element_x: np.ndarray
-    element_y: np.ndarray
+    element_x: np.ndarray = field(compare=False)
+    element_y: np.ndarray = field(compare=False)
     mirrored_elements: int = field(init=False)
+    _positions: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.num_elements < 2:
@@ -130,6 +133,7 @@ class ArrayGeometry:
             np.array_equal(p[half:], -p[:half]) for p in (self.element_x, self.element_y)
         )
         object.__setattr__(self, "mirrored_elements", half if point_symmetric else 0)
+        object.__setattr__(self, "_positions", self.element_x.tobytes() + self.element_y.tobytes())
 
     @classmethod
     def uca(cls, num_elements: int, wavelength: float = 1.0, radius: float | None = None) -> "ArrayGeometry":
@@ -160,12 +164,13 @@ class SourceSet:
     Powers are relative weights (default all ones). The source count must stay
     below the element count of whatever array the set is used with, so that a
     noise subspace exists; that check happens at synthesis time. The arrays are
-    read-only copies, as in ``ArrayGeometry``.
+    read-only copies and compare by value, as in ``ArrayGeometry``.
     """
 
-    azimuth_deg: np.ndarray
-    elevation_deg: np.ndarray
-    power: np.ndarray | None = None
+    azimuth_deg: np.ndarray = field(compare=False)
+    elevation_deg: np.ndarray = field(compare=False)
+    power: np.ndarray | None = field(default=None, compare=False)
+    _values: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         az = _read_only_floats(self.azimuth_deg)
@@ -182,13 +187,11 @@ class SourceSet:
         directions = {(float(a) if e else 0.0, float(e)) for a, e in zip(az, el)}
         if len(directions) != len(az):
             raise ValueError("sources must have distinct directions (every azimuth at elevation 0 is the zenith)")
-        power = self.power
-        if power is None:
-            power = np.ones(len(az))
-        power = _read_only_floats(power)
+        power = _read_only_floats(np.ones(len(az)) if self.power is None else self.power)
         if power.shape != az.shape or not np.all((power > 0) & np.isfinite(power)):
             raise ValueError("power must list one positive finite value per source")
         object.__setattr__(self, "power", power)
+        object.__setattr__(self, "_values", az.tobytes() + el.tobytes() + power.tobytes())
 
     @property
     def count(self) -> int:
@@ -324,6 +327,14 @@ def steering_vector(geom: ArrayGeometry, azimuth: float, elevation: float) -> np
     return steering_matrix(geom, [azimuth], [elevation])[:, 0]
 
 
+@lru_cache(maxsize=1)
+def _source_steering(geom: ArrayGeometry, sources: SourceSet) -> np.ndarray:
+    """Read-only steering matrix of the latest (geometry, sources) pair, shared by a scenario's trials."""
+    manifold = steering_matrix(geom, np.deg2rad(sources.azimuth_deg), np.deg2rad(sources.elevation_deg))
+    manifold.flags.writeable = False
+    return manifold
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     """Unit-variance circular complex Gaussian draws."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
@@ -364,10 +375,9 @@ def synthesize_snapshots(
     else:
         amplitude = np.sqrt(sources.power * 10.0 ** (snr_db / 10.0))
         noise_std = 1.0
-    manifold = steering_matrix(geom, np.deg2rad(sources.azimuth_deg), np.deg2rad(sources.elevation_deg))
     symbols = amplitude[:, None] * _complex_normal(rng, (sources.count, num_snapshots))
     noise = noise_std * _complex_normal(rng, (geom.num_elements, num_snapshots))
-    return manifold @ symbols + noise
+    return _source_steering(geom, sources) @ symbols + noise
 
 
 def sample_covariance(snapshots: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
+from doakit import signal_model
 
 # Reference benchmark scenario: 12-element circular array, three sources.
 TRUE_AZIMUTH_DEG = (30.42, 120.27, 240.51)
@@ -62,3 +63,18 @@ def noiseless_projector(uca12, truth_sources):
     snapshots = synthesize_snapshots(uca12, truth_sources, np.inf, 100, rng_seed=7)
     split = subspace_split(sample_covariance(snapshots), truth_sources.count)
     return noise_projector(split, uca12)
+
+
+@pytest.fixture
+def steering_matrix_calls(monkeypatch):
+    """Arguments of every ``signal_model.steering_matrix`` call from here on,
+    with the held source steering dropped first so the next synthesis builds it."""
+    calls, steering_matrix = [], signal_model.steering_matrix
+
+    def counting_steering_matrix(*args):
+        calls.append(args)
+        return steering_matrix(*args)
+
+    monkeypatch.setattr(signal_model, "steering_matrix", counting_steering_matrix)
+    signal_model._source_steering.cache_clear()
+    return calls

@@ -30,7 +30,9 @@ from doakit import (
     run_sweep,
     run_trial,
     run_trials,
+    steering_matrix,
 )
+from doakit import signal_model
 from doakit.bench import EXTRACTIONS, SEARCHES, _assignment, _fixtures, write_errors_csv, write_summary_csv
 from doakit.cli import build_parser, main as cli_main
 
@@ -242,6 +244,19 @@ class TestRunTrial:
         for shared in (geom.element_x, geom.element_y, sources.azimuth_deg, sources.elevation_deg, sources.power):
             with pytest.raises(ValueError):
                 shared[0] = 1.0
+
+    @pytest.mark.parametrize("algorithm", ["grid", "denm"])
+    def test_trials_of_one_scenario_build_the_sources_steering_once(self, algorithm, steering_matrix_calls):
+        # steering_matrix serves only synthesis: the spectrum reads steering_rows
+        config = ScenarioConfig(algorithm=algorithm, trials=3, master_seed=919)
+        for trial_index in range(3):
+            run_trial(config, trial_index)
+        assert len(steering_matrix_calls) == 1 and signal_model._source_steering.cache_info().hits == 2
+        geom, sources, _ = _fixtures(config)
+        held = signal_model._source_steering(geom, sources)
+        assert not held.flags.writeable
+        azimuths, elevations = np.deg2rad(sources.azimuth_deg), np.deg2rad(sources.elevation_deg)
+        np.testing.assert_array_equal(held, steering_matrix(geom, azimuths, elevations))
 
     def test_denm_measured_evals_match_budget(self):
         config = ScenarioConfig(algorithm="denm", snr_db=10.0, trials=1)

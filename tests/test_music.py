@@ -399,20 +399,21 @@ class TestGridManifold:
                 np.testing.assert_array_equal(evaluate_grid(proj, GridSpec()), values)
 
     def test_cached_arrays_are_read_only(self, noiseless_projector):
-        geom = noiseless_projector.geometry
         evaluate_grid(noiseless_projector, GridSpec())
-        key = (geom.num_elements, geom.wavelength, geom.element_x.tobytes(), geom.element_y.tobytes(), GridSpec())
         hits = _grid_manifold.cache_info().hits
-        manifold = _grid_manifold(*key)
-        with pytest.raises(ValueError):
-            manifold[0, 0] = 0.0
+        # an equal geometry built apart finds the same entry
+        manifold, azimuth, elevation = _grid_manifold(ArrayGeometry.uca(12), GridSpec())
+        for held in (manifold, azimuth, elevation):
+            with pytest.raises(ValueError):
+                held[0] = 0.0
         assert _grid_manifold.cache_info().hits == hits + 1
+        np.testing.assert_array_equal(azimuth, GridSpec().azimuth_values())
+        np.testing.assert_array_equal(elevation, GridSpec().elevation_values())
         # real cosine and sine rows of the M - h computed phases: M * J * 8 bytes on the even circle,
         # twice that on an odd one
-        for geometry in (geom, ArrayGeometry.uca(5)):
+        for geometry in (noiseless_projector.geometry, ArrayGeometry.uca(5)):
             evaluate_grid(NoiseProjector(np.zeros((geometry.num_elements, 0)), geometry), GridSpec())
-            x, y = geometry.element_x.tobytes(), geometry.element_y.tobytes()
-            manifold = _grid_manifold(geometry.num_elements, geometry.wavelength, x, y, GridSpec())
+            manifold = _grid_manifold(geometry, GridSpec())[0]
             computed = geometry.num_elements - geometry.mirrored_elements
             assert manifold.dtype == np.float64 and not manifold.flags.writeable
             assert manifold.shape == (2 * computed, GridSpec().num_points)

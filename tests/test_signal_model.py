@@ -13,7 +13,7 @@ from doakit import (
     synthesize_snapshots,
 )
 
-from doakit.signal_model import _CHUNK, _TABLE_SIZE, MAX_ELEMENT_REACH, _cos_sin, steering_rows
+from doakit.signal_model import _CHUNK, _TABLE_SIZE, MAX_ELEMENT_REACH, _cos_sin, _source_steering, steering_rows
 
 from conftest import STEERING_GEOMETRIES, centred_4x4_grid, uca12_one_ulp_off
 
@@ -90,6 +90,22 @@ class TestArrayGeometry:
         geom = ArrayGeometry.uca(12)
         order = np.array([1, 0, *range(2, 12)])
         assert ArrayGeometry(12, 1.0, geom.element_x[order], geom.element_y[order]).mirrored_elements == 0
+
+    def test_compares_and_hashes_by_value(self):
+        # two geometries built apart are one dict key; any position, or the wavelength, tells them apart
+        geom, again = ArrayGeometry.uca(12), ArrayGeometry.uca(12)
+        assert geom is not again and geom == again and hash(geom) == hash(again)
+        assert {geom: "first"}[again] == "first" and {again: "second"}[geom] == "second"
+        for index in range(6):
+            for axis in range(2):
+                positions = [geom.element_x.copy(), geom.element_y.copy()]
+                positions[axis][index] = np.nextafter(positions[axis][index], np.inf)
+                positions[axis][index + 6] = -positions[axis][index]
+                other = ArrayGeometry(12, 1.0, *positions)
+                # the mirror moves too, so only the positions tell the two apart
+                assert other.mirrored_elements == 6 and other != geom and len({geom, other}) == 2
+        other = ArrayGeometry(12, 2.0, geom.element_x, geom.element_y)
+        assert other != geom and len({geom, other}) == 2
 
 
 class TestSteeringVector:
@@ -283,8 +299,32 @@ class TestSourceSet:
         sources = SourceSet(np.array([10.0, 20.0]), np.array([30.0, 40.0]))
         np.testing.assert_array_equal(sources.power, [1.0, 1.0])
 
+    def test_compares_and_hashes_by_value(self):
+        az, el = np.array([10.0, 20.0]), np.array([30.0, 40.0])
+        sources, weighted = SourceSet(az, el), SourceSet(az.copy(), el.copy(), np.ones(2))
+        assert sources == weighted and hash(sources) == hash(weighted)
+        assert {sources: "first"}[weighted] == "first"
+        for index in range(2):
+            for changed in range(3):
+                values = [az.copy(), el.copy(), np.ones(2)]
+                values[changed][index] += 0.5
+                other = SourceSet(*values)
+                assert other != sources and len({sources, other}) == 2
+
 
 class TestSynthesize:
+    def test_sources_steering_built_once_for_equal_inputs(self, steering_matrix_calls):
+        # geometry and sources rebuilt for every draw, as a traced benchmark trial rebuilds them
+        draws = [
+            synthesize_snapshots(ArrayGeometry.uca(12), SourceSet([10.0, 200.0], [30.0, 60.0]), 5.0, 16, rng_seed=seed)
+            for seed in range(3)
+        ]
+        assert len(steering_matrix_calls) == 1 and _source_steering.cache_info().hits == 2
+        held = _source_steering(ArrayGeometry.uca(12), SourceSet([10.0, 200.0], [30.0, 60.0]))
+        with pytest.raises(ValueError):
+            held[0, 0] = 0.0
+        assert not np.array_equal(draws[0], draws[1])
+
     def test_noiseless_single_source_rank_one(self):
         geom = ArrayGeometry.uca(6)
         sources = SourceSet(np.array([123.0]), np.array([41.0]))
