@@ -87,7 +87,7 @@ class ScenarioConfig:
     12-element circular array receiving three sources at fixed directions."""
 
     num_elements: int = 12
-    radius: float = 1.0  # in wavelengths: only radius / wavelength enters the steering phase
+    radius: float = 1.0  # in wavelengths, as are all lengths in signal_model: there is no wavelength setting
     source_azimuth_deg: tuple[float, ...] = (30.42, 120.27, 240.51)
     source_elevation_deg: tuple[float, ...] = (60.39, 29.42, 45.55)
     source_power: tuple[float, ...] | None = None
@@ -130,15 +130,17 @@ class ScenarioConfig:
             raise ConfigError("klocalmax_neighbors must lie in [1, population_size - 1]")
         if not (self.share_radius_deg > 0 and self.species_radius_deg > 0):
             raise ConfigError("share_radius_deg and species_radius_deg must be positive")
-        # the grid, array, sources and cost model are checked by building them
-        try:
-            self.grid_spec()
-        except ValueError as exc:
-            raise ConfigError(f"grid_step_deg {self.grid_step_deg!r}: {exc}") from exc
-        try:
-            self.geometry(), self.sources(), self.flop_model()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # the grid, array, sources and cost model are checked by building them; an error names the fields read
+        for build, names in (
+            (self.grid_spec, ("grid_step_deg",)),
+            (self.geometry, ("num_elements", "radius")),
+            (self.sources, ("source_azimuth_deg", "source_elevation_deg", "source_power")),
+            (self.flop_model, ("num_elements", "source_azimuth_deg")),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(", ".join(f"{name} {getattr(self, name)!r}" for name in names) + f": {exc}") from exc
         # a positive finite step by now; 90/step whole makes 360/step = 4 * 90/step whole too
         if not math.isclose(90.0 / self.grid_step_deg, round(90.0 / self.grid_step_deg)):
             raise ConfigError(f"grid_step_deg must divide 360 and 90 degrees evenly, got {self.grid_step_deg!r}")

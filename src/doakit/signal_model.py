@@ -5,7 +5,8 @@ arrays (uniform circular array by default), the sample covariance
 estimate R = (1/T) X X^H, and its signal/noise eigen-split, which is the
 input to subspace DOA estimators.
 
-Angle conventions: azimuth measured in the array plane, elevation
+Element positions and radii are in wavelengths, so there is no wavelength
+to set. Angle conventions: azimuth measured in the array plane, elevation
 measured from zenith (elevation 0 points along the array normal, pi/2
 lies in the array plane). Geometry-level operations (steering vectors and
 matrices) use radians; source descriptions and everything downstream of
@@ -63,7 +64,7 @@ _CHUNK = 4096
 # (ties to even, as np.rint) and leaves it, modulo 2**51, in the low bits.
 _ROUNDER = 1.5 * 2.0**52
 # |k| stays below 2**24, half the exact range, for elements within this many
-# wavelengths of the origin, since |theta| <= 2*pi * |position| / wavelength.
+# wavelengths of the origin, since |theta| <= 2*pi * |position|.
 MAX_ELEMENT_REACH = 2.0 ** (52 - _STEP_HI_BITS) / _TABLE_SIZE
 
 
@@ -94,67 +95,61 @@ _STEPS_PER_RADIAN = _TABLE_SIZE / TWO_PI
 
 @dataclass(frozen=True)
 class ArrayGeometry:
-    """Planar antenna array, element positions in meters.
+    """Planar antenna array, element positions in wavelengths.
 
-    ``mirrored_elements`` is derived, not passed: M/2 when M is even and the
-    trailing half of the elements is exactly the negation of the leading half
-    (element m + M/2 is the point reflection of element m through the
-    origin), else 0. A mirrored element's steering entry is the complex
-    conjugate of its partner's. The position arrays are read-only copies, so a
-    geometry shared between trials cannot be changed through them. Geometries
-    compare and hash by value, the positions by their bytes.
+    ``num_elements`` and ``mirrored_elements`` are derived, not passed: M is
+    the length of the position lists, and ``mirrored_elements`` is M/2 when M
+    is even and the trailing half of the elements is exactly the negation of
+    the leading half (element m + M/2 is the point reflection of element m
+    through the origin), else 0. A mirrored element's steering entry is the
+    complex conjugate of its partner's. The position arrays are read-only
+    copies, so a geometry shared between trials cannot be changed through
+    them. Geometries compare and hash by value, the positions by their bytes.
     """
 
-    num_elements: int
-    wavelength: float
     element_x: np.ndarray = field(compare=False)
     element_y: np.ndarray = field(compare=False)
+    num_elements: int = field(init=False)
     mirrored_elements: int = field(init=False)
     _positions: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.num_elements < 2:
-            raise ValueError("array needs at least two elements")
-        if not 0 < self.wavelength < np.inf:  # NaN fails too
-            raise ValueError("wavelength must be positive and finite")
-        object.__setattr__(self, "element_x", _read_only_floats(self.element_x))
-        object.__setattr__(self, "element_y", _read_only_floats(self.element_y))
-        if self.element_x.shape != (self.num_elements,) or self.element_y.shape != (self.num_elements,):
-            raise ValueError("element positions must have exactly num_elements entries")
-        if not (np.all(np.isfinite(self.element_x)) and np.all(np.isfinite(self.element_y))):
+        x, y = _read_only_floats(self.element_x), _read_only_floats(self.element_y)
+        if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+            raise ValueError("an array needs two 1-D position lists of equal length, at least two elements")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("element positions must be finite")
-        if not np.max(np.hypot(self.element_x, self.element_y)) / self.wavelength <= MAX_ELEMENT_REACH:
+        if not np.max(np.hypot(x, y)) <= MAX_ELEMENT_REACH:
             raise ValueError(
                 f"elements must lie within {MAX_ELEMENT_REACH:g} wavelengths of the origin, "
                 "the range in which the steering phases are reduced exactly"
             )
-        half = self.num_elements // 2
-        point_symmetric = self.num_elements % 2 == 0 and all(
-            np.array_equal(p[half:], -p[:half]) for p in (self.element_x, self.element_y)
-        )
+        half = len(x) // 2
+        point_symmetric = len(x) % 2 == 0 and all(np.array_equal(p[half:], -p[:half]) for p in (x, y))
+        object.__setattr__(self, "element_x", x)
+        object.__setattr__(self, "element_y", y)
+        object.__setattr__(self, "num_elements", len(x))
         object.__setattr__(self, "mirrored_elements", half if point_symmetric else 0)
-        object.__setattr__(self, "_positions", self.element_x.tobytes() + self.element_y.tobytes())
+        object.__setattr__(self, "_positions", x.tobytes() + y.tobytes())
 
     @classmethod
-    def uca(cls, num_elements: int, wavelength: float = 1.0, radius: float | None = None) -> "ArrayGeometry":
-        """Uniform circular array, elements at azimuths phi_m = 2*pi*m/M for
-        m = 1..M; radius defaults to one wavelength.
+    def uca(cls, num_elements: int, radius: float = 1.0) -> "ArrayGeometry":
+        """Uniform circular array of ``radius`` wavelengths, elements at
+        azimuths phi_m = 2*pi*m/M for m = 1..M.
 
-        With radius equal to the wavelength the steering phase prefactor
-        2*pi*radius/wavelength reduces to 2*pi. For even M the trailing half
-        is set to the exact negation of the leading half (phi_m + pi), which
-        moves it by at most an ulp and makes the array exactly point-symmetric.
+        At the default radius of one wavelength the steering phase prefactor
+        2*pi*radius is 2*pi. For even M the trailing half is set to the exact
+        negation of the leading half (phi_m + pi), which moves it by at most
+        an ulp and makes the array exactly point-symmetric.
         """
-        if radius is None:
-            radius = wavelength
         if not 0 < radius < np.inf:  # NaN fails too
-            raise ValueError("radius (default: the wavelength) must be positive and finite")
+            raise ValueError("radius must be positive and finite")
         azimuths = TWO_PI * np.arange(1, num_elements + 1) / num_elements
         x, y = radius * np.cos(azimuths), radius * np.sin(azimuths)
         if num_elements % 2 == 0:
             half = num_elements // 2
             x[half:], y[half:] = -x[:half], -y[:half]
-        return cls(num_elements, wavelength, x, y)
+        return cls(x, y)
 
 
 @dataclass(frozen=True)
@@ -218,13 +213,13 @@ def steering_rows(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
     """Real rows [cos theta; sin theta] of the computed steering phases, one
     column per (azimuth, elevation) pair, shaped (2 * (M - h), n).
 
-    Element m carries phase theta_m = -(2*pi/lam) * (x_m cos(az) + y_m sin(az)) * sin(el).
-    Only the first M - h phases are computed, h being the geometry's
-    ``mirrored_elements``: element M - h + m (m < h) carries phase -theta_m
-    exactly, since its position is the exact negation of element m's. Angles
-    in radians; no range validation here since the phase wraps naturally. The
-    phases are built in the cosine half, with the sine half as scratch, so the
-    result is the only array of its size made.
+    Element m carries phase theta_m = -2*pi * (x_m cos(az) + y_m sin(az)) * sin(el),
+    x_m and y_m in wavelengths. Only the first M - h phases are computed, h
+    being the geometry's ``mirrored_elements``: element M - h + m (m < h)
+    carries phase -theta_m exactly, since its position is the exact negation
+    of element m's. Angles in radians; no range validation here since the
+    phase wraps naturally. The phases are built in the cosine half, with the
+    sine half as scratch, so the result is the only array of its size made.
 
     The cosines and sines come from ``_cos_sin``: a 4096-entry table of
     cos and sin at multiples of 2*pi/4096, looked up at the nearest multiple
@@ -244,7 +239,7 @@ def steering_rows(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
     np.multiply.outer(geom.element_x[:computed], np.cos(az), out=phase)
     np.multiply.outer(geom.element_y[:computed], np.sin(az), out=scratch)
     phase += scratch
-    phase *= -TWO_PI / geom.wavelength
+    phase *= -TWO_PI
     phase *= np.sin(el)
     flat = rows.reshape(2, -1)
     _cos_sin(flat[0], flat[0], flat[1])
@@ -299,7 +294,8 @@ def steering_matrix(geom: ArrayGeometry, azimuths, elevations) -> np.ndarray:
     """Stack steering vectors as columns, one per (azimuth, elevation) pair.
 
     Element m responds with exp(1j * theta_m), theta_m as in ``steering_rows``.
-    For a circular array this reduces to exp(-1j * (2*pi*r/lam) * cos(phi_m - az) * sin(el)).
+    For a circular array of radius r wavelengths this reduces to
+    exp(-1j * 2*pi*r * cos(phi_m - az) * sin(el)).
     Angles in radians. The first M - h rows are cos + 1j sin of the computed
     phases; the last h rows are the conjugates of the first h, exactly. The
     MUSIC spectrum reads the real rows directly; synthesis uses this form.

@@ -21,7 +21,7 @@ def centred_4x4_grid():
     y < 0 half lists the negations of the y > 0 half, so mirror pairs sit M/2 apart."""
     lead_x, lead_y = np.meshgrid([-0.75, -0.25, 0.25, 0.75], [0.25, 0.75])
     lead_x, lead_y = lead_x.ravel(), lead_y.ravel()
-    return ArrayGeometry(16, 1.0, np.concatenate([lead_x, -lead_x]), np.concatenate([lead_y, -lead_y]))
+    return ArrayGeometry(np.concatenate([lead_x, -lead_x]), np.concatenate([lead_y, -lead_y]))
 
 
 def uca12_one_ulp_off():
@@ -29,7 +29,7 @@ def uca12_one_ulp_off():
     uca12 = ArrayGeometry.uca(12)
     x = uca12.element_x.copy()
     x[-1] = np.nextafter(x[-1], np.inf)
-    return ArrayGeometry(12, 1.0, x, uca12.element_y)
+    return ArrayGeometry(x, uca12.element_y)
 
 
 # Arrays with every mirrored-element count the steering code distinguishes: even
@@ -39,8 +39,8 @@ STEERING_GEOMETRIES = {
     "uca5": ArrayGeometry.uca(5),
     "uca12": ArrayGeometry.uca(12),
     "uca128": ArrayGeometry.uca(128),
-    # not circular: seven elements scattered over a 6 x 4 m aperture at a 0.8 m wavelength
-    "scattered7": ArrayGeometry(7, 0.8, *np.random.default_rng(5).uniform((-3.0, -2.0), (3.0, 2.0), size=(7, 2)).T),
+    # not circular: seven elements scattered over a 7.5 x 5 wavelength aperture
+    "scattered7": ArrayGeometry(*np.random.default_rng(5).uniform((-3.0, -2.0), (3.0, 2.0), size=(7, 2)).T / 0.8),
     "rect4x4": centred_4x4_grid(),
     "uca12_ulp_off": uca12_one_ulp_off(),
 }

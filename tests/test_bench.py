@@ -562,6 +562,12 @@ NAMED_CONFIG_ERRORS = [
     # steps whose grid would have more points than an array can index
     ({"grid_step_deg": 5e-324}, "grid_step_deg"),
     ({"grid_step_deg": 1e-300}, "grid_step_deg"),
+    # values refused while building the array, the sources or the cost model
+    ({"radius": 1e6}, "radius"),
+    ({"num_elements": 1}, "num_elements"),
+    ({"num_elements": 3}, "num_elements"),  # three sources leave no noise subspace
+    ({"source_elevation_deg": [60, 29, 95]}, "source_elevation_deg"),
+    ({"source_power": [1, 1]}, "source_power"),
 ]
 
 
@@ -653,8 +659,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "mapping",
         [
-            {"num_elements": 1},
-            {"num_elements": 3},  # three sources leave no noise subspace
             {"radius": 0.0},
             {"dbscan_eps_deg": 0},
             {"dbscan_min_pts": 0},

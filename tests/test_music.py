@@ -380,7 +380,7 @@ def random_split(num_elements, seed, num_sources=3):
 class TestGridManifold:
     @pytest.mark.parametrize(
         "num_elements, radius, step",
-        [(5, None, 1.0), (12, None, 1.0), (12, 0.7, 1.0), (12, None, 2.0)],
+        [(5, 1.0, 1.0), (12, 1.0, 1.0), (12, 0.7, 1.0), (12, 1.0, 2.0)],
     )
     def test_equals_music_values_over_the_meshgrid(self, num_elements, radius, step):
         geom = ArrayGeometry.uca(num_elements, radius=radius)

@@ -31,8 +31,8 @@ def direct_uca_steering(num_elements, radius, wavelength, azimuth, elevation):
 
 class TestArrayGeometry:
     def test_uca_layout(self):
-        geom = ArrayGeometry.uca(8, wavelength=2.0)
-        np.testing.assert_allclose(np.hypot(geom.element_x, geom.element_y), 2.0)  # radius defaults to one wavelength
+        geom = ArrayGeometry.uca(8, radius=2.0)
+        np.testing.assert_allclose(np.hypot(geom.element_x, geom.element_y), 2.0)
         # element m sits at azimuth 2*pi*m/M, m = 1..M; compared on the unit circle so 2*pi and 0 agree
         angles = np.arctan2(geom.element_y, geom.element_x)
         np.testing.assert_allclose(np.exp(1j * angles), np.exp(2j * np.pi * np.arange(1, 9) / 8))
@@ -40,27 +40,46 @@ class TestArrayGeometry:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             ArrayGeometry.uca(1)
-        with pytest.raises(ValueError):
-            ArrayGeometry.uca(4, wavelength=0.0)
-        with pytest.raises(ValueError):
-            ArrayGeometry.uca(4, radius=-1.0)
-        with pytest.raises(ValueError):
-            ArrayGeometry.uca(4, radius=0.0)
-        with pytest.raises(ValueError):
-            ArrayGeometry(3, 1.0, np.zeros(2), np.zeros(3))
+        for radius in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                ArrayGeometry.uca(4, radius=radius)
+
+    def test_default_radius_is_one_wavelength(self):
+        for num_elements in (2, 5, 12, 128):
+            geom = ArrayGeometry.uca(num_elements)
+            np.testing.assert_allclose(np.hypot(geom.element_x, geom.element_y), 1.0, rtol=0.0, atol=1e-15)
+
+    def test_element_count_is_the_number_of_positions(self):
+        for num_elements in (2, 3, 12):
+            positions = np.random.default_rng(num_elements).uniform(-1.0, 1.0, (2, num_elements))
+            assert ArrayGeometry(*positions).num_elements == num_elements
+            assert ArrayGeometry.uca(num_elements).num_elements == num_elements
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (np.zeros(2), np.zeros(3)),  # mismatched lengths
+            (np.zeros((2, 2)), np.zeros((2, 2))),  # 2-D input
+            (np.zeros(1), np.zeros(1)),  # a single element
+        ],
+        ids=["mismatched", "two-dimensional", "single"],
+    )
+    def test_rejects_malformed_position_lists(self, x, y):
+        with pytest.raises(ValueError, match="two 1-D position lists of equal length, at least two elements"):
+            ArrayGeometry(x, y)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_positions(self, bad):
         # a NaN or infinite position would turn every steering entry of its element into NaN
         with pytest.raises(ValueError):
-            ArrayGeometry(3, 1.0, np.array([0.0, bad, 1.0]), np.zeros(3))
+            ArrayGeometry(np.array([0.0, bad, 1.0]), np.zeros(3))
         with pytest.raises(ValueError):
-            ArrayGeometry(3, 1.0, np.zeros(3), np.array([0.0, 1.0, bad]))
+            ArrayGeometry(np.zeros(3), np.array([0.0, 1.0, bad]))
 
     def test_positions_are_read_only_copies(self):
         # a geometry shared between trials cannot change under them, and freezing it leaves the caller's arrays alone
         x, y = np.array([0.0, 1.0, -1.0]), np.zeros(3)
-        geom = ArrayGeometry(3, 1.0, x, y)
+        geom = ArrayGeometry(x, y)
         x[1] = 5.0
         assert geom.element_x[1] == 1.0 and x.flags.writeable
         for positions in (geom.element_x, geom.element_y):
@@ -89,10 +108,10 @@ class TestArrayGeometry:
         # the same points with two neighbours swapped: their mirrors no longer sit M/2 places on
         geom = ArrayGeometry.uca(12)
         order = np.array([1, 0, *range(2, 12)])
-        assert ArrayGeometry(12, 1.0, geom.element_x[order], geom.element_y[order]).mirrored_elements == 0
+        assert ArrayGeometry(geom.element_x[order], geom.element_y[order]).mirrored_elements == 0
 
     def test_compares_and_hashes_by_value(self):
-        # two geometries built apart are one dict key; any position, or the wavelength, tells them apart
+        # two geometries built apart are one dict key; any position tells them apart
         geom, again = ArrayGeometry.uca(12), ArrayGeometry.uca(12)
         assert geom is not again and geom == again and hash(geom) == hash(again)
         assert {geom: "first"}[again] == "first" and {again: "second"}[geom] == "second"
@@ -101,11 +120,9 @@ class TestArrayGeometry:
                 positions = [geom.element_x.copy(), geom.element_y.copy()]
                 positions[axis][index] = np.nextafter(positions[axis][index], np.inf)
                 positions[axis][index + 6] = -positions[axis][index]
-                other = ArrayGeometry(12, 1.0, *positions)
+                other = ArrayGeometry(*positions)
                 # the mirror moves too, so only the positions tell the two apart
                 assert other.mirrored_elements == 6 and other != geom and len({geom, other}) == 2
-        other = ArrayGeometry(12, 2.0, geom.element_x, geom.element_y)
-        assert other != geom and len({geom, other}) == 2
 
 
 class TestSteeringVector:
@@ -114,9 +131,9 @@ class TestSteeringVector:
         np.testing.assert_allclose(steering_vector(geom, 1.234, 0.0), np.ones(6), atol=1e-12)
 
     def test_four_element_hand_case(self):
-        # M=4, r = wavelength, azimuth 0, elevation pi/2: phases are
+        # M=4, r = one wavelength, azimuth 0, elevation pi/2: phases are
         # -2*pi*cos(2*pi*m/4), i.e. (0, 2*pi, 0, -2*pi) -> all ones after wrap
-        geom = ArrayGeometry.uca(4, wavelength=1.0, radius=1.0)
+        geom = ArrayGeometry.uca(4, radius=1.0)
         vec = steering_vector(geom, 0.0, np.pi / 2.0)
         np.testing.assert_allclose(vec, np.ones(4), atol=1e-12)
         np.testing.assert_allclose(vec, direct_uca_steering(4, 1.0, 1.0, 0.0, np.pi / 2.0), atol=1e-12)
@@ -129,7 +146,8 @@ class TestSteeringVector:
             radius = float(rng.uniform(0.2, 4.0))
             azimuth = float(rng.uniform(0.0, 2.0 * np.pi))
             elevation = float(rng.uniform(0.0, np.pi / 2.0))
-            geom = ArrayGeometry.uca(num_elements, wavelength, radius)
+            # the radius in wavelengths carries the whole of r / lam
+            geom = ArrayGeometry.uca(num_elements, radius=radius / wavelength)
             np.testing.assert_allclose(
                 steering_vector(geom, azimuth, elevation),
                 direct_uca_steering(num_elements, radius, wavelength, azimuth, elevation),
@@ -151,17 +169,13 @@ class TestSteeringVector:
                 steering_vector(geom, azimuth, elevation)
 
     def test_ura_matches_planar_phase(self):
-        # general planar form: phase = -(2*pi/lam)(x cos(az) + y sin(az)) sin(el),
+        # general planar form: phase = -2*pi (x cos(az) + y sin(az)) sin(el), x and y in wavelengths,
         # on a centered 2 x 3 half-wavelength grid
-        gx, gy = np.meshgrid([-0.375, 0.375], [-0.75, 0.0, 0.75], indexing="ij")
-        geom = ArrayGeometry(6, 1.5, gx.ravel(), gy.ravel())
+        gx, gy = np.meshgrid([-0.25, 0.25], [-0.5, 0.0, 0.5], indexing="ij")
+        geom = ArrayGeometry(gx.ravel(), gy.ravel())
         azimuth, elevation = 0.7, 0.9
-        expected = np.exp(
-            -1j
-            * (2 * np.pi / 1.5)
-            * (geom.element_x * np.cos(azimuth) + geom.element_y * np.sin(azimuth))
-            * np.sin(elevation)
-        )
+        in_plane = geom.element_x * np.cos(azimuth) + geom.element_y * np.sin(azimuth)
+        expected = np.exp(-2j * np.pi * in_plane * np.sin(elevation))
         np.testing.assert_allclose(steering_vector(geom, azimuth, elevation), expected, atol=1e-12)
 
 
@@ -171,9 +185,8 @@ class TestSteeringMatrix:
         rng = np.random.default_rng(geom.num_elements)
         azimuths = np.concatenate([[1.234], rng.uniform(0.0, 2.0 * np.pi, 300)])
         elevations = np.concatenate([[0.0], rng.uniform(0.0, np.pi / 2.0, 300)])
-        wavenumber = 2.0 * np.pi / geom.wavelength
         in_plane = np.outer(geom.element_x, np.cos(azimuths)) + np.outer(geom.element_y, np.sin(azimuths))
-        expected = np.exp(-1j * wavenumber * in_plane * np.sin(elevations))
+        expected = np.exp(-2j * np.pi * in_plane * np.sin(elevations))
         columns = steering_matrix(geom, azimuths, elevations)
         assert columns.dtype == np.complex128 and columns.flags.c_contiguous
         assert columns.shape == (geom.num_elements, 301)
@@ -271,13 +284,14 @@ class TestCosSinKernel:
         assert np.isnan(cos_out[0]) and np.isnan(sin_out[0]) and np.isfinite(cos_out[1])
 
     def test_aperture_beyond_the_exact_reduction_range_is_refused(self):
-        wavelength = 0.5
-        reach = MAX_ELEMENT_REACH * wavelength
-        ArrayGeometry(2, wavelength, np.array([reach, 0.0]), np.zeros(2))
+        ArrayGeometry(np.array([MAX_ELEMENT_REACH, 0.0]), np.zeros(2))
+        beyond = np.nextafter(MAX_ELEMENT_REACH, np.inf)
         with pytest.raises(ValueError, match=f"within {MAX_ELEMENT_REACH:g} wavelengths"):
-            ArrayGeometry(2, wavelength, np.array([np.nextafter(reach, np.inf), 0.0]), np.zeros(2))
+            ArrayGeometry(np.array([beyond, 0.0]), np.zeros(2))
         with pytest.raises(ValueError, match=f"within {MAX_ELEMENT_REACH:g} wavelengths"):
-            ArrayGeometry.uca(12, wavelength, radius=2 * reach)
+            ArrayGeometry(np.zeros(2), np.array([0.0, -beyond]))
+        with pytest.raises(ValueError, match=f"within {MAX_ELEMENT_REACH:g} wavelengths"):
+            ArrayGeometry.uca(12, radius=2 * MAX_ELEMENT_REACH)
 
 
 class TestSourceSet:
