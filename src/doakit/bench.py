@@ -148,7 +148,7 @@ class ScenarioConfig:
     @property
     def population_search(self) -> bool:
         """Whether the search hands a population to an extraction; the grid finds its own peaks."""
-        return self.algorithm != "grid"
+        return self.algorithm in ALGORITHMS
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.uca(self.num_elements, radius=self.radius)
@@ -575,11 +575,11 @@ def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
 
 
 def write_errors_csv(config: ScenarioConfig, reports_by_snr: dict[float, list[TrialReport]], path) -> None:
-    """Per-matched-pair absolute errors, one row each, for CDF plotting."""
+    """Per-matched-pair absolute errors, one row each, for CDF plotting, SNRs in ``reports_by_snr``'s order."""
     extraction = config.extraction if config.population_search else ""
     rows = (
         [config.algorithm, extraction, snr, report.trial, int(truth), t_err, p_err]
-        for snr in sorted(reports_by_snr)
+        for snr in reports_by_snr
         for report in reports_by_snr[snr]
         for truth, t_err, p_err in zip(
             report.match.truth_indices, report.match.theta_errors_deg, report.match.phi_errors_deg

@@ -58,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="sweep SNR for one algorithm/extraction pair")
+    run.set_defaults(handler=_cmd_run)
     _add_common(run)
     run.add_argument("--algo", choices=SEARCHES, default=None, help="search algorithm (default: denm)")
     run.add_argument("--extract", choices=EXTRACTIONS, default=None, help="peak extraction (default: dbscan)")
@@ -65,14 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--snapshots", type=int, default=None, help="snapshots per trial (default: 100)")
 
     table = sub.add_parser("table3", help="closed-form complexity report (grid vs population)")
+    table.set_defaults(handler=_cmd_table3)
     table.add_argument("--out", type=Path, default=None, help="also write complexity.csv to this directory")
 
     compare = sub.add_parser("compare-extract", help="extraction methods on identical populations")
+    compare.set_defaults(handler=_cmd_compare_extract)
     _add_common(compare)
     compare.add_argument("--algo", choices=ALGORITHMS, default=None)
     compare.add_argument("--snr", type=float, default=-5.0, help="SNR in dB (default: -5)")
 
     pop = sub.add_parser("sweep-pop", help="accuracy/cost versus population size")
+    pop.set_defaults(handler=_cmd_sweep_pop)
     _add_common(pop)
     pop.add_argument("--algo", choices=ALGORITHMS, default=None)
     pop.add_argument("--extract", choices=EXTRACTIONS, default=None)
@@ -183,14 +187,8 @@ def _cmd_sweep_pop(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "table3": _cmd_table3,
-        "compare-extract": _cmd_compare_extract,
-        "sweep-pop": _cmd_sweep_pop,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

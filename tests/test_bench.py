@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import itertools
 import json
 import subprocess
@@ -11,28 +12,35 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import doakit
 from doakit import (
+    ALGORITHMS,
+    ArrayGeometry,
     ConfigError,
     DEConfig,
     DoaEstimate,
+    GridSpec,
     ScenarioConfig,
     SourceSet,
     aggregate,
     circular_difference_deg,
     complexity_cells,
     derive_seed,
+    extract_dbscan,
+    extract_klocalmax,
     flops_music,
     flops_population,
     format_complexity_table,
     match_estimates,
     run_extraction_comparison,
+    run_population,
     run_population_sweep,
     run_sweep,
     run_trial,
     run_trials,
     steering_matrix,
 )
-from doakit import signal_model
+from doakit import bench, extract, music, optimizer, signal_model
 from doakit.bench import EXTRACTIONS, SEARCHES, _assignment, _fixtures, write_errors_csv, write_summary_csv
 from doakit.cli import build_parser, main as cli_main
 
@@ -446,6 +454,16 @@ class TestSweepAndCsv:
             error_rows = list(csv.DictReader(handle))
         assert all(0.0 <= float(r["theta_error_deg"]) <= 180.0 for r in error_rows)
 
+    def test_error_rows_follow_the_sweep_snr_order(self, tmp_path):
+        assert cli_main(["run", "--algo", "grid", "--trials", "2", "--snr", "10", "0", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "summary.csv").open() as handle:
+            summary_snrs = [row["snr_db"] for row in csv.DictReader(handle)]
+        with (tmp_path / "errors.csv").open() as handle:
+            error_snrs = [row["snr_db"] for row in csv.DictReader(handle)]
+        assert summary_snrs == ["10.0", "0.0"]
+        assert list(dict.fromkeys(error_snrs)) == summary_snrs
+        assert error_snrs == sorted(error_snrs, key=summary_snrs.index)
+
     def test_extraction_comparison_matches_single_runs(self):
         # one search scored by every method gives each method's own run_trials result
         config = ScenarioConfig(algorithm="denm", snr_db=0.0, trials=3, optimizer=FAST_DE, master_seed=5)
@@ -478,6 +496,16 @@ class TestSweepAndCsv:
             assert a.estimates == b.estimates
             np.testing.assert_array_equal(a.match.theta_errors_deg, b.match.theta_errors_deg)
             assert a.success == b.success
+
+
+class TestPublicNames:
+    def test_top_level_names_are_the_modules_public_names(self):
+        modules = (signal_model, music, optimizer, extract, bench)
+        exported = {name: getattr(module, name) for module in modules for name in module.__all__}
+        top_level = {
+            name: value for name, value in vars(doakit).items() if not name.startswith("_") and not inspect.ismodule(value)
+        }
+        assert top_level == exported
 
 
 class TestComplexityTable:
@@ -526,6 +554,28 @@ class TestScenarioConfig:
         assert config.optimizer == DEConfig(**documented.pop("optimizer"))
         for key, value in documented.items():
             assert getattr(config, key) == (tuple(value) if isinstance(value, list) else value)
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_population_search_is_membership_in_algorithms(self, name):
+        assert ScenarioConfig(algorithm=name).population_search == (name in ALGORITHMS)
+
+    # library defaults that restate a scenario default: (function, parameter, ScenarioConfig field)
+    @pytest.mark.parametrize(
+        "function, parameter, field_name",
+        [
+            (extract_dbscan, "eps", "dbscan_eps_deg"),
+            (extract_dbscan, "min_pts", "dbscan_min_pts"),
+            (extract_klocalmax, "num_neighbors", "klocalmax_neighbors"),
+            (run_population, "share_radius", "share_radius_deg"),
+            (run_population, "species_radius", "species_radius_deg"),
+            (ArrayGeometry.uca, "radius", "radius"),
+        ],
+    )
+    def test_library_defaults_equal_scenario_defaults(self, function, parameter, field_name):
+        assert inspect.signature(function).parameters[parameter].default == getattr(ScenarioConfig(), field_name)
+
+    def test_grid_spec_default_equals_scenario_grid(self):
+        assert GridSpec() == ScenarioConfig().grid_spec()
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
