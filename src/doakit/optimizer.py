@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
+from math import isqrt
 from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -180,37 +181,92 @@ def de_crossover(parent, mutant, crossover_rate: float, rng: np.random.Generator
 
 
 def squared_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distance from each row of points to each row of
-    others. scipy.spatial is imported on the first call, so ``import doakit``
-    and the grid search load numpy alone."""
-    from scipy.spatial.distance import cdist
+    """Squared Euclidean distance from each (x, y) row of points to each row
+    of others, as dx*dx + dy*dy: the order and rounding of scipy's
+    ``cdist(points, others, "sqeuclidean")``, bit for bit."""
+    dx = np.subtract.outer(points[:, 0], others[:, 0])
+    dy = np.subtract.outer(points[:, 1], others[:, 1])
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
 
-    return cdist(points, others, "sqeuclidean")
+
+def _sorted_keys(sq: np.ndarray, columns: np.ndarray, bits: int) -> np.ndarray:
+    """Row-sorted 32-bit keys: each squared distance rounded to float32
+    (rounding keeps order, and non-negative floats sort as their bits do)
+    with its lowest ``bits`` bits replaced by its column's point index. A
+    squared distance beyond float32's range rounds to inf."""
+    with np.errstate(over="ignore"):
+        keys = sq.astype(np.float32).view(np.uint32)
+    keys &= ~np.uint32((1 << bits) - 1)
+    keys |= columns
+    keys.sort(axis=1)
+    return keys
 
 
 def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     """Each point's ``count`` nearest neighbors by Euclidean distance,
-    self excluded, distance ties broken toward the lower index."""
+    self excluded, distance ties broken toward the lower index.
+
+    A projection search (Friedman, Baskett & Shustek, IEEE Trans. Computers
+    1975): with the points sorted by azimuth, each point keys only the
+    ``half`` points on either side of it in that order, and a point outside
+    that window is at least the smaller azimuth gap to the first points
+    beyond it away. Rounding to float32 and cutting off the index bits can
+    make distances equal, never swap them, so a row is exact when that gap's
+    key, index bits dropped, exceeds the key of the next point after its
+    count neighbors; any other row is keyed over all points. A row whose
+    self, count neighbors and next point hold two equal keys once the index
+    bits are dropped (a duplicate, a tie or near-tie in the list or at the
+    cut) is then sorted exactly.
+    """
     pos = np.asarray(positions, dtype=float)
-    if not 1 <= count <= len(pos) - 1:
+    size = len(pos)
+    if not 1 <= count <= size - 1:
         raise ValueError("count must lie in [1, len(positions) - 1]")
-    # 32-bit sort keys: each squared distance rounded to float32 (rounding
-    # keeps order, and non-negative floats sort as their bits do) with the
-    # lowest bits replaced by the column index. Rounding and truncation can
-    # make distances equal, never swap them, so a row where they do among
-    # self, the count neighbors and one more point (a duplicate, a tie or
-    # near-tie in the list or at the cut) is sorted exactly. A squared
-    # distance beyond float32's range rounds to inf and ties the same way.
-    bits = (len(pos) - 1).bit_length()
+    bits = (size - 1).bit_length()
     low = np.uint32((1 << bits) - 1)
+    # 6 sqrt(N) keys per row: 96 at N = 256, where 5 to 7 rows of a DE-NM
+    # generation need all N; at least enough that a row at either end of
+    # the order holds self, the count neighbors and the next point
+    half = min(size - 1, max(count + 1, 3 * isqrt(size)))
+    width = 2 * half + 1
+    # x, y and index of the points in azimuth order, between half + 1 pads
+    # at -inf and +inf azimuth, so a window never runs off the end and the
+    # gap beyond a window that holds the last point is inf
+    order = np.argsort(pos[:, 0], kind="stable")
+    x, y = padded = np.zeros((2, size + 2 * half + 2))
+    x[: half + 1] = -np.inf
+    x[half + 1 + size :] = np.inf
+    padded[:, half + 1 : half + 1 + size] = pos[order].T
+    index = np.zeros(len(x), dtype=np.uint32)
+    index[half + 1 : half + 1 + size] = order
+
+    def windows(row):
+        """Strided view: row p holds the entries from half before sorted point p to half after it."""
+        return np.ndarray((size, width), row.dtype, buffer=row, offset=row.itemsize, strides=2 * row.strides)
+
+    xc = x[half + 1 : half + 1 + size, None]
+    yc = y[half + 1 : half + 1 + size, None]
+    dx = xc - windows(x)
+    dy = yc - windows(y)
+    dx *= dx
+    dy *= dy
+    dx += dy  # squared distances, rounded as squared_distances rounds them
+    gap = np.minimum(xc[:, 0] - x[:size], x[width + 1 :] - xc[:, 0])
     with np.errstate(over="ignore"):
-        keys = squared_distances(pos, pos).astype(np.float32).view(np.uint32)
-    keys &= ~low
-    keys |= np.arange(len(pos), dtype=np.uint32)
-    keys.sort(axis=1)
-    result = (keys[:, 1 : count + 1] & low).astype(np.intp)
-    head = keys[:, : count + 2] >> bits
-    tied = np.flatnonzero(np.any(head[:, 1:] == head[:, :-1], axis=1))
+        bound = (gap * gap).astype(np.float32).view(np.uint32) >> bits
+    stop = min(count + 2, size)  # self, the count neighbors and the next point, if any
+    keys = _sorted_keys(dx, windows(index), bits)[:, :stop]
+    short = np.flatnonzero(keys[:, -1] >> bits >= bound)
+    if len(short):
+        whole = squared_distances(pos[order[short]], pos)
+        keys[short] = _sorted_keys(whole, np.arange(size, dtype=np.uint32), bits)[:, :stop]
+    head = keys >> bits
+    result = np.empty((size, count), dtype=np.intp)
+    result[order] = keys[:, 1 : count + 1] & low
+    tied = order[np.any(head[:, 1:] == head[:, :-1], axis=1)]
     if len(tied):
         exact = squared_distances(pos[tied], pos)
         exact[np.arange(len(tied)), tied] = np.inf

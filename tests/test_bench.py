@@ -202,23 +202,31 @@ class TestRunTrial:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
-    def test_import_table3_and_grid_trial_leave_scipy_unloaded(self):
-        # a fresh interpreter; the first pairwise distance, in a population search, loads scipy.spatial
+    def test_every_search_and_extraction_runs_without_scipy(self):
+        # a fresh interpreter in which importing any scipy module raises
         import doakit
 
         script = (
             "import sys\n"
+            "class BlockScipy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, BlockScipy())\n"
             f"sys.path.insert(0, {str(Path(doakit.__file__).parents[1])!r})\n"
             "import doakit, doakit.cli\n"
+            "from doakit.bench import EXTRACTIONS\n"
             "doakit.cli.main(['table3'])\n"
             "doakit.run_trial(doakit.ScenarioConfig(algorithm='grid'), 0)\n"
+            "for algorithm in doakit.ALGORITHMS:\n"
+            "    doakit.run_trial(doakit.ScenarioConfig(algorithm=algorithm), 0)\n"
+            "for extraction in EXTRACTIONS:\n"
+            "    doakit.run_trial(doakit.ScenarioConfig(extraction=extraction), 0)\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
-            "doakit.run_trial(doakit.ScenarioConfig(algorithm='denm'), 0)\n"
-            "print('scipy.spatial.distance' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+        assert proc.stdout.splitlines()[-1] == "[]"
 
     def test_noiseless_grid_trial_succeeds(self):
         config = ScenarioConfig(algorithm="grid", snr_db=np.inf, trials=1)

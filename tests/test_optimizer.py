@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from doakit import (
     CountingObjective,
@@ -16,7 +17,13 @@ from doakit import (
     run_trial,
     shared_fitness,
 )
-from doakit.optimizer import _assign_species, _global_donor_candidates, _pick_donors, _species_donor_table
+from doakit.optimizer import (
+    _assign_species,
+    _global_donor_candidates,
+    _pick_donors,
+    _species_donor_table,
+    squared_distances,
+)
 
 BOX = SearchBox()
 
@@ -352,6 +359,96 @@ class TestFloat32Keys:
         for positions, count in searched:
             assert positions.shape == (config.population_size, 2) and count == config.neighborhood_size
             assert_matches_bruteforce(positions, (count,))
+
+
+def assert_every_count_matches_bruteforce(positions, counts):
+    """assert_matches_bruteforce for many counts from one full (distance, index) sort."""
+    order, _ = bruteforce_neighbors(positions, len(positions) - 1)
+    order = np.array(order)
+    for count in counts:
+        found = nearest_neighbor_indices(positions, count)
+        np.testing.assert_array_equal(found, order[:, :count], err_msg=f"count {count}")
+
+
+class TestWindowedSearch:
+    """Layouts that defeat the azimuth window: the points a row needs lie
+    beyond it, or tie with the points at its edges, so rows must be keyed
+    over all points or sorted exactly."""
+
+    def test_every_point_at_one_azimuth(self):
+        # every azimuth gap is 0, so no window proves a row exact
+        positions = np.column_stack([np.full(256, 120.0), np.random.default_rng(31).uniform(0.0, 90.0, 256)])
+        assert_every_count_matches_bruteforce(positions, (1, 16, 100, 254, 255))
+
+    def test_two_clusters_stacked_at_one_azimuth(self):
+        # the azimuth order interleaves two clusters 50 degrees apart in elevation,
+        # so half of each window belongs to the other cluster
+        rng = np.random.default_rng(32)
+        positions = np.column_stack([120.0 + rng.normal(0.0, 1e-3, 256), rng.normal(20.0, 1.0, 256)])
+        positions[1::2, 1] += 50.0
+        positions[200:210] = positions[7]  # duplicates inside one cluster
+        assert_every_count_matches_bruteforce(positions, (1, 4, 16, 64, 127, 128, 129, 254))
+
+    @pytest.mark.parametrize("count", [1, 4, 16])
+    def test_sizes_from_count_plus_two(self, count):
+        # N = count + 2 upward, past the sizes where the window stops
+        # covering every point (about twice its half-width, 3 isqrt(N))
+        rng = np.random.default_rng(33 + count)
+        for size in range(count + 2, 80):
+            centres = rng.uniform((0.0, 0.0), (360.0, 90.0), size=(3, 2))
+            positions = centres[rng.integers(3, size=size)] + rng.normal(0.0, 2.0, size=(size, 2))
+            positions[-1] = positions[0]
+            assert_matches_bruteforce(positions, (count,))
+
+    def test_duplicates_at_the_window_edges(self):
+        # points in equal pairs along a line, and a lattice with repeated
+        # azimuths: across every count, some row's cut and some window's
+        # edge fall between two copies of one point
+        pairs = np.repeat(np.column_stack([np.arange(128.0), np.zeros(128)]), 2, axis=0)
+        assert_every_count_matches_bruteforce(pairs, range(1, 256))
+        lattice = np.random.default_rng(34).integers(0, 16, size=(256, 2)).astype(float)
+        assert_every_count_matches_bruteforce(lattice, range(1, 256, 3))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_nearest_point_in_the_window_end_column(self, side):
+        # at N = 256 the window reaches 48 places along the azimuth order on
+        # each side; point 0 at azimuth 0 has its nearest point 48 places
+        # away, then two points at squared distances 2353.25 and 2356.25,
+        # under the gap 49^2 to the first point beyond the window
+        positions = np.column_stack([np.arange(256.0), np.zeros(256)])
+        positions[1:48, 1] = 1000.0
+        positions[[1, 2], 1] = 48.5
+        positions[:, 0] *= side
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 2)[0], [48, 1])
+        assert_matches_bruteforce(positions, (1, 2, 3))
+
+    def test_padding_beside_float32_overflow(self):
+        # real squared distances that overflow float32 to inf sit beside the
+        # window's +-inf padding in the same rows
+        rng = np.random.default_rng(35)
+        positions = rng.uniform(-1e20, 1e20, size=(256, 2))
+        positions[:40] = rng.uniform(0.0, 1e18, size=(40, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_every_count_matches_bruteforce(positions, (1, 5, 16, 39, 40, 100, 254))
+
+    def test_padding_beside_subnormal_distances(self):
+        rng = np.random.default_rng(36)
+        positions = rng.uniform(0.0, 4e-160, size=(256, 2))
+        positions[200:] = rng.uniform(1.0, 2.0, size=(56, 2))
+        assert_every_count_matches_bruteforce(positions, (1, 3, 16, 199, 200, 254))
+
+
+class TestSquaredDistances:
+    def test_equals_cdist_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        for scale in (1.0, 360.0, 1e-160, 1e20):
+            points = rng.uniform(-scale, scale, size=(int(rng.integers(1, 80)), 2))
+            others = rng.uniform(-scale, scale, size=(int(rng.integers(1, 80)), 2))
+            shared = min(len(points), len(others)) // 2
+            others[:shared] = points[:shared]  # zero distances
+            expected = cdist(points, others, "sqeuclidean")
+            np.testing.assert_array_equal(squared_distances(points, others).view(np.uint64), expected.view(np.uint64))
 
 
 def fittest(population):
