@@ -1,9 +1,9 @@
 """Monte Carlo benchmark harness: accuracy and cost of DOA estimators.
 
 Runs seeded trials of synthesize -> covariance -> subspace -> projector ->
-search (grid or population optimizer) -> extraction -> truth matching, and
-aggregates MAE, success rate, and model/measured cost; per-pair errors go
-to errors.csv for CDF plots.
+search -> extraction -> truth matching, one path for every search, each an
+entry of the one table ``SEARCHES``; aggregates MAE, success rate, and
+model/measured cost; per-pair errors go to errors.csv for CDF plots.
 
 Determinism contract: every statistical output is fixed by (master_seed,
 config). Per-trial seeds derive from a documented stable hash,
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .extract import DoaEstimate, extract_dbscan, extract_klocalmax, extract_kmeanspp
+from .extract import DoaEstimate, ExtractionResult, extract_dbscan, extract_klocalmax, extract_kmeanspp
 from .music import (
     FlopModel,
     GridSpec,
@@ -49,8 +49,28 @@ EXTRACTIONS = {
     ),
 }
 
-# Every search a scenario can name: the exhaustive grid, then the population optimizers.
-SEARCHES = ("grid", *ALGORITHMS)
+
+def _grid_trial(config, proj, trial_index):
+    """The exhaustive grid finds its own peaks: its extract ignores the method."""
+    result = grid_search(proj, config.grid_spec(), len(config.source_azimuth_deg))
+    estimates = map(DoaEstimate, result.azimuth_deg.tolist(), result.elevation_deg.tolist(), result.values.tolist())
+    found = ExtractionResult(tuple(estimates), result.shortfall)
+    return lambda method: found, result.num_evaluations
+
+
+def _population_trial(config, proj, trial_index):
+    """One run of the scenario's population optimizer; its extract runs an extraction on the final population."""
+    objective = CountingObjective(spectrum_objective(proj))
+    optimizer = replace(config.optimizer, rng_seed=derive_seed(config.master_seed, trial_index, 1))
+    population = run_population(
+        config.algorithm, objective, SearchBox(), optimizer, config.share_radius_deg, config.species_radius_deg
+    )
+    return lambda method: EXTRACTIONS[method](config, population, trial_index), objective.count
+
+
+# Every search a scenario can name, the grid first: (trial function, closed-form FlopModel -> FLOPs). A trial function
+# maps (config, proj, trial_index) to (extract, spectrum evaluations), with extract(method) -> ExtractionResult.
+SEARCHES = {"grid": (_grid_trial, flops_music)} | {name: (_population_trial, flops_population) for name in ALGORITHMS}
 
 ERROR_COLUMNS = ("algo", "extraction", "snr_db", "trial", "source", "theta_error_deg", "phi_error_deg")
 
@@ -145,11 +165,6 @@ class ScenarioConfig:
         if not math.isclose(90.0 / self.grid_step_deg, round(90.0 / self.grid_step_deg)):
             raise ConfigError(f"grid_step_deg must divide 360 and 90 degrees evenly, got {self.grid_step_deg!r}")
 
-    @property
-    def population_search(self) -> bool:
-        """Whether the search hands a population to an extraction; the grid finds its own peaks."""
-        return self.algorithm in ALGORITHMS
-
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry.uca(self.num_elements, radius=self.radius)
 
@@ -169,8 +184,8 @@ class ScenarioConfig:
         )
 
     def model_flops(self) -> float:
-        """Closed-form cost of one trial's search: the grid's or the population's."""
-        return (flops_population if self.population_search else flops_music)(self.flop_model())
+        """Closed-form cost of one trial's search, by its SEARCHES entry."""
+        return SEARCHES[self.algorithm][1](self.flop_model())
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ScenarioConfig":
@@ -355,9 +370,9 @@ def _fixtures(config: ScenarioConfig) -> tuple[ArrayGeometry, SourceSet, float]:
 
 
 def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> list[TrialReport]:
-    """One seeded trial: synthesize, project and search once, then score each
-    extraction on that search, one report per method in order; the grid finds
-    its own peaks and gives one report. wall_ms is the search plus that report's extraction."""
+    """One seeded trial, one path for every search: synthesize, project and run the scenario's SEARCHES
+    entry once, then extract and score once per method, one report each in order. wall_ms is the search
+    plus that report's extraction."""
     geom, sources, flops = _fixtures(config)
     snapshots = synthesize_snapshots(
         geom, sources, config.snr_db, config.snapshots, derive_seed(config.master_seed, trial_index, 0)
@@ -367,29 +382,14 @@ def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> lis
     del snapshots
     score = partial(_score, config, sources, flops, trial_index)
     started = time.perf_counter()
-    if not config.population_search:
-        result = grid_search(proj, config.grid_spec(), sources.count)
-        estimates = tuple(
-            map(DoaEstimate, result.azimuth_deg.tolist(), result.elevation_deg.tolist(), result.values.tolist())
-        )
-        wall_ms = (time.perf_counter() - started) * 1e3
-        return [score(estimates, result.shortfall, result.num_evaluations, wall_ms)]
-    objective = CountingObjective(spectrum_objective(proj))
-    population = run_population(
-        config.algorithm,
-        objective,
-        SearchBox(),
-        replace(config.optimizer, rng_seed=derive_seed(config.master_seed, trial_index, 1)),
-        share_radius=config.share_radius_deg,
-        species_radius=config.species_radius_deg,
-    )
+    extract, evals = SEARCHES[config.algorithm][0](config, proj, trial_index)
     search_ms = (time.perf_counter() - started) * 1e3
     reports = []
     for method in extractions:
         started = time.perf_counter()
-        found = EXTRACTIONS[method](config, population, trial_index)
+        found = extract(method)
         wall_ms = search_ms + (time.perf_counter() - started) * 1e3
-        reports.append(score(found.estimates, found.shortfall, objective.count, wall_ms))
+        reports.append(score(found.estimates, found.shortfall, evals, wall_ms))
     return reports
 
 
@@ -461,7 +461,7 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
             success_phi.extend(report.match.phi_errors_deg.tolist())
     return AggregateReport(
         algo=config.algorithm,
-        extraction=config.extraction if config.population_search else "",
+        extraction=config.extraction if config.algorithm in ALGORITHMS else "",
         num_elements=config.num_elements,
         num_sources=len(config.source_azimuth_deg),
         snr_db=config.snr_db,
@@ -498,7 +498,7 @@ def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[
     """Score every extraction of EXTRACTIONS, in registry order, on identical
     final populations: the optimizer runs once per trial and every method
     consumes that population."""
-    if not config.population_search:
+    if config.algorithm not in ALGORITHMS:
         raise ConfigError("extraction comparison needs a population algorithm")
     methods = tuple(EXTRACTIONS)  # the names, which pickle for worker processes; the lambdas do not
     rows = _map_trials(partial(_trial_reports, extractions=methods), config, workers)
@@ -507,7 +507,7 @@ def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[
 
 def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> list[AggregateReport]:
     """Accuracy/cost trade-off versus population size at a fixed SNR."""
-    if not config.population_search:
+    if config.algorithm not in ALGORITHMS:
         raise ConfigError("population sweep needs a population algorithm")
     try:
         optimizers = [replace(config.optimizer, population_size=int(size)) for size in sizes]
@@ -576,7 +576,7 @@ def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
 
 def write_errors_csv(config: ScenarioConfig, reports_by_snr: dict[float, list[TrialReport]], path) -> None:
     """Per-matched-pair absolute errors, one row each, for CDF plotting, SNRs in ``reports_by_snr``'s order."""
-    extraction = config.extraction if config.population_search else ""
+    extraction = config.extraction if config.algorithm in ALGORITHMS else ""
     rows = (
         [config.algorithm, extraction, snr, report.trial, int(truth), t_err, p_err]
         for snr in reports_by_snr

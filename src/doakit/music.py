@@ -360,9 +360,9 @@ def flops_population(model: FlopModel) -> float:
     here. A pair is a lookup in a 4096-entry table plus degree-4 and
     degree-5 polynomials (``steering_rows``): 17.7 ns per steering entry at
     M = 128 and 30.0 ns at M = 12, against 39.0 and 29.5 ns with libm's cos
-    and sin (see README "Cost model notes"). Each generation's
-    neighbour search pays all N^2 distances and one sort of each row of
-    32-bit keys."""
+    and sin. A generation's neighbour search, charged N (N-1) distances, pays
+    N W, W = 6 floor(sqrt N), and one sort of each row of W + 1 32-bit keys,
+    plus N distances per unproven or tied row (both in README "Cost model notes")."""
     m, l = model.num_sensors, model.num_sources
     n, iters = model.population_size, model.max_iterations
     return float(m * m * (l + 2) + iters * n * ((m + 1) * (m - l) + (n - 1)))

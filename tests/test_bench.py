@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from doakit import (
     ConfigError,
     DEConfig,
     DoaEstimate,
+    ExtractionResult,
     GridSpec,
     ScenarioConfig,
     SourceSet,
@@ -408,6 +410,36 @@ class TestGoldenOutputs:
         assert estimate_digest(run_trials(config)) == ARRAY_SIZE_ESTIMATE_DIGESTS[num_elements]
 
 
+class TestSearchTable:
+    def test_registered_search_runs_through_trials_aggregate_and_cli(self, tmp_path, monkeypatch):
+        # one SEARCHES entry is a whole search: here the true sources, found with no spectrum evaluation
+        def truth_search(config, proj, trial_index):
+            found = ExtractionResult(tuple(estimates_from(config.source_azimuth_deg, config.source_elevation_deg)), False)
+            return lambda method: found, 0
+
+        monkeypatch.setitem(SEARCHES, "truth", (truth_search, lambda model: 2.5e6))
+        config = ScenarioConfig(algorithm="truth", snr_db=0.0, trials=3)
+        reports = run_trials(config)
+        assert [report.trial for report in reports] == [0, 1, 2]
+        for report in reports:
+            assert report.success and not report.shortfall
+            assert report.measured_evals == 0 and report.model_flops == 2.5e6
+            np.testing.assert_array_equal(report.match.theta_errors_deg, np.zeros(3))
+        agg = aggregate(config, reports)
+        assert (agg.algo, agg.extraction, agg.success_rate, agg.measured_evals) == ("truth", "", 1.0, 0.0)
+        assert agg.model_mflops == 2.5
+        assert agg.flops_ratio_vs_grid == 2.5e6 / flops_music(config.flop_model())
+
+        assert cli_main(["run", "--algo", "truth", "--trials", "2", "--snr", "0", "--out", str(tmp_path)]) == 0
+        with (tmp_path / "summary.csv").open() as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["algo"], row["extraction"], row["success_rate"], row["model_mflops"]) == ("truth", "", "1.0", "2.5")
+        with (tmp_path / "errors.csv").open() as handle:
+            errors = list(csv.DictReader(handle))
+        assert len(errors) == 6
+        assert {(r["algo"], r["theta_error_deg"], r["phi_error_deg"]) for r in errors} == {("truth", "0.0", "0.0")}
+
+
 class TestAggregate:
     def test_single_trial_aggregate_equals_trial(self):
         config = ScenarioConfig(algorithm="grid", snr_db=np.inf, trials=1)
@@ -564,8 +596,28 @@ class TestScenarioConfig:
             assert getattr(config, key) == (tuple(value) if isinstance(value, list) else value)
 
     @pytest.mark.parametrize("name", SEARCHES)
-    def test_population_search_is_membership_in_algorithms(self, name):
-        assert ScenarioConfig(algorithm=name).population_search == (name in ALGORITHMS)
+    def test_population_search_is_membership_in_algorithms(self, name, monkeypatch):
+        # only the searches of ALGORITHMS hand a population to an extraction: every other search is refused by the
+        # population-only runs, names no extraction in its aggregate and gives the same trial under every method
+        population = name in ALGORITHMS
+        config = ScenarioConfig(algorithm=name, snr_db=10.0, trials=1, optimizer=FAST_DE)
+        reports = {method: run_trial(replace(config, extraction=method), 0) for method in EXTRACTIONS}
+        refuse_trials(monkeypatch)
+        for run, message in (
+            (run_extraction_comparison, "extraction comparison needs a population algorithm"),
+            (partial(run_population_sweep, sizes=[32]), "population sweep needs a population algorithm"),
+        ):
+            # a population search passes the guard and reaches the refused trials
+            error, text = (AssertionError, "a trial ran") if population else (ConfigError, message)
+            with pytest.raises(error, match=text):
+                run(config)
+        for method, report in reports.items():
+            assert aggregate(replace(config, extraction=method), [report]).extraction == (method if population else "")
+        if not population:
+            first = reports["dbscan"]
+            for report in reports.values():
+                assert report.estimates == first.estimates
+                assert (report.shortfall, report.measured_evals) == (first.shortfall, first.measured_evals)
 
     # library defaults that restate a scenario default: (function, parameter, ScenarioConfig field)
     @pytest.mark.parametrize(
@@ -786,7 +838,8 @@ class TestCli:
         config.write_text(json.dumps({"algorithm": "grid"}), encoding="utf-8")
         code = cli_main([command, "--trials", "1", "--config", str(config), "--out", str(tmp_path)])
         assert code == 2
-        assert "config error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: " in err and "needs a population algorithm" in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", [["run", "--snr", "10"], ["sweep-pop", "--sizes", "32"]])
@@ -843,7 +896,7 @@ class TestCli:
         assert f"config error: cannot write {tmp_path / 'summary.csv'}: permission denied" in capsys.readouterr().err
 
     def test_run_offers_every_search(self):
-        assert SEARCHES == ("grid", "de", "denm", "dcde", "sharede", "sde")
+        assert tuple(SEARCHES) == ("grid", "de", "denm", "dcde", "sharede", "sde")
         for name in SEARCHES:
             assert build_parser().parse_args(["run", "--algo", name]).algo == name
         with pytest.raises(SystemExit):
