@@ -509,10 +509,12 @@ def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> lis
     """Accuracy/cost trade-off versus population size at a fixed SNR."""
     if config.algorithm not in ALGORITHMS:
         raise ConfigError("population sweep needs a population algorithm")
-    try:
-        optimizers = [replace(config.optimizer, population_size=int(size)) for size in sizes]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    optimizers = []
+    for size in sizes:
+        try:
+            optimizers.append(replace(config.optimizer, population_size=int(size)))
+        except ValueError as exc:
+            raise ConfigError(f"population_size {size!r}: {exc}") from exc
     if len({optimizer.population_size for optimizer in optimizers}) != len(optimizers):
         raise ConfigError("population sizes must be distinct")
     return _run_scenarios([replace(config, optimizer=optimizer) for optimizer in optimizers], workers)[0]

@@ -4,6 +4,8 @@ DBSCAN clustering is the primary route: dense groups of individuals mark
 spectrum peaks, scattered leftovers are labeled noise and never become
 estimates. Two baselines (fitness local maxima over k nearest neighbors,
 and k-means++ partitioning) cover the same population-to-estimates step.
+Each extraction labels the population and ends in one shared step: every
+label's fittest member, the top num_sources of those by fitness.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ class DoaEstimate:
 class ExtractionResult:
     """Estimates sorted by fitness descending. ``shortfall`` flags fewer
     extracted peaks than requested sources: a possible missed source that
-    the benchmark counts as a failed trial."""
+    the benchmark counts as a failed trial. ``labels`` is the labeling the
+    estimates were selected from (cluster ids, NOISE elsewhere); it is None
+    for k-local-max, whose estimates carry no cluster_id either."""
 
     estimates: tuple[DoaEstimate, ...]
     shortfall: bool
@@ -77,8 +81,6 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     reachable = squared_distances(pts, pts) <= eps * eps
     core = np.count_nonzero(reachable, axis=1) >= min_pts
     labels = np.full(n, NOISE, dtype=int)
-    if not core.any():
-        return ClusterLabeling(labels, 0)
     # row i: the cores within eps of point i
     core_links = reachable & core
     num_clusters = 0
@@ -96,33 +98,29 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
             members |= frontier
         labels[members] = num_clusters
         num_clusters += 1
-    border = np.where(reachable[~core][:, core], labels[core], num_clusters).min(axis=1)
+    border = np.where(reachable[~core][:, core], labels[core], num_clusters).min(axis=1, initial=num_clusters)
     labels[~core] = np.where(border < num_clusters, border, NOISE)
     return ClusterLabeling(labels, num_clusters)
 
 
-def _representatives(population: Population, labels: np.ndarray, num_clusters: int) -> list[tuple[int, int]]:
-    """(individual index, cluster id) of each cluster's fittest member,
-    fitness ties going to the lower index, ordered by fitness descending."""
-    reps = []
-    for cid in range(num_clusters):
-        members = np.flatnonzero(labels == cid)
-        best = int(members[np.argmax(population.fitness[members])])
-        reps.append((best, cid))
-    reps.sort(key=lambda item: (-population.fitness[item[0]], item[0]))
-    return reps
-
-
-def _to_estimates(population: Population, reps: list[tuple[int, int]]) -> tuple[DoaEstimate, ...]:
-    return tuple(
-        DoaEstimate(
-            azimuth_deg=float(population.positions[idx, 0]),
-            elevation_deg=float(population.positions[idx, 1]),
-            fitness=float(population.fitness[idx]),
-            cluster_id=cid,
-        )
-        for idx, cid in reps
+def _fittest_per_label(
+    population: Population, labels: np.ndarray, num_sources: int, keep_labels: bool = True
+) -> ExtractionResult:
+    """The result of a labeling: each label's fittest member (fitness ties to
+    the lower index; NOISE members never count), ordered by fitness
+    descending then index, the first num_sources as estimates, and a
+    shortfall when there are fewer labels than sources. Without keep_labels,
+    the result's labels and every cluster_id are None."""
+    order = np.argsort(-population.fitness, kind="stable")  # stable: ties keep index order
+    found, first = np.unique(labels[order], return_index=True)
+    best = order[np.sort(first[found != NOISE])]
+    chosen = best[:num_sources]
+    cluster_ids = labels[chosen].tolist() if keep_labels else [None] * len(chosen)
+    positions = population.positions[chosen]
+    estimates = map(
+        DoaEstimate, positions[:, 0].tolist(), positions[:, 1].tolist(), population.fitness[chosen].tolist(), cluster_ids
     )
+    return ExtractionResult(tuple(estimates), len(best) < num_sources, labels if keep_labels else None)
 
 
 def extract_dbscan(population: Population, num_sources: int, eps: float = 3.0, min_pts: int = 4) -> ExtractionResult:
@@ -131,30 +129,19 @@ def extract_dbscan(population: Population, num_sources: int, eps: float = 3.0, m
     representatives; fewer clusters than sources raises the shortfall flag."""
     if len(population) == 0:
         raise ValueError("population must be non-empty")
-    labeling = dbscan(population.positions, eps, min_pts)
-    reps = _representatives(population, labeling.labels, labeling.num_clusters)
-    return ExtractionResult(
-        estimates=_to_estimates(population, reps[:num_sources]),
-        shortfall=labeling.num_clusters < num_sources,
-        labels=labeling.labels,
-    )
+    return _fittest_per_label(population, dbscan(population.positions, eps, min_pts).labels, num_sources)
 
 
 def extract_klocalmax(population: Population, num_sources: int, num_neighbors: int = 8) -> ExtractionResult:
     """A point is a peak when its fitness strictly exceeds that of all of its
-    num_neighbors nearest neighbors; the top num_sources peaks by fitness win."""
+    num_neighbors nearest neighbors; the top num_sources peaks by fitness win.
+    Each peak is its own label, so the result carries no labels or cluster ids."""
     if not 1 <= num_neighbors < len(population):
         raise ValueError("num_neighbors must lie in [1, population size - 1]")
     neighbors = nearest_neighbor_indices(population.positions, num_neighbors)
     is_peak = population.fitness > population.fitness[neighbors].max(axis=1)
-    candidates = np.flatnonzero(is_peak)
-    order = np.lexsort((candidates, -population.fitness[candidates]))
-    reps = [(int(candidates[k]), None) for k in order[:num_sources]]
-    return ExtractionResult(
-        estimates=_to_estimates(population, reps),
-        shortfall=len(candidates) < num_sources,
-        labels=None,
-    )
+    labels = np.where(is_peak, np.arange(len(population)), NOISE)
+    return _fittest_per_label(population, labels, num_sources, keep_labels=False)
 
 
 def extract_kmeanspp(population: Population, num_sources: int, rng_seed: int = 0) -> ExtractionResult:
@@ -164,12 +151,7 @@ def extract_kmeanspp(population: Population, num_sources: int, rng_seed: int = 0
     if len(population) < num_sources:
         raise ValueError("population must have at least num_sources members")
     labels = _kmeans(population.positions, num_sources, np.random.default_rng(rng_seed))
-    reps = _representatives(population, labels, num_sources)
-    return ExtractionResult(
-        estimates=_to_estimates(population, reps),
-        shortfall=False,
-        labels=labels,
-    )
+    return _fittest_per_label(population, labels, num_sources)
 
 
 def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

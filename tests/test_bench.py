@@ -798,6 +798,9 @@ class TestCli:
             {"dbscan_min_pts": 2.5},
             {"klocalmax_neighbors": 8.0},
             {"snapshots": True},
+            {"snapshots": 0},
+            {"master_seed": -1},
+            {"optimizer": {"max_iterations": -1}},
             {"optimizer": {"population_size": 64.5}},
             {"optimizer": {"max_iterations": float("nan")}},
             {"optimizer": {"neighborhood_size": 16.0}},
@@ -811,6 +814,7 @@ class TestCli:
             # every azimuth at elevation 0 is the same direction
             {"source_azimuth_deg": [0.0, 90.0, 240.51], "source_elevation_deg": [0.0, 0.0, 45.55]},
             {"optimizer": {"pop": 3}},
+            [1, 2],  # a config file must hold a JSON object
             *(mapping for mapping, _ in NAMED_CONFIG_ERRORS),
         ],
     )
@@ -840,6 +844,13 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert "config error: " in err and "needs a population algorithm" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_sweep_pop_names_the_refused_size(self, tmp_path, capsys, monkeypatch):
+        refuse_trials(monkeypatch)
+        code = cli_main(["sweep-pop", "--trials", "1", "--sizes", "32", "16", "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error: population_size 16: neighborhood_size must lie in" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", [["run", "--snr", "10"], ["sweep-pop", "--sizes", "32"]])

@@ -1,3 +1,4 @@
+import warnings
 from collections import deque
 
 import numpy as np
@@ -289,6 +290,20 @@ class TestExtractDbscan:
         assert result.estimates[0].fitness >= result.estimates[1].fitness
 
 
+def bruteforce_peaks(population, k):
+    """Indices whose fitness strictly exceeds that of each of their k nearest
+    neighbors, distance ties going to the lower index."""
+    size = len(population)
+    peaks = []
+    for i in range(size):
+        dist = [(float(((population.positions[i] - population.positions[j]) ** 2).sum()), j) for j in range(size) if j != i]
+        dist.sort()
+        neighbors = [j for _, j in dist[:k]]
+        if population.fitness[i] > max(population.fitness[j] for j in neighbors):
+            peaks.append(i)
+    return peaks
+
+
 class TestExtractKLocalMax:
     def test_increasing_line_keeps_only_endpoint(self):
         positions = np.column_stack([np.linspace(0, 90, 10), np.full(10, 45.0)])
@@ -315,13 +330,7 @@ class TestExtractKLocalMax:
                 rng.uniform([0, 0], [360, 90], size=(size, 2)), rng.uniform(size=size)
             )
             result = extract_klocalmax(population, num_sources, num_neighbors=k)
-            peaks = []
-            for i in range(size):
-                dist = [(float(((population.positions[i] - population.positions[j]) ** 2).sum()), j) for j in range(size) if j != i]
-                dist.sort()
-                neighbors = [j for _, j in dist[:k]]
-                if population.fitness[i] > max(population.fitness[j] for j in neighbors):
-                    peaks.append(i)
+            peaks = bruteforce_peaks(population, k)
             peaks.sort(key=lambda i: (-population.fitness[i], i))
             expected = peaks[:num_sources]
             got = [e.fitness for e in result.estimates]
@@ -365,6 +374,17 @@ class TestExtractKMeansPP:
             assert len(result.estimates) == num_sources
             assert not result.shortfall
 
+    def test_coincident_points_fill_every_cluster(self):
+        # two locations for three clusters: seeding draws from all-zero distances and
+        # Lloyd's assignment leaves a cluster empty, which takes a point from a larger one
+        positions = [[10.0, 10.0]] * 4 + [[50.0, 20.0]] * 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = extract_kmeanspp(make_population(positions, np.arange(7.0)), 3, rng_seed=0)
+        assert len(result.estimates) == 3
+        assert not result.shortfall
+        assert np.all(np.bincount(result.labels, minlength=3) > 0)
+
     def test_representative_dominates_cluster(self):
         rng = np.random.default_rng(11)
         population, _ = converged_population(rng)
@@ -372,3 +392,68 @@ class TestExtractKMeansPP:
         for estimate in result.estimates:
             members = np.flatnonzero(result.labels == estimate.cluster_id)
             assert estimate.fitness >= population.fitness[members].max()
+
+
+def tied_population(rng):
+    """A converged population whose fitness is rounded to one decimal, so
+    that members of a cluster, and the peaks of different ones, tie."""
+    population, _ = converged_population(rng, spread=float(rng.uniform(0.3, 2.0)), stragglers=int(rng.integers(0, 30)))
+    return make_population(population.positions, np.round(population.fitness, 1))
+
+
+# each extraction with the labeling it selects from: (population, num_sources, rng) -> (result, labels)
+def _dbscan_labeled(population, num_sources, rng):
+    result = extract_dbscan(population, num_sources, eps=float(rng.uniform(0.5, 3.0)), min_pts=4)
+    return result, result.labels
+
+
+def _klocalmax_labeled(population, num_sources, rng):
+    k = int(rng.integers(1, 12))
+    labels = np.full(len(population), NOISE)
+    peaks = bruteforce_peaks(population, k)
+    labels[peaks] = peaks
+    return extract_klocalmax(population, num_sources, num_neighbors=k), labels
+
+
+def _kmeanspp_labeled(population, num_sources, rng):
+    result = extract_kmeanspp(population, num_sources, rng_seed=int(rng.integers(100)))
+    return result, result.labels
+
+
+@pytest.mark.parametrize(
+    "labeled", [_dbscan_labeled, _klocalmax_labeled, _kmeanspp_labeled], ids=["dbscan", "klocalmax", "kmeanspp"]
+)
+def test_estimates_are_the_fittest_member_of_each_label(labeled):
+    for seed in range(15):
+        rng = np.random.default_rng(seed + 300)
+        population = tied_population(rng)
+        num_sources = int(rng.integers(1, 7))
+        result, labels = labeled(population, num_sources, rng)
+        fitness = population.fitness
+        best = [
+            max(np.flatnonzero(labels == label), key=lambda i: (fitness[i], -i))
+            for label in set(labels.tolist()) - {NOISE}
+        ]
+        best.sort(key=lambda i: (-fitness[i], i))
+        got = [(e.azimuth_deg, e.elevation_deg, e.fitness) for e in result.estimates]
+        assert got == [(*population.positions[i], fitness[i]) for i in best[:num_sources]]
+        assert result.shortfall == (len(best) < num_sources)
+        if labeled is _klocalmax_labeled:
+            assert result.labels is None
+            assert all(e.cluster_id is None for e in result.estimates)
+        else:
+            assert [e.cluster_id for e in result.estimates] == [labels[i] for i in best[:num_sources]]
+
+
+@pytest.mark.parametrize(
+    "extract, message",
+    [
+        (lambda: extract_dbscan(make_population(np.empty((0, 2)), np.empty(0)), 1), "non-empty"),
+        (lambda: extract_klocalmax(make_population(np.zeros((5, 2)), np.arange(5.0)), 1, 5), "num_neighbors"),
+        (lambda: extract_kmeanspp(make_population(np.zeros((2, 2)), np.arange(2.0)), 3), "at least num_sources"),
+    ],
+    ids=["dbscan", "klocalmax", "kmeanspp"],
+)
+def test_extractions_refuse_bad_input(extract, message):
+    with pytest.raises(ValueError, match=message):
+        extract()

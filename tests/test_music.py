@@ -339,6 +339,10 @@ class TestGridSearch:
         assert result.shortfall
         assert len(result.values) == 0
 
+    def test_rejects_no_sources(self, noiseless_projector):
+        with pytest.raises(ValueError, match="num_sources must be positive"):
+            grid_search(noiseless_projector, GridSpec(), 0)
+
     def test_deterministic(self, noiseless_projector):
         first = grid_search(noiseless_projector, GridSpec(), 3)
         second = grid_search(noiseless_projector, GridSpec(), 3)

@@ -572,6 +572,10 @@ class TestSharedFitness:
         shared = shared_fitness(positions, np.array([4.0, 4.0, 9.0]), share_radius=15.0)
         np.testing.assert_allclose(shared, [2.0, 2.0, 9.0])
 
+    def test_rejects_non_positive_radius(self):
+        with pytest.raises(ValueError, match="share_radius must be positive"):
+            shared_fitness(np.zeros((2, 2)), np.array([1.0, 2.0]), share_radius=0.0)
+
     def test_raw_fitness_kept_on_population(self):
         config = DEConfig(population_size=32, max_iterations=10, neighborhood_size=8, rng_seed=1)
         population = run_population("sharede", bimodal, BOX, config, share_radius=15.0)
@@ -621,6 +625,9 @@ class TestRunPopulation:
             assert len(population) == 16
         with pytest.raises(ValueError):
             run_population("gradient", bimodal, BOX, config)
+        for radii in ((0.0, 15.0), (15.0, -1.0)):
+            with pytest.raises(ValueError, match="share_radius and species_radius must be positive"):
+                run_population("denm", bimodal, BOX, config, *radii)
 
     def test_objective_shape_checked(self):
         config = DEConfig(population_size=16, max_iterations=1, neighborhood_size=8, rng_seed=0)

@@ -304,6 +304,8 @@ class TestSourceSet:
             SourceSet(np.array([5.0, 5.0]), np.array([10.0, 10.0]))
         with pytest.raises(ValueError):
             SourceSet(np.array([5.0]), np.array([10.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="the same length"):
+            SourceSet(np.array([5.0, 50.0]), np.array([10.0]))
         # NaN compares false with every bound, and an infinite power breaks the covariance
         for az, el, power in ((np.nan, 10.0, 1.0), (5.0, np.nan, 1.0), (5.0, 10.0, np.nan), (5.0, 10.0, np.inf)):
             with pytest.raises(ValueError):
@@ -399,6 +401,10 @@ class TestSampleCovariance:
         x = rng.standard_normal((6, 20)) + 1j * rng.standard_normal((6, 20))
         cov = sample_covariance(x)
         np.testing.assert_allclose(np.trace(cov).real, np.sum(np.abs(x) ** 2) / 20, rtol=1e-12)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match="2-D matrix"):
+            sample_covariance(np.ones(5, dtype=complex))
 
     def test_exactly_hermitian_and_psd(self):
         rng = np.random.default_rng(3)
