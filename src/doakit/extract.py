@@ -127,6 +127,8 @@ def extract_dbscan(population: Population, num_sources: int, eps: float = 3.0, m
     """Cluster the population, keep each cluster's fittest individual, and
     return the top num_sources of those by fitness. Noise points are never
     representatives; fewer clusters than sources raises the shortfall flag."""
+    if num_sources < 1:
+        raise ValueError("num_sources must be positive")
     if len(population) == 0:
         raise ValueError("population must be non-empty")
     return _fittest_per_label(population, dbscan(population.positions, eps, min_pts).labels, num_sources)
@@ -136,6 +138,8 @@ def extract_klocalmax(population: Population, num_sources: int, num_neighbors: i
     """A point is a peak when its fitness strictly exceeds that of all of its
     num_neighbors nearest neighbors; the top num_sources peaks by fitness win.
     Each peak is its own label, so the result carries no labels or cluster ids."""
+    if num_sources < 1:
+        raise ValueError("num_sources must be positive")
     if not 1 <= num_neighbors < len(population):
         raise ValueError("num_neighbors must lie in [1, population size - 1]")
     neighbors = nearest_neighbor_indices(population.positions, num_neighbors)
@@ -148,6 +152,8 @@ def extract_kmeanspp(population: Population, num_sources: int, rng_seed: int = 0
     """Partition into exactly num_sources clusters (k-means++ seeding, Lloyd
     refinement, deterministic for a fixed seed); each cluster's fittest
     member is an estimate, so the result never falls short."""
+    if num_sources < 1:
+        raise ValueError("num_sources must be positive")
     if len(population) < num_sources:
         raise ValueError("population must have at least num_sources members")
     labels = _kmeans(population.positions, num_sources, np.random.default_rng(rng_seed))

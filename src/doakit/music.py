@@ -106,19 +106,34 @@ def _steering_rows(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
     return steering_rows(geometry, az, el)
 
 
-def _spectrum(proj: NoiseProjector, rows: np.ndarray) -> np.ndarray:
+def _spectrum(
+    proj: NoiseProjector, rows: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """1 / max(a^H G a, floor) per column of real steering rows, with
     a^H G a = M - ||B r||^2. It lies in [0, M] since G is an orthogonal
     projector, so every height is at least 1/M (exactly 1/M when L = 0).
 
     B r holds the real parts of U_s^H a above the imaginary parts; the squares
     are summed as the complex form sums them, re^2 + im^2 per source, then over
-    the sources, so the heights differ from it only by the rounding of B r."""
-    captured = np.square(proj.projection @ rows)
+    the sources, so the heights differ from it only by the rounding of B r.
+
+    Every step writes in place: B r into the first n columns of ``work``, a
+    (2L, >= n) float64 array, and the heights into ``out``, n float64 values,
+    which is returned. Either one left out is allocated, so a caller with
+    buffers and one without get the same heights bit for bit."""
+    num_points = rows.shape[1]
+    if out is None:
+        out = np.empty(num_points)
+    if work is None:
+        work = np.empty((len(proj.projection), num_points))
+    captured = np.matmul(proj.projection, rows, out=work[:, :num_points])
+    np.square(captured, out=captured)
     num_sources = len(captured) // 2
     captured[:num_sources] += captured[num_sources:]
-    power = proj.geometry.num_elements - captured[:num_sources].sum(axis=0)
-    return 1.0 / np.maximum(power, DENOMINATOR_FLOOR)
+    np.add.reduce(captured[:num_sources], axis=0, out=out)
+    np.subtract(proj.geometry.num_elements, out, out=out)
+    np.maximum(out, DENOMINATOR_FLOOR, out=out)
+    return np.divide(1.0, out, out=out)
 
 
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
@@ -196,10 +211,12 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
     return manifold, azimuth, elevation
 
 
-# Grid points per spectrum pass. At L = 3 a pass's temporaries stay below
-# 128 KB, where allocators serve them from the heap instead of mapping and
-# unmapping fresh pages every trial.
-_GRID_BLOCK_COLUMNS = 2048
+# Grid points per spectrum pass. ``evaluate_grid`` allocates one (2L, 8192) work
+# buffer per call (384 KB at L = 3), so the size trades the fixed cost of a
+# pass's numpy calls against cache reuse: a pass at M = 12, L = 3 reads 768 KB of
+# steering rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12
+# benchmark 8192 ran faster than 2048, 4096 and 16384 (README "Cost model notes").
+_GRID_BLOCK_COLUMNS = 8192
 
 
 def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
@@ -208,13 +225,17 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
 
     The steering rows of the grid are built once per process for the latest
     (geometry, grid) pair; a trial pays only the projection, in passes of
-    2048 points.
+    ``_GRID_BLOCK_COLUMNS`` points, each written through one work buffer
+    straight into the returned array. The block size does not change a
+    height.
     """
     rows = _grid_manifold(proj.geometry, spec)[0]
-    values = np.empty(rows.shape[1])
-    for start in range(0, rows.shape[1], _GRID_BLOCK_COLUMNS):
+    num_points = rows.shape[1]
+    values = np.empty(num_points)
+    work = np.empty((len(proj.projection), min(_GRID_BLOCK_COLUMNS, num_points)))
+    for start in range(0, num_points, _GRID_BLOCK_COLUMNS):
         stop = start + _GRID_BLOCK_COLUMNS
-        values[start:stop] = _spectrum(proj, rows[:, start:stop])
+        _spectrum(proj, rows[:, start:stop], values[start:stop], work)
     return values.reshape(spec.num_azimuth, spec.num_elevation)
 
 

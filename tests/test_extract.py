@@ -451,8 +451,12 @@ def test_estimates_are_the_fittest_member_of_each_label(labeled):
         (lambda: extract_dbscan(make_population(np.empty((0, 2)), np.empty(0)), 1), "non-empty"),
         (lambda: extract_klocalmax(make_population(np.zeros((5, 2)), np.arange(5.0)), 1, 5), "num_neighbors"),
         (lambda: extract_kmeanspp(make_population(np.zeros((2, 2)), np.arange(2.0)), 3), "at least num_sources"),
+        # a count below one would slice the representatives from the end, or take none, with no shortfall
+        (lambda: extract_dbscan(make_population(np.zeros((5, 2)), np.arange(5.0)), -1), "num_sources must be positive"),
+        (lambda: extract_klocalmax(make_population(np.zeros((5, 2)), np.arange(5.0)), 0), "num_sources must be positive"),
+        (lambda: extract_kmeanspp(make_population(np.zeros((5, 2)), np.arange(5.0)), -1), "num_sources must be positive"),
     ],
-    ids=["dbscan", "klocalmax", "kmeanspp"],
+    ids=["dbscan", "klocalmax", "kmeanspp", "dbscan-num_sources", "klocalmax-num_sources", "kmeanspp-num_sources"],
 )
 def test_extractions_refuse_bad_input(extract, message):
     with pytest.raises(ValueError, match=message):

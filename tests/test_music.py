@@ -20,7 +20,15 @@ from doakit import (
     subspace_split,
     synthesize_snapshots,
 )
-from doakit.music import _STRICT_MARGIN, DENOMINATOR_FLOOR, _grid_manifold, _local_maxima_mask
+from doakit import music
+from doakit.music import (
+    _STRICT_MARGIN,
+    DENOMINATOR_FLOOR,
+    _grid_manifold,
+    _local_maxima_mask,
+    _spectrum,
+    _steering_rows,
+)
 
 from conftest import STEERING_GEOMETRIES, TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -153,6 +161,25 @@ class TestMusicValue:
         for dtype in (float, complex):
             basis_free = NoiseProjector(np.zeros((num_elements, 0), dtype=dtype), geom)
             assert np.all(music_values(basis_free, rows) == 1.0 / num_elements)
+
+    @pytest.mark.parametrize("num_sources", [0, 3])
+    @pytest.mark.parametrize("geom", list(STEERING_GEOMETRIES.values()), ids=list(STEERING_GEOMETRIES))
+    def test_spectrum_into_buffers_equals_allocating_call(self, geom, num_sources):
+        num_points = 300
+        rows = _steering_rows(geom, random_rows(np.random.default_rng(num_sources), num_points))
+        # zero columns: the identity projector, whose B r has no rows
+        proj = NoiseProjector(random_split(geom.num_elements, seed=4).signal_basis[:, :num_sources], geom)
+        expected = _spectrum(proj, rows).view(np.uint64)
+        # a work buffer wider than the rows: only its first columns are written
+        work = np.full((2 * num_sources, num_points + 37), np.nan)
+        np.testing.assert_array_equal(_spectrum(proj, rows, work=work).view(np.uint64), expected)
+        # heights written into a slice of a larger array, alone and with the work buffer
+        for buffer in (None, work):
+            larger = np.full(num_points + 10, -7.0)
+            out = larger[4 : 4 + num_points]
+            assert _spectrum(proj, rows, out, buffer) is out
+            np.testing.assert_array_equal(out.view(np.uint64), expected)
+            assert np.all(larger[:4] == -7.0) and np.all(larger[4 + num_points :] == -7.0)
 
     def test_identity_projector_gives_one_over_m(self, uca12):
         proj = NoiseProjector(np.zeros((12, 0), dtype=complex), uca12)
@@ -381,16 +408,35 @@ def random_split(num_elements, seed, num_sources=3):
     return subspace_split(sample_covariance(x), num_sources)
 
 
+# (num_elements, radius, step, num_sources) of the grid-against-population comparison
+GRID_CASES = [
+    (5, 1.0, 1.0, 3),
+    (12, 1.0, 1.0, 1),
+    (12, 1.0, 1.0, 3),
+    (12, 1.0, 1.0, 10),
+    (12, 0.7, 1.0, 3),
+    (12, 1.0, 2.0, 3),
+    # odd circle: no mirrored half, so the projection is twice as wide
+    (11, 0.6, 1.0, 3),
+    (11, 0.6, 1.0, 10),
+]
+
+
 class TestGridManifold:
     @pytest.mark.parametrize(
-        "num_elements, radius, step",
-        [(5, 1.0, 1.0), (12, 1.0, 1.0), (12, 0.7, 1.0), (12, 1.0, 2.0)],
+        "num_elements, radius, step, num_sources",
+        GRID_CASES,
+        ids=[f"{m}-{r}-{s}" + ("" if l == 3 else f"-L{l}") for m, r, s, l in GRID_CASES],
     )
-    def test_equals_music_values_over_the_meshgrid(self, num_elements, radius, step):
+    def test_equals_music_values_over_the_meshgrid(self, num_elements, radius, step, num_sources, monkeypatch):
         geom = ArrayGeometry.uca(num_elements, radius=radius)
-        proj = noise_projector(random_split(num_elements, seed=num_elements), geom)
+        proj = noise_projector(random_split(num_elements, seed=num_elements, num_sources=num_sources), geom)
         spec = GridSpec(azimuth_step=step, elevation_step=step)
-        np.testing.assert_array_equal(evaluate_grid(proj, spec), spectrum_over_meshgrid(proj, spec))
+        expected = spectrum_over_meshgrid(proj, spec).view(np.uint64)
+        # the grid's passes leave a partial last block (32851 points on the 1-degree grid), or make one block
+        for block_columns in (1000, 2048, music._GRID_BLOCK_COLUMNS, spec.num_points + 1):
+            monkeypatch.setattr(music, "_GRID_BLOCK_COLUMNS", block_columns)
+            np.testing.assert_array_equal(evaluate_grid(proj, spec).view(np.uint64), expected)
 
     def test_alternating_geometries_of_equal_size(self):
         # same subspace split and element count: only the element positions tell the spectra apart
