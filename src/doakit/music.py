@@ -65,20 +65,19 @@ class NoiseProjector:
 
     def __post_init__(self):
         u = self.signal_basis
-        mirrored = self.geometry.mirrored_elements
-        computed = self.geometry.num_elements - mirrored
-        # parts[b, :, a] is (M, L): the real (a = 0) and imaginary (a = 1) parts of the
-        # cosine weight c (b = 0) and of the sine weight i c (b = 1); the mirrored
-        # rows then add c_{k+m} to P and take i c_{k+m} from Q
-        parts = np.empty((2, len(u), 2, u.shape[1]))
-        parts[0, :, 0] = parts[1, :, 1] = u.real
-        parts[1, :, 0] = u.imag
-        np.negative(u.imag, out=parts[0, :, 1])
-        parts[0, :mirrored] += parts[0, computed:]
-        parts[1, :mirrored] -= parts[1, computed:]
-        # B^T = [[Re P, Im P], [Re Q, Im Q]], (2k, 2L), held row-major: BLAS can round
-        # B r differently for another layout of B, and the golden digests pin this one
-        projection = parts[:, :computed].reshape(2 * computed, 2 * u.shape[1]).T
+        computed = self.geometry.num_elements - self.geometry.mirrored_elements
+        head, tail = u[:computed], u[computed:]
+        # P = conj(s) and Q = i conj(d) = conj(-i d), with s and d the element-wise sum
+        # and difference of the mirrored pairs (just the computed rows with no pairs);
+        # conjugation and the product by -i only move and negate parts, so each entry
+        # is rounded once, as in the real sums and differences
+        sums, diffs = (head + tail, head - tail) if len(tail) else (head, head)
+        weights = np.concatenate((sums, -1j * diffs)).conj()
+        # B^T = [[Re P, Im P], [Re Q, Im Q]], (2k, 2L), held row-major whatever the basis's
+        # layout: BLAS can round B r differently for another layout of B, and the golden
+        # digests pin this one
+        transposed = np.empty((len(weights), 2 * u.shape[1]))
+        projection = np.concatenate((weights.real, weights.imag), axis=1, out=transposed).T
         projection.flags.writeable = False
         object.__setattr__(self, "projection", projection)
 
@@ -211,11 +210,14 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
     return manifold, azimuth, elevation
 
 
-# Grid points per spectrum pass. ``evaluate_grid`` allocates one (2L, 8192) work
-# buffer per call (384 KB at L = 3), so the size trades the fixed cost of a
-# pass's numpy calls against cache reuse: a pass at M = 12, L = 3 reads 768 KB of
-# steering rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12
-# benchmark 8192 ran faster than 2048, 4096 and 16384 (README "Cost model notes").
+# Target grid points per spectrum pass. ``evaluate_grid`` splits the J grid points
+# into max(1, round(J / 8192)) passes of equal width, so that no pass is a short
+# remainder that pays a whole pass's fixed cost: the 1-degree grid's 32851 points
+# run as 4 passes of 8213 (the last 8212). One (2L, width) work buffer per call
+# (385 KB at L = 3) serves every pass, so the size trades the fixed cost of a pass's
+# numpy calls against cache reuse: a pass at M = 12, L = 3 reads 770 KB of steering
+# rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12 benchmark
+# 8192 ran faster than 2048, 4096 and 16384 (README "Cost model notes").
 _GRID_BLOCK_COLUMNS = 8192
 
 
@@ -224,17 +226,19 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
     num_elevation): values[i, j] at (azimuth i, elevation j).
 
     The steering rows of the grid are built once per process for the latest
-    (geometry, grid) pair; a trial pays only the projection, in passes of
-    ``_GRID_BLOCK_COLUMNS`` points, each written through one work buffer
-    straight into the returned array. The block size does not change a
+    (geometry, grid) pair; a trial pays only the projection, in equal passes
+    of about ``_GRID_BLOCK_COLUMNS`` points, each written through one work
+    buffer straight into the returned array. The pass width does not change a
     height.
     """
     rows = _grid_manifold(proj.geometry, spec)[0]
     num_points = rows.shape[1]
+    passes = max(1, round(num_points / _GRID_BLOCK_COLUMNS))
+    width = -(-num_points // passes)
     values = np.empty(num_points)
-    work = np.empty((len(proj.projection), min(_GRID_BLOCK_COLUMNS, num_points)))
-    for start in range(0, num_points, _GRID_BLOCK_COLUMNS):
-        stop = start + _GRID_BLOCK_COLUMNS
+    work = np.empty((len(proj.projection), width))
+    for start in range(0, num_points, width):
+        stop = start + width
         _spectrum(proj, rows[:, start:stop], values[start:stop], work)
     return values.reshape(spec.num_azimuth, spec.num_elevation)
 
@@ -247,7 +251,7 @@ _NEIGHBOR_ROWS = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
 _NEIGHBOR_COLUMNS = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 
 
-def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
+def _local_maxima_mask(values: np.ndarray, zenith: bool = False) -> np.ndarray:
     """Cells strictly greater than every cell of their 8-neighborhood.
 
     Axis 0 (azimuth) is periodic: its first and last rows are neighbors.
@@ -260,6 +264,14 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     maximum is taken first, in whole contiguous passes, and only the cells
     equal to it are compared with their eight neighbors. The block maximum
     only narrows the candidates; that comparison decides.
+
+    With ``zenith``, column 0 is one direction repeated in every row, as the
+    elevation-0 row of a grid is, and needs at least one column beside it.
+    Its cells tie with their azimuth neighbors, so none can pass the
+    8-neighborhood test; they never enter the candidate check, and the
+    zenith counts as one point instead: a maximum when it is strictly above
+    every cell of column 1, under the same margin, marked at row 0 alone.
+    Column 1 still compares with it as a neighbor.
     """
     num_elevation = values.shape[1]
     # 3-max along azimuth, wrapped, over whole rows
@@ -277,7 +289,10 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     np.maximum(block[:-1], flat_rows[1:], out=block[:-1])
     block = block.reshape(values.shape)
     inner = min(1, num_elevation - 1)  # the column next to an edge; the edge itself on one column
-    np.maximum(rows[:, 0], rows[:, inner], out=block[:, 0])
+    if zenith:
+        block[:, 0] = np.inf  # no zenith cell equals it, so none becomes a candidate
+    else:
+        np.maximum(rows[:, 0], rows[:, inner], out=block[:, 0])
     np.maximum(rows[:, -1], rows[:, -1 - inner], out=block[:, -1])
 
     candidates = np.flatnonzero(values == block)
@@ -293,6 +308,9 @@ def _local_maxima_mask(values: np.ndarray) -> np.ndarray:
     strict = values[row, column] > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
     mask = np.zeros(values.shape, dtype=bool)
     mask.ravel()[candidates[strict]] = True
+    if zenith:
+        ring_max = values[:, 1].max()
+        mask[0, 0] = values[0, 0] > ring_max + abs(ring_max) * _STRICT_MARGIN
     return mask
 
 
@@ -314,13 +332,16 @@ class GridSearchResult:
 def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridSearchResult:
     """Exhaustive grid evaluation followed by strict local-maximum extraction.
 
-    Peaks are ordered by value descending, then azimuth, then elevation.
+    The points at elevation 0, the zenith at every azimuth, count as one
+    point: a peak when it is strictly above every point at the next
+    elevation, reported once, at azimuth 0. Peaks are ordered by value
+    descending, then azimuth, then elevation.
     """
     if num_sources < 1:
         raise ValueError("num_sources must be positive")
     # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
     values = evaluate_grid(proj, spec)[:-1]
-    i_idx, j_idx = np.divmod(np.flatnonzero(_local_maxima_mask(values)), spec.num_elevation)
+    i_idx, j_idx = np.divmod(np.flatnonzero(_local_maxima_mask(values, zenith=True)), spec.num_elevation)
     _, azimuth, elevation = _grid_manifold(proj.geometry, spec)
     az = azimuth[i_idx]
     el = elevation[j_idx]

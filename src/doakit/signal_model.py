@@ -331,9 +331,21 @@ def _source_steering(geom: ArrayGeometry, sources: SourceSet) -> np.ndarray:
     return manifold
 
 
+# numpy divides a complex array by a real scalar as a product with its reciprocal, so
+# each part times this, not each part divided by sqrt(2), keeps the draws bit for bit
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    """Unit-variance circular complex Gaussian draws: bit for bit
+    (standard_normal(shape) + 1j * standard_normal(shape)) / sqrt(2), the real
+    parts drawn first, with both draws made as one block and scaled into one
+    complex array."""
+    draws = rng.standard_normal((2, *shape))
+    values = np.empty(shape, dtype=complex)
+    np.multiply(draws[0], _SQRT_HALF, out=values.real)
+    np.multiply(draws[1], _SQRT_HALF, out=values.imag)
+    return values
 
 
 def synthesize_snapshots(

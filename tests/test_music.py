@@ -347,6 +347,33 @@ class TestLocalMaxima:
             np.testing.assert_array_equal(mask, local_maxima_oracle(values))
             assert mask.any()
 
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (360, 91), (7, 1000), (2, 2)], ids=str)
+    def test_zenith_column_matches_oracle_beside_it(self, shape):
+        # column 0 one repeated value: column 1 and beyond keep the generic test, with column 0 as a neighbor;
+        # column 0 is one point, marked at row 0 alone when strictly above all of column 1
+        rng = np.random.default_rng(sum(shape))
+        for high in (None, 2, 3):
+            values = rng.standard_normal(shape) if high is None else rng.integers(0, high, shape).astype(float)
+            for zenith in (values[:, 1].max() + 1.0, values[:, 1].max(), values[:, 1].min()):
+                values[:, 0] = zenith
+                mask = _local_maxima_mask(values, zenith=True)
+                np.testing.assert_array_equal(mask[:, 1:], local_maxima_oracle(values)[:, 1:])
+                assert not mask[1:, 0].any()
+                assert mask[0, 0] == (zenith > values[:, 1].max())
+                # the generic test never marks a repeated column
+                assert not _local_maxima_mask(values)[:, 0].any()
+
+    def test_zenith_needs_strict_margin_over_every_next_row_cell(self):
+        values = np.zeros((6, 4))
+        values[:, 1] = 1.0
+        values[3, 1] = 2.0
+        for zenith, peak in ((2.0 + 1e-9, True), (2.0 * (1.0 + _STRICT_MARGIN / 2.0), False), (2.0, False), (1.5, False)):
+            values[:, 0] = zenith
+            mask = _local_maxima_mask(values, zenith=True)
+            assert mask[0, 0] == peak and mask[:, 0].sum() == peak
+            # the next-row cell that tops its other neighbors is a peak only when it tops the zenith too
+            assert mask[3, 1] == (zenith < 2.0)
+
 
 class TestGridSearch:
     def test_noiseless_reference_scenario(self, noiseless_projector):
@@ -388,6 +415,34 @@ class TestGridSearch:
             if min(az, 360.0 - az) < 1.0 and abs(el - 45.0) < 1.0
         ]
         assert len(near_seam) == 1
+
+    @pytest.mark.parametrize(
+        "elevation, step, expected",
+        [(0.0, 1.0, (0.0, 0.0)), (0.0, 10.0, (0.0, 0.0)), (2.0, 1.0, (30.0, 2.0)), (2.0, 10.0, (0.0, 0.0))],
+    )
+    def test_source_at_or_near_zenith_found(self, uca12, elevation, step, expected):
+        # the zenith is one grid point, reported at azimuth 0 when it tops the next elevation; a source
+        # 2 degrees off it lands on the 1-degree ring, and on the zenith of the 10-degree grid, its nearest point
+        sources = SourceSet(np.array([30.0, 200.0]), np.array([elevation, 50.0]))
+        snapshots = synthesize_snapshots(uca12, sources, np.inf, 50, rng_seed=2)
+        proj = noise_projector(subspace_split(sample_covariance(snapshots), 2), uca12)
+        result = grid_search(proj, GridSpec(azimuth_step=step, elevation_step=step), 2)
+        assert not result.shortfall
+        assert sorted(zip(result.azimuth_deg.tolist(), result.elevation_deg.tolist())) == sorted([expected, (200.0, 50.0)])
+        # the zenith is reported once, however many peaks are asked for
+        wide = grid_search(proj, GridSpec(azimuth_step=step, elevation_step=step), 20)
+        assert np.count_nonzero(wide.elevation_deg == 0.0) == (expected == (0.0, 0.0))
+        assert np.all(wide.azimuth_deg[wide.elevation_deg == 0.0] == 0.0)
+
+    def test_zenith_below_next_row_not_reported(self, uca12):
+        sources = SourceSet(np.array([100.0]), np.array([5.0]))
+        snapshots = synthesize_snapshots(uca12, sources, np.inf, 50, rng_seed=2)
+        proj = noise_projector(subspace_split(sample_covariance(snapshots), 1), uca12)
+        values = evaluate_grid(proj, GridSpec())
+        assert values[0, 0] < values[:, 1].max()
+        result = grid_search(proj, GridSpec(), 20)
+        assert (result.azimuth_deg[0], result.elevation_deg[0]) == (100.0, 5.0)
+        assert np.all(result.elevation_deg > 0.0)
 
     def test_values_positive_and_grid_shape(self, noiseless_projector):
         values = evaluate_grid(noiseless_projector, GridSpec())
@@ -433,10 +488,25 @@ class TestGridManifold:
         proj = noise_projector(random_split(num_elements, seed=num_elements, num_sources=num_sources), geom)
         spec = GridSpec(azimuth_step=step, elevation_step=step)
         expected = spectrum_over_meshgrid(proj, spec).view(np.uint64)
-        # the grid's passes leave a partial last block (32851 points on the 1-degree grid), or make one block
+        # many passes, four equal ones on the 1-degree grid (the last one point short), or one
         for block_columns in (1000, 2048, music._GRID_BLOCK_COLUMNS, spec.num_points + 1):
             monkeypatch.setattr(music, "_GRID_BLOCK_COLUMNS", block_columns)
             np.testing.assert_array_equal(evaluate_grid(proj, spec).view(np.uint64), expected)
+
+    def test_one_degree_grid_runs_in_four_equal_passes(self, monkeypatch):
+        proj = noise_projector(random_split(12, seed=12), ArrayGeometry.uca(12))
+        expected = spectrum_over_meshgrid(proj, GridSpec()).view(np.uint64)
+        widths, spectrum = [], music._spectrum
+
+        def recording_spectrum(proj, rows, out=None, work=None):
+            widths.append((rows.shape[1], len(out), work.shape[1]))
+            return spectrum(proj, rows, out, work)
+
+        monkeypatch.setattr(music, "_spectrum", recording_spectrum)
+        values = evaluate_grid(proj, GridSpec())
+        # each pass's rows, heights and work buffer: 3 x 8213 + 8212 = 32851, through one buffer
+        assert widths == [(8213, 8213, 8213)] * 3 + [(8212, 8212, 8213)]
+        np.testing.assert_array_equal(values.view(np.uint64), expected)
 
     def test_alternating_geometries_of_equal_size(self):
         # same subspace split and element count: only the element positions tell the spectra apart

@@ -13,7 +13,15 @@ from doakit import (
     synthesize_snapshots,
 )
 
-from doakit.signal_model import _CHUNK, _TABLE_SIZE, MAX_ELEMENT_REACH, _cos_sin, _source_steering, steering_rows
+from doakit.signal_model import (
+    _CHUNK,
+    _TABLE_SIZE,
+    MAX_ELEMENT_REACH,
+    _complex_normal,
+    _cos_sin,
+    _source_steering,
+    steering_rows,
+)
 
 from conftest import STEERING_GEOMETRIES, centred_4x4_grid, uca12_one_ulp_off
 
@@ -380,6 +388,16 @@ class TestSynthesize:
     def test_rejects_nan_snr(self, uca12, truth_sources):
         with pytest.raises(ValueError):
             synthesize_snapshots(uca12, truth_sources, np.nan, 8, rng_seed=0)
+
+    @pytest.mark.parametrize("shape", [(3, 100), (12, 100), (128, 100), (1, 1), (5, 7)], ids=str)
+    def test_complex_normal_draws_equal_the_two_draw_form(self, shape):
+        # stream 0 of the determinism contract: real parts drawn first, then imaginary, scaled by 1/sqrt(2)
+        for seed in (0, 1, 7, 2**40 + 3):
+            rng = np.random.default_rng(seed)
+            expected = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+            draws = _complex_normal(np.random.default_rng(seed), shape)
+            assert draws.dtype == np.complex128 and draws.shape == shape
+            np.testing.assert_array_equal(draws.view(np.uint64), expected.view(np.uint64))
 
 
 class TestSampleCovariance:
