@@ -78,7 +78,9 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     n = len(pts) if pts.size else 0
     if n == 0:
         return ClusterLabeling(np.empty(0, dtype=int), 0)
-    reachable = squared_distances(pts, pts) <= eps * eps
+    reachable = np.empty((n, n), dtype=bool)
+    for start in range(0, n, 64):  # 64 rows at a time: float temporaries of 64 x n, not n x n
+        np.less_equal(squared_distances(pts[start : start + 64], pts), eps * eps, out=reachable[start : start + 64])
     core = np.count_nonzero(reachable, axis=1) >= min_pts
     labels = np.full(n, NOISE, dtype=int)
     # row i: the cores within eps of point i

@@ -252,7 +252,14 @@ _NEIGHBOR_COLUMNS = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 
 
 def _local_maxima_mask(values: np.ndarray, zenith: bool = False) -> np.ndarray:
-    """Cells strictly greater than every cell of their 8-neighborhood.
+    """``_local_maxima`` as a boolean mask of the cells."""
+    mask = np.zeros(values.shape, dtype=bool)
+    mask.ravel()[_local_maxima(values, zenith)] = True
+    return mask
+
+
+def _local_maxima(values: np.ndarray, zenith: bool = False) -> np.ndarray:
+    """Flat indices, ascending, of the cells strictly above their 8-neighborhood.
 
     Axis 0 (azimuth) is periodic: its first and last rows are neighbors.
     Axis 1 (elevation) is not: a neighbor past its edge counts as -inf, so
@@ -270,7 +277,7 @@ def _local_maxima_mask(values: np.ndarray, zenith: bool = False) -> np.ndarray:
     Its cells tie with their azimuth neighbors, so none can pass the
     8-neighborhood test; they never enter the candidate check, and the
     zenith counts as one point instead: a maximum when it is strictly above
-    every cell of column 1, under the same margin, marked at row 0 alone.
+    every cell of column 1, under the same margin, at row 0 alone.
     Column 1 still compares with it as a neighbor.
     """
     num_elevation = values.shape[1]
@@ -306,12 +313,9 @@ def _local_maxima_mask(values: np.ndarray, zenith: bool = False) -> np.ndarray:
     neighbors = np.where(inside, values[neighbor_rows, neighbor_columns % num_elevation], -np.inf)
     neighbor_max = neighbors.max(axis=1)
     strict = values[row, column] > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
-    mask = np.zeros(values.shape, dtype=bool)
-    mask.ravel()[candidates[strict]] = True
-    if zenith:
-        ring_max = values[:, 1].max()
-        mask[0, 0] = values[0, 0] > ring_max + abs(ring_max) * _STRICT_MARGIN
-    return mask
+    if zenith and values[0, 0] > (ring_max := values[:, 1].max()) + abs(ring_max) * _STRICT_MARGIN:
+        return np.concatenate(([0], candidates[strict]))  # flat index 0 precedes every candidate
+    return candidates[strict]
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,7 @@ def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridS
         raise ValueError("num_sources must be positive")
     # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
     values = evaluate_grid(proj, spec)[:-1]
-    i_idx, j_idx = np.divmod(np.flatnonzero(_local_maxima_mask(values, zenith=True)), spec.num_elevation)
+    i_idx, j_idx = np.divmod(_local_maxima(values, zenith=True), spec.num_elevation)
     _, azimuth, elevation = _grid_manifold(proj.geometry, spec)
     az = azimuth[i_idx]
     el = elevation[j_idx]
@@ -403,8 +407,9 @@ def flops_population(model: FlopModel) -> float:
     degree-5 polynomials (``steering_rows``): 17.7 ns per steering entry at
     M = 128 and 30.0 ns at M = 12, against 39.0 and 29.5 ns with libm's cos
     and sin. A generation's neighbour search, charged N (N-1) distances, pays
-    N W, W = 6 floor(sqrt N), and one sort of each row of W + 1 32-bit keys,
-    plus N distances per unproven or tied row (both in README "Cost model notes")."""
+    N (W/2 + 1), each window pair once (W = 6 floor(sqrt N)), a sort of each
+    row of W + 1 keys, N more per unproven row, and per tied row a float64 sort
+    of its m + 2 listed points, or of all N if the tie reaches the cut (README)."""
     m, l = model.num_sensors, model.num_sources
     n, iters = model.population_size, model.max_iterations
     return float(m * m * (l + 2) + iters * n * ((m + 1) * (m - l) + (n - 1)))

@@ -192,17 +192,15 @@ def squared_distances(points: np.ndarray, others: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _sorted_keys(sq: np.ndarray, columns: np.ndarray, bits: int) -> np.ndarray:
-    """Row-sorted 32-bit keys: each squared distance rounded to float32
-    (rounding keeps order, and non-negative floats sort as their bits do)
-    with its lowest ``bits`` bits replaced by its column's point index. A
-    squared distance beyond float32's range rounds to inf."""
-    with np.errstate(over="ignore"):
-        keys = sq.astype(np.float32).view(np.uint32)
-    keys &= ~np.uint32((1 << bits) - 1)
-    keys |= columns
-    keys.sort(axis=1)
-    return keys
+def _exact_neighbors(pos: np.ndarray, rows: np.ndarray, columns: np.ndarray, count: int) -> np.ndarray:
+    """Point rows[r]'s count nearest among columns[r], which holds rows[r],
+    by float64 dx*dx + dy*dy; equal distances keep their order in columns."""
+    delta = pos.take(columns, axis=0) - pos.take(rows, axis=0)[:, None]
+    delta *= delta
+    sq = delta[..., 0] + delta[..., 1]
+    sq[columns == rows[:, None]] = -np.inf  # self first, then dropped
+    nearest = np.argsort(sq, axis=1, kind="stable")[:, 1 : count + 1]
+    return columns[np.arange(len(rows))[:, None], nearest]
 
 
 def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
@@ -213,13 +211,17 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     1975): with the points sorted by azimuth, each point keys only the
     ``half`` points on either side of it in that order, and a point outside
     that window is at least the smaller azimuth gap to the first points
-    beyond it away. Rounding to float32 and cutting off the index bits can
-    make distances equal, never swap them, so a row is exact when that gap's
-    key, index bits dropped, exceeds the key of the next point after its
-    count neighbors; any other row is keyed over all points. A row whose
-    self, count neighbors and next point hold two equal keys once the index
-    bits are dropped (a duplicate, a tie or near-tie in the list or at the
-    cut) is then sorted exactly.
+    beyond it away. Each distance is computed once, in a half-band of rows
+    d(p, p + o), o = 0..half, after ``half`` inf pad rows; row p's backward
+    half d(p - half + j, p) is a view of it skewed by strides (s0, s0 - s1),
+    bit-equal as (a - b)**2 == (b - a)**2. Rounding to float32 and cutting
+    off the index bits can make distances equal, never swap them, so a row
+    is exact when that gap's key, index bits dropped, exceeds the key of
+    the next point after its count neighbors; any other row is keyed over
+    all points. Equal keys (index bits dropped) among self, the count
+    neighbors and the next point are settled by float64 distance and index
+    among those points, which then hold every point of that key, or among
+    all points when the tie reaches the next point.
     """
     pos = np.asarray(positions, dtype=float)
     size = len(pos)
@@ -231,7 +233,6 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     # generation need all N; at least enough that a row at either end of
     # the order holds self, the count neighbors and the next point
     half = min(size - 1, max(count + 1, 3 * isqrt(size)))
-    width = 2 * half + 1
     # x, y and index of the points in azimuth order, between half + 1 pads
     # at -inf and +inf azimuth, so a window never runs off the end and the
     # gap beyond a window that holds the last point is inf
@@ -239,38 +240,55 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     x, y = padded = np.zeros((2, size + 2 * half + 2))
     x[: half + 1] = -np.inf
     x[half + 1 + size :] = np.inf
-    padded[:, half + 1 : half + 1 + size] = pos[order].T
+    padded[:, half + 1 : half + 1 + size] = pos.take(order, axis=0).T
     index = np.zeros(len(x), dtype=np.uint32)
     index[half + 1 : half + 1 + size] = order
 
-    def windows(row):
-        """Strided view: row p holds the entries from half before sorted point p to half after it."""
-        return np.ndarray((size, width), row.dtype, buffer=row, offset=row.itemsize, strides=2 * row.strides)
+    def windows(row, start, length):
+        """Strided view: row p holds length entries from padded place start + p on."""
+        return np.ndarray((size, length), row.dtype, buffer=row, offset=start * row.itemsize, strides=2 * row.strides)
 
     xc = x[half + 1 : half + 1 + size, None]
     yc = y[half + 1 : half + 1 + size, None]
-    dx = xc - windows(x)
-    dy = yc - windows(y)
-    dx *= dx
-    dy *= dy
-    dx += dy  # squared distances, rounded as squared_distances rounds them
-    gap = np.minimum(xc[:, 0] - x[:size], x[width + 1 :] - xc[:, 0])
+    band = np.empty((size + half, half + 1))
+    band[:half] = np.inf
+    ahead = np.subtract(xc, windows(x, half + 1, half + 1), out=band[half:])
+    dy = yc - windows(y, half + 1, half + 1)
+    ahead *= ahead
+    ahead += np.square(dy, out=dy)  # squared distances, rounded as squared_distances rounds them
+    gap = np.minimum(xc[:, 0] - x[:size], x[2 * half + 2 :] - xc[:, 0])
+    # keys: squared distances rounded to float32 (rounding keeps order, and
+    # non-negative floats sort as their bits do; past float32's range, inf)
+    # with the lowest bits cleared for a point index
     with np.errstate(over="ignore"):
         bound = (gap * gap).astype(np.float32).view(np.uint32) >> bits
+        band = band.astype(np.float32).view(np.uint32)
+    band &= ~low
+    s0, s1 = band.strides  # row p, column j of the view reads band row p + j, column half - j
+    behind = np.ndarray((size, half), np.uint32, buffer=band, offset=half * s1, strides=(s0, s0 - s1))
+    keys = np.empty((size, 2 * half + 1), dtype=np.uint32)
+    np.bitwise_or(behind, windows(index, 1, half), out=keys[:, :half])
+    np.bitwise_or(band[half:], windows(index, half + 1, half + 1), out=keys[:, half:])
+    keys.sort(axis=1)
     stop = min(count + 2, size)  # self, the count neighbors and the next point, if any
-    keys = _sorted_keys(dx, windows(index), bits)[:, :stop]
+    keys = keys[:, :stop]
     short = np.flatnonzero(keys[:, -1] >> bits >= bound)
     if len(short):
-        whole = squared_distances(pos[order[short]], pos)
-        keys[short] = _sorted_keys(whole, np.arange(size, dtype=np.uint32), bits)[:, :stop]
+        with np.errstate(over="ignore"):
+            whole = squared_distances(pos[order[short]], pos).astype(np.float32).view(np.uint32)
+        whole = (whole & ~low) | np.arange(size, dtype=np.uint32)
+        keys[short] = np.sort(whole, axis=1)[:, :stop]
     head = keys >> bits
     result = np.empty((size, count), dtype=np.intp)
     result[order] = keys[:, 1 : count + 1] & low
-    tied = order[np.any(head[:, 1:] == head[:, :-1], axis=1)]
-    if len(tied):
-        exact = squared_distances(pos[tied], pos)
-        exact[np.arange(len(tied)), tied] = np.inf
-        result[tied] = np.argsort(exact, axis=1, kind="stable")[:, :count]
+    cut = head[:, -1] == head[:, -2]  # a tie that reaches the next point
+    inside = np.flatnonzero((head[:, 1:-1] == head[:, :-2]).any(axis=1) & ~cut)
+    across = np.flatnonzero(cut)
+    if len(inside):
+        result[order[inside]] = _exact_neighbors(pos, order[inside], keys[inside] & low, count)
+    if len(across):
+        everyone = np.broadcast_to(np.arange(size), (len(across), size))
+        result[order[across]] = _exact_neighbors(pos, order[across], everyone, count)
     return result
 
 

@@ -439,6 +439,110 @@ class TestWindowedSearch:
         assert_every_count_matches_bruteforce(positions, (1, 3, 16, 199, 200, 254))
 
 
+def stable_sort_neighbors(positions):
+    """Every other point of each row, nearest first: a stable argsort of the
+    float64 dx*dx + dy*dy over all points, self removed, so equal distances
+    keep index order."""
+    pos = np.asarray(positions, dtype=float)
+    dx = pos[:, None, 0] - pos[None, :, 0]
+    dy = pos[:, None, 1] - pos[None, :, 1]
+    order = np.argsort(dx * dx + dy * dy, axis=1, kind="stable")
+    return order[order != np.arange(len(pos))[:, None]].reshape(len(pos), len(pos) - 1)
+
+
+def assert_counts_match_stable_sort(positions, counts):
+    order = stable_sort_neighbors(positions)
+    for count in counts:
+        found = nearest_neighbor_indices(positions, count)
+        assert found.shape == (len(positions), count)
+        np.testing.assert_array_equal(found, order[:, :count], err_msg=f"count {count}")
+
+
+def float32_twins(base, steps):
+    """x coordinates whose squares are base**2 plus a few float64 ulps per
+    step: distinct and ordered as steps in float64, one value in float32."""
+    xs = [base + step * 4e-15 for step in steps]
+    squares = np.array(xs) ** 2
+    assert len(np.unique(squares)) == len(steps) and len(np.unique(squares.astype(np.float32))) == 1
+    return xs
+
+
+class TestStableSortOracle:
+    """The half-band search against a full stable sort: each distance is
+    computed once and read from both ends, and a tie is settled among the
+    count + 2 listed points unless it reaches the last of them."""
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0])
+    @pytest.mark.parametrize("num_elements", [12, 128])
+    def test_recorded_denm_generations(self, num_elements, snr_db, monkeypatch):
+        searched = []
+
+        def recording(positions, count):
+            searched.append(positions.copy())
+            return nearest_neighbor_indices(positions, count)
+
+        monkeypatch.setattr("doakit.optimizer.nearest_neighbor_indices", recording)
+        run_trial(ScenarioConfig(num_elements=num_elements, snr_db=snr_db, master_seed=3), 1)
+        assert len(searched) == DEConfig().max_iterations
+        for positions in searched:
+            assert_counts_match_stable_sort(positions, (1, 8, 16, len(positions) - 1))
+
+    @pytest.mark.parametrize("size", [5, 6, 17, 256, 257, 512])
+    def test_sizes_and_counts_with_duplicates(self, size):
+        # coordinates on a coarse lattice, plus copies of earlier points, so
+        # rows tie inside their list, at its cut and at distance 0 with self;
+        # counts up to N - 1, where the window spans every point
+        rng = np.random.default_rng(40 + size)
+        positions = np.round(rng.uniform((0.0, 0.0), (360.0, 90.0), size=(size, 2)) / 7.0) * 7.0
+        copies = rng.integers(0, size, size=size // 4 + 1)
+        positions[rng.integers(0, size, size=len(copies))] = positions[copies]
+        assert_counts_match_stable_sort(positions, sorted({1, min(8, size - 1), min(16, size - 1), size - 1}))
+
+    def test_copies_of_self_beyond_the_list(self):
+        # eight copies of one point: the higher copies list only lower ones
+        # among their count + 2 nearest, so self is not in the list at all
+        rng = np.random.default_rng(41)
+        positions = rng.uniform(0.0, 100.0, size=(30, 2))
+        positions[[2, 5, 6, 11, 17, 20, 23, 29]] = positions[2]
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 2)[29], [2, 5])
+        assert_counts_match_stable_sort(positions, (1, 2, 5, 6, 7, 8, 28))
+
+    def test_exact_tie_at_the_cut(self):
+        # from point 0, points 4 and 2 lie at one float64 distance, the count-th
+        # and the next: the lower index wins the cut
+        positions = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 2.0], [50.0, 50.0], [2.0, 0.0], [0.0, -3.0]])
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 2)[0], [1, 2])
+        assert_counts_match_stable_sort(positions, (1, 2, 3, 5))
+
+    def test_float32_tie_inside_the_list(self):
+        # points 1 and 2 share a float32 key, 2 nearer in float64; point 3
+        # after them keys higher, so the tie is settled within the list
+        x1, x2 = float32_twins(3.0, [2, 1])
+        positions = np.array([[0.0, 0.0], [x1, 0.0], [0.0, x2], [4.0, 4.0], [40.0, 40.0], [-40.0, 35.0]])
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 2)[0], [2, 1])
+        assert_counts_match_stable_sort(positions, (1, 2, 5))
+
+    def test_float32_tie_across_the_cut(self):
+        # points 1, 2 and 3 share a float32 key and lie nearer in float64 the
+        # higher their index: for one neighbor the list holds 1 and 2 only,
+        # and the nearest, 3, is found among all points
+        x1, x2, x3 = float32_twins(3.0, [3, 2, 1])
+        positions = np.array([[0.0, 0.0], [x1, 0.0], [0.0, x2], [-x3, 0.0], [40.0, 40.0], [-40.0, 35.0]])
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [3])
+        np.testing.assert_array_equal(nearest_neighbor_indices(positions, 2)[0], [3, 2])
+        assert_counts_match_stable_sort(positions, (1, 2, 3, 5))
+
+    def test_squared_distances_beyond_float64_range(self):
+        # coordinates near 1e200 square to inf even in float64, so those
+        # distances tie with each other and with nothing else: a row still
+        # never lists itself, wherever its index falls among the ties
+        rng = np.random.default_rng(42)
+        positions = rng.uniform(-1e200, 1e200, size=(12, 2))
+        positions[[3, 7, 8]] = rng.uniform(0.0, 1.0, size=(3, 2))
+        with np.errstate(over="ignore"):
+            assert_counts_match_stable_sort(positions, (1, 2, 3, 10, 11))
+
+
 class TestSquaredDistances:
     def test_equals_cdist_bit_for_bit(self):
         rng = np.random.default_rng(37)
