@@ -88,7 +88,6 @@ __all__ = [
     "aggregate",
     "run_sweep",
     "run_extraction_comparison",
-    "run_population_sweep",
     "complexity_cells",
     "format_complexity_table",
     "write_csv",
@@ -475,29 +474,35 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
         trials=len(reports),
         mae_theta_deg=_mean(success_theta),
         mae_phi_deg=_mean(success_phi),
-        success_rate=float(np.mean([r.success for r in reports])),
+        success_rate=_mean([r.success for r in reports]),
         model_mflops=config.model_flops() / 1e6,
-        measured_evals=float(np.mean([r.measured_evals for r in reports])),
-        wall_ms=float(np.mean([r.wall_ms for r in reports])),
+        measured_evals=_mean([r.measured_evals for r in reports]),
+        wall_ms=_mean([r.wall_ms for r in reports]),
         raw_mae_theta_deg=_mean(raw_theta),
         raw_mae_phi_deg=_mean(raw_phi),
         flops_ratio_vs_grid=config.model_flops() / flops_music(config.flop_model()),
     )
 
 
-def _run_scenarios(scenarios: list[ScenarioConfig], workers: int):
-    """Every trial of each scenario in turn: one aggregate and one report list per scenario, in order."""
+def run_sweep(config: ScenarioConfig, values, workers: int = 1, field: str = "snr_db"):
+    """One scenario per value of one field, a ScenarioConfig field or ``optimizer.NAME`` for a DEConfig field, run
+    in order: one aggregate per value, plus {value: per-trial reports} for CDF export. Every scenario is built, and
+    every refusal raised, before any trial runs. SNR values become floats."""
+    name = field.removeprefix("optimizer.")
+    if name != field and config.algorithm not in ALGORITHMS:
+        raise ConfigError(f"{field} needs a population algorithm, not {config.algorithm!r}")
+    values = [float(value) for value in values] if field == "snr_db" else list(values)
+    scenarios = []
+    for value in values:
+        try:
+            changes = {field: value} if name == field else {"optimizer": replace(config.optimizer, **{name: value})}
+            scenarios.append(replace(config, **changes))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{field} {value!r}: {exc}") from exc
+    if len(set(scenarios)) != len(scenarios):  # built scenarios hash; a raw value such as a list may not
+        raise ConfigError(f"{field} values must be distinct")
     reports = [run_trials(scenario, workers=workers) for scenario in scenarios]
-    return [aggregate(scenario, rows) for scenario, rows in zip(scenarios, reports)], reports
-
-
-def run_sweep(config: ScenarioConfig, snr_values, workers: int = 1):
-    """One aggregate per SNR value, plus the per-trial reports for CDF export."""
-    snr_values = [float(snr) for snr in snr_values]
-    if len(set(snr_values)) != len(snr_values):
-        raise ConfigError("SNR values must be distinct")
-    aggregates, reports = _run_scenarios([replace(config, snr_db=snr) for snr in snr_values], workers)
-    return aggregates, dict(zip(snr_values, reports))
+    return [aggregate(scenario, rows) for scenario, rows in zip(scenarios, reports)], dict(zip(values, reports))
 
 
 def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[str, list[TrialReport]]:
@@ -509,21 +514,6 @@ def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[
     methods = tuple(EXTRACTIONS)  # the names, which pickle for worker processes; the lambdas do not
     rows = _map_trials(partial(_trial_reports, extractions=methods), config, workers)
     return {method: [row[k] for row in rows] for k, method in enumerate(methods)}
-
-
-def run_population_sweep(config: ScenarioConfig, sizes, workers: int = 1) -> list[AggregateReport]:
-    """Accuracy/cost trade-off versus population size at a fixed SNR."""
-    if config.algorithm not in ALGORITHMS:
-        raise ConfigError("population sweep needs a population algorithm")
-    optimizers = []
-    for size in sizes:
-        try:
-            optimizers.append(replace(config.optimizer, population_size=int(size)))
-        except ValueError as exc:
-            raise ConfigError(f"population_size {size!r}: {exc}") from exc
-    if len({optimizer.population_size for optimizer in optimizers}) != len(optimizers):
-        raise ConfigError("population sizes must be distinct")
-    return _run_scenarios([replace(config, optimizer=optimizer) for optimizer in optimizers], workers)[0]
 
 
 TABLE_SENSOR_COUNTS = (12, 32, 128)

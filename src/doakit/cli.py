@@ -32,13 +32,11 @@ from .bench import (
     complexity_cells,
     format_complexity_table,
     run_extraction_comparison,
-    run_population_sweep,
     run_sweep,
     write_csv,
     write_errors_csv,
     write_summary_csv,
 )
-from .optimizer import ALGORITHMS
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -72,13 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare-extract", help="extraction methods on identical populations")
     compare.set_defaults(handler=_cmd_compare_extract)
     _add_common(compare)
-    compare.add_argument("--algo", choices=ALGORITHMS, default=None)
+    compare.add_argument("--algo", choices=SEARCHES, default=None)
     compare.add_argument("--snr", type=float, default=-5.0, help="SNR in dB (default: -5)")
 
     pop = sub.add_parser("sweep-pop", help="accuracy/cost versus population size")
     pop.set_defaults(handler=_cmd_sweep_pop)
     _add_common(pop)
-    pop.add_argument("--algo", choices=ALGORITHMS, default=None)
+    pop.add_argument("--algo", choices=SEARCHES, default=None)
     pop.add_argument("--extract", choices=EXTRACTIONS, default=None)
     pop.add_argument("--snr", type=float, default=0.0, help="SNR in dB (default: 0)")
     pop.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96, 128, 160, 192, 224, 256])
@@ -171,7 +169,7 @@ def _cmd_compare_extract(args) -> int:
 def _cmd_sweep_pop(args) -> int:
     config = replace(_load_config(args), snr_db=args.snr)
     (path,) = _output_files(args.out, "population_sweep.csv")
-    aggregates = run_population_sweep(config, args.sizes, workers=args.workers)
+    aggregates = run_sweep(config, args.sizes, workers=args.workers, field="optimizer.population_size")[0]
     columns = ("snr_db", "trials", "success_rate", "mae_theta_deg", "mae_phi_deg", "model_mflops", "flops_ratio_vs_grid")
     rows = []
     for size, agg in zip(args.sizes, aggregates):

@@ -210,13 +210,17 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
     return manifold, azimuth, elevation
 
 
-# Target grid points per spectrum pass. ``evaluate_grid`` splits the J grid points
-# into max(1, round(J / 8192)) passes of equal width, so that no pass is a short
-# remainder that pays a whole pass's fixed cost: the 1-degree grid's 32851 points
-# run as 4 passes of 8213 (the last 8212). One (2L, width) work buffer per call
-# (385 KB at L = 3) serves every pass, so the size trades the fixed cost of a pass's
-# numpy calls against cache reuse: a pass at M = 12, L = 3 reads 770 KB of steering
-# rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12 benchmark
+# Target grid points per spectrum pass. ``evaluate_grid`` splits the J grid points into
+# max(1, round(J / 8192)) passes of equal width, rounded up to a multiple of 16, so that
+# no pass is a short remainder that pays a whole pass's fixed cost: the 1-degree grid's
+# 32851 points run as 3 passes of 8224 and one of 8179. On one thread OpenBLAS rounds a
+# product's trailing columns through a tail kernel, which moved the last bit of cells
+# that widths such as 8213 left off a multiple of 16; now only the last pass ends there,
+# as one ``music_values`` call does (smaller blocks can still move its last J mod 16
+# cells, in the 360-degree column that ``grid_search`` drops). One (2L, width) work
+# buffer per call (385 KB at L = 3) serves every pass, so the size trades the fixed cost
+# of a pass's numpy calls against cache reuse: a pass at M = 12, L = 3 reads 770 KB of
+# steering rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12 benchmark
 # 8192 ran faster than 2048, 4096 and 16384 (README "Cost model notes").
 _GRID_BLOCK_COLUMNS = 8192
 
@@ -228,13 +232,13 @@ def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
     The steering rows of the grid are built once per process for the latest
     (geometry, grid) pair; a trial pays only the projection, in equal passes
     of about ``_GRID_BLOCK_COLUMNS`` points, each written through one work
-    buffer straight into the returned array. The pass width does not change a
-    height.
+    buffer straight into the returned array. At the default pass width the
+    heights equal one ``music_values`` call over every grid point.
     """
     rows = _grid_manifold(proj.geometry, spec)[0]
     num_points = rows.shape[1]
     passes = max(1, round(num_points / _GRID_BLOCK_COLUMNS))
-    width = -(-num_points // passes)
+    width = -(-num_points // passes // 16) * 16
     values = np.empty(num_points)
     work = np.empty((len(proj.projection), width))
     for start in range(0, num_points, width):

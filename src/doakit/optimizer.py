@@ -203,6 +203,7 @@ def _exact_neighbors(pos: np.ndarray, rows: np.ndarray, columns: np.ndarray, cou
     return columns[np.arange(len(rows))[:, None], nearest]
 
 
+@np.errstate(over="ignore")  # squared distances past float64's range are inf, as past float32's
 def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     """Each point's ``count`` nearest neighbors by Euclidean distance,
     self excluded, distance ties broken toward the lower index.
@@ -260,9 +261,8 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     # keys: squared distances rounded to float32 (rounding keeps order, and
     # non-negative floats sort as their bits do; past float32's range, inf)
     # with the lowest bits cleared for a point index
-    with np.errstate(over="ignore"):
-        bound = (gap * gap).astype(np.float32).view(np.uint32) >> bits
-        band = band.astype(np.float32).view(np.uint32)
+    bound = (gap * gap).astype(np.float32).view(np.uint32) >> bits
+    band = band.astype(np.float32).view(np.uint32)
     band &= ~low
     s0, s1 = band.strides  # row p, column j of the view reads band row p + j, column half - j
     behind = np.ndarray((size, half), np.uint32, buffer=band, offset=half * s1, strides=(s0, s0 - s1))
@@ -274,8 +274,7 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     keys = keys[:, :stop]
     short = np.flatnonzero(keys[:, -1] >> bits >= bound)
     if len(short):
-        with np.errstate(over="ignore"):
-            whole = squared_distances(pos[order[short]], pos).astype(np.float32).view(np.uint32)
+        whole = squared_distances(pos[order[short]], pos).astype(np.float32).view(np.uint32)
         whole = (whole & ~low) | np.arange(size, dtype=np.uint32)
         keys[short] = np.sort(whole, axis=1)[:, :stop]
     head = keys >> bits

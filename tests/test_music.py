@@ -488,7 +488,7 @@ class TestGridManifold:
         proj = noise_projector(random_split(num_elements, seed=num_elements, num_sources=num_sources), geom)
         spec = GridSpec(azimuth_step=step, elevation_step=step)
         expected = spectrum_over_meshgrid(proj, spec).view(np.uint64)
-        # many passes, four equal ones on the 1-degree grid (the last one point short), or one
+        # many passes, four on the 1-degree grid (3 x 8224 + 8179), or one
         for block_columns in (1000, 2048, music._GRID_BLOCK_COLUMNS, spec.num_points + 1):
             monkeypatch.setattr(music, "_GRID_BLOCK_COLUMNS", block_columns)
             np.testing.assert_array_equal(evaluate_grid(proj, spec).view(np.uint64), expected)
@@ -504,8 +504,8 @@ class TestGridManifold:
 
         monkeypatch.setattr(music, "_spectrum", recording_spectrum)
         values = evaluate_grid(proj, GridSpec())
-        # each pass's rows, heights and work buffer: 3 x 8213 + 8212 = 32851, through one buffer
-        assert widths == [(8213, 8213, 8213)] * 3 + [(8212, 8212, 8213)]
+        # each pass's rows, heights and work buffer: 3 x 8224 + 8179 = 32851, through one buffer
+        assert widths == [(8224, 8224, 8224)] * 3 + [(8179, 8179, 8224)]
         np.testing.assert_array_equal(values.view(np.uint64), expected)
 
     def test_alternating_geometries_of_equal_size(self):

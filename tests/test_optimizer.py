@@ -542,6 +542,15 @@ class TestStableSortOracle:
         with np.errstate(over="ignore"):
             assert_counts_match_stable_sort(positions, (1, 2, 3, 10, 11))
 
+    def test_overflow_raises_no_warning(self):
+        # the kernel keeps overflow to itself: no errstate around the call, only around the oracle's
+        positions = np.random.default_rng(43).uniform(-1e200, 1e200, size=(20, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            found = nearest_neighbor_indices(positions, 5)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(found, stable_sort_neighbors(positions)[:, :5])
+
 
 class TestSquaredDistances:
     def test_equals_cdist_bit_for_bit(self):
