@@ -19,6 +19,7 @@ import math
 import time
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import lru_cache, partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -404,22 +405,22 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
     return _trial_reports(config, trial_index, (config.extraction,))[0]
 
 
-def _map_trials(trial_fn, config: ScenarioConfig, workers: int) -> list:
-    """trial_fn(config, i) for every trial index, in index order regardless of workers."""
+def _map_trials(trial_fn, jobs, workers: int) -> list:
+    """trial_fn(config, i) for every (config, i) of jobs, in their order regardless of workers, all through one pool."""
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     if workers == 1:
-        return [trial_fn(config, i) for i in range(config.trials)]
+        return [trial_fn(config, i) for config, i in jobs]
     # imported only here, so that a serial run never loads the process pool's modules
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, [config] * config.trials, range(config.trials), chunksize=8))
+        return list(pool.map(trial_fn, *zip(*jobs), chunksize=8))
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialReport]:
     """All trials of a scenario, ordered by trial index regardless of workers."""
-    return _map_trials(run_trial, config, workers)
+    return _map_trials(run_trial, [(config, i) for i in range(config.trials)], workers)
 
 
 @dataclass(frozen=True)
@@ -487,7 +488,7 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
 def run_sweep(config: ScenarioConfig, values, workers: int = 1, field: str = "snr_db"):
     """One scenario per value of one field, a ScenarioConfig field or ``optimizer.NAME`` for a DEConfig field, run
     in order: one aggregate per value, plus {value: per-trial reports} for CDF export. Every scenario is built, and
-    every refusal raised, before any trial runs. SNR values become floats."""
+    every refusal raised, before any trial runs. SNR values become floats. All trials share one worker pool."""
     name = field.removeprefix("optimizer.")
     if name != field and config.algorithm not in ALGORITHMS:
         raise ConfigError(f"{field} needs a population algorithm, not {config.algorithm!r}")
@@ -501,7 +502,8 @@ def run_sweep(config: ScenarioConfig, values, workers: int = 1, field: str = "sn
             raise ConfigError(f"{field} {value!r}: {exc}") from exc
     if len(set(scenarios)) != len(scenarios):  # built scenarios hash; a raw value such as a list may not
         raise ConfigError(f"{field} values must be distinct")
-    reports = [run_trials(scenario, workers=workers) for scenario in scenarios]
+    flat = iter(_map_trials(run_trial, [(s, i) for s in scenarios for i in range(s.trials)], workers))
+    reports = [list(islice(flat, scenario.trials)) for scenario in scenarios]
     return [aggregate(scenario, rows) for scenario, rows in zip(scenarios, reports)], dict(zip(values, reports))
 
 
@@ -512,7 +514,8 @@ def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[
     if config.algorithm not in ALGORITHMS:
         raise ConfigError("extraction comparison needs a population algorithm")
     methods = tuple(EXTRACTIONS)  # the names, which pickle for worker processes; the lambdas do not
-    rows = _map_trials(partial(_trial_reports, extractions=methods), config, workers)
+    trial_fn = partial(_trial_reports, extractions=methods)
+    rows = _map_trials(trial_fn, [(config, i) for i in range(config.trials)], workers)
     return {method: [row[k] for row in rows] for k, method in enumerate(methods)}
 
 

@@ -320,13 +320,12 @@ def shared_fitness(positions: np.ndarray, fitness: np.ndarray, share_radius: flo
     point keeps its raw fitness and two coincident points each keep half."""
     if not share_radius > 0:  # NaN fails too
         raise ValueError("share_radius must be positive")
-    counts = _niche_counts(np.asarray(positions, dtype=float), np.asarray(positions, dtype=float), share_radius)
-    return np.asarray(fitness, dtype=float) / counts
+    positions = np.asarray(positions, dtype=float)
+    return np.asarray(fitness, dtype=float) / _shares(positions, positions, share_radius).sum(axis=1)
 
 
-def _niche_counts(points: np.ndarray, population: np.ndarray, share_radius: float) -> np.ndarray:
-    dist = np.sqrt(squared_distances(points, population))
-    return np.maximum(0.0, 1.0 - dist / share_radius).sum(axis=1)
+def _shares(points: np.ndarray, population: np.ndarray, share_radius: float) -> np.ndarray:
+    return np.maximum(0.0, 1.0 - np.sqrt(squared_distances(points, population)) / share_radius)
 
 
 def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: float) -> np.ndarray:
@@ -421,8 +420,7 @@ def _crowding(run: _Run, positions, fitness, trials, trial_fitness) -> None:
     trial j < i replaced in the same generation, so a batched argmin against
     the generation-start snapshot would change the outputs."""
     for i in range(len(trials)):
-        delta = positions - trials[i]
-        nearest = int(np.argmin(np.einsum("ij,ij->i", delta, delta)))  # ties: lowest index
+        nearest = int(np.argmin(squared_distances(trials[i : i + 1], positions)))  # ties: lowest index
         if trial_fitness[i] >= fitness[nearest]:
             positions[nearest] = trials[i]
             fitness[nearest] = trial_fitness[i]
@@ -432,14 +430,13 @@ def _shared_greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None
     """A trial replaces its parent when trial/niche_count beats
     parent/niche_count, both counted against the generation-start population.
     Raw fitness stays on the individuals for peak extraction."""
-    radius = run.share_radius
-    # symmetric trial counts: self term (1) plus the snapshot without the
-    # parent slot, mirroring how a parent counts itself plus the others
-    cross = _niche_counts(trials, positions, radius)
-    delta = trials - positions
-    parent_term = np.maximum(0.0, 1.0 - np.sqrt(np.einsum("ij,ij->i", delta, delta)) / radius)
-    trial_counts = 1.0 + cross - parent_term
-    accept = trial_fitness / trial_counts >= shared_fitness(positions, fitness, radius)
+    # one pass: the trials' rows, then the snapshot's, against the snapshot; a trial
+    # counts itself (1) plus the snapshot without its parent slot (the diagonal),
+    # mirroring how a parent counts itself plus the others
+    shares = _shares(np.vstack([trials, positions]), positions, run.share_radius)
+    counts = shares.sum(axis=1)
+    trial_counts = 1.0 + counts[: len(trials)] - shares.diagonal()
+    accept = trial_fitness / trial_counts >= fitness / counts[len(trials) :]
     positions[accept] = trials[accept]
     fitness[accept] = trial_fitness[accept]
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import inspect
@@ -577,6 +578,30 @@ class TestSweepAndCsv:
             assert a.estimates == b.estimates
             np.testing.assert_array_equal(a.match.theta_errors_deg, b.match.theta_errors_deg)
             assert a.success == b.success
+
+    def test_parallel_sweep_starts_one_pool(self, monkeypatch):
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        config = ScenarioConfig(algorithm="denm", trials=3, optimizer=FAST_DE)
+        serial_aggregates, serial = run_sweep(config, [0, 10], workers=1)
+        assert pools == []
+        aggregates, parallel = run_sweep(config, [0, 10], workers=2)
+        assert len(pools) == 1
+        assert list(parallel) == list(serial) == [0.0, 10.0]
+        for snr in serial:
+            # the digest covers each report's trial index, estimates, evaluations and errors
+            assert seeded_output_digest(parallel[snr]) == seeded_output_digest(serial[snr])
+            assert [r.success for r in parallel[snr]] == [r.success for r in serial[snr]]
+        # every aggregate field but wall_ms; repr, so that a NaN mean compares equal
+        assert [repr(replace(a, wall_ms=0.0)) for a in aggregates] == [
+            repr(replace(a, wall_ms=0.0)) for a in serial_aggregates
+        ]
 
 
 class TestPublicNames:

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from dataclasses import replace
 
@@ -13,9 +14,14 @@ from doakit import (
     de_crossover,
     de_mutate,
     nearest_neighbor_indices,
+    noise_projector,
     run_population,
     run_trial,
+    sample_covariance,
     shared_fitness,
+    spectrum_objective,
+    subspace_split,
+    synthesize_snapshots,
 )
 from doakit.optimizer import (
     _assign_species,
@@ -672,6 +678,34 @@ class TestNichingBaselines:
         np.testing.assert_array_equal(first.fitness, second.fitness)
         assert len(first) == 32
         assert BOX.contains(first.positions)
+
+
+# sha256 of the final positions and fitness of run_population at the default
+# DEConfig (N = 256, 20 generations) on a 0 dB reference projector, seeds 0
+# and 1 (recorded with numpy 2.4 on x86-64): the niching rules' distance
+# arithmetic, pinned bit for bit
+POPULATION_DIGESTS = {
+    "de": "33c4806f4bdda07986fd9a1c01fd8f9a22b5c121acd996751c11d190bed0ff9d",
+    "dcde": "b715bbec0b467567175b8ec568a06ca9608e807316955d045da7deb8cc2cca1e",
+    "sharede": "c778eafed757e18a50630c6630ab70b7f742f81f3326c177311826ceee9a33c5",
+    "sde": "44d5a81d6f62a2c0aec38c7e428d2dd2f430fe74e583372ecab4d1a84aad0cec",
+}
+
+
+@pytest.fixture(scope="module")
+def noisy_reference_objective(uca12, truth_sources):
+    snapshots = synthesize_snapshots(uca12, truth_sources, 0.0, 100, rng_seed=7)
+    return spectrum_objective(noise_projector(subspace_split(sample_covariance(snapshots), truth_sources.count), uca12))
+
+
+@pytest.mark.parametrize("algorithm", sorted(POPULATION_DIGESTS))
+def test_default_population_matches_recorded_digest(noisy_reference_objective, algorithm):
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        population = run_population(algorithm, noisy_reference_objective, BOX, DEConfig(rng_seed=seed))
+        digest.update(population.positions.tobytes())
+        digest.update(population.fitness.tobytes())
+    assert digest.hexdigest() == POPULATION_DIGESTS[algorithm]
 
 
 class TestSharedFitness:
