@@ -406,10 +406,12 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
 
 
 def _map_trials(trial_fn, jobs, workers: int) -> list:
-    """trial_fn(config, i) for every (config, i) of jobs, in their order regardless of workers, all through one pool."""
+    """trial_fn(config, i) for every (config, i) of jobs, in their order regardless of workers, all through one pool
+    of at most one process per job: the pool forks all its processes at the first job. One process runs serially."""
     if workers < 1:
         raise ConfigError("workers must be at least 1")
-    if workers == 1:
+    workers = min(workers, len(jobs))
+    if workers <= 1:
         return [trial_fn(config, i) for config, i in jobs]
     # imported only here, so that a serial run never loads the process pool's modules
     from concurrent.futures import ProcessPoolExecutor
@@ -456,6 +458,11 @@ def _mean(samples: list[float]) -> float:
     return float(np.mean(samples)) if samples else float("nan")
 
 
+def _extraction_column(config: ScenarioConfig) -> str:
+    """The extraction a scenario's rows name: none for the grid, whose own peak search replaces it."""
+    return config.extraction if config.algorithm in ALGORITHMS else ""
+
+
 def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateReport:
     success_theta, success_phi = [], []
     raw_theta, raw_phi = [], []
@@ -467,7 +474,7 @@ def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateRe
             success_phi.extend(report.match.phi_errors_deg.tolist())
     return AggregateReport(
         algo=config.algorithm,
-        extraction=config.extraction if config.algorithm in ALGORITHMS else "",
+        extraction=_extraction_column(config),
         num_elements=config.num_elements,
         num_sources=len(config.source_azimuth_deg),
         snr_db=config.snr_db,
@@ -577,7 +584,7 @@ def write_summary_csv(aggregates: list[AggregateReport], path) -> None:
 
 def write_errors_csv(config: ScenarioConfig, reports_by_snr: dict[float, list[TrialReport]], path) -> None:
     """Per-matched-pair absolute errors, one row each, for CDF plotting, SNRs in ``reports_by_snr``'s order."""
-    extraction = config.extraction if config.algorithm in ALGORITHMS else ""
+    extraction = _extraction_column(config)
     rows = (
         [config.algorithm, extraction, snr, report.trial, int(truth), t_err, p_err]
         for snr in reports_by_snr

@@ -51,8 +51,9 @@ class ExtractionResult:
     """Estimates sorted by fitness descending. ``shortfall`` flags fewer
     extracted peaks than requested sources: a possible missed source that
     the benchmark counts as a failed trial. ``labels`` is the labeling the
-    estimates were selected from (cluster ids, NOISE elsewhere); it is None
-    for k-local-max, whose estimates carry no cluster_id either."""
+    estimates were selected from (cluster ids, NOISE elsewhere), and each
+    estimate's cluster_id is its label. Every extraction sets them; they are
+    None only for the grid's result, which has no population to label."""
 
     estimates: tuple[DoaEstimate, ...]
     shortfall: bool
@@ -105,24 +106,19 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     return ClusterLabeling(labels, num_clusters)
 
 
-def _fittest_per_label(
-    population: Population, labels: np.ndarray, num_sources: int, keep_labels: bool = True
-) -> ExtractionResult:
+def _fittest_per_label(population: Population, labels: np.ndarray, num_sources: int) -> ExtractionResult:
     """The result of a labeling: each label's fittest member (fitness ties to
     the lower index; NOISE members never count), ordered by fitness
-    descending then index, the first num_sources as estimates, and a
-    shortfall when there are fewer labels than sources. Without keep_labels,
-    the result's labels and every cluster_id are None."""
+    descending then index, the first num_sources as estimates, each with its
+    label as cluster_id, and a shortfall when there are fewer labels than
+    sources."""
     order = np.argsort(-population.fitness, kind="stable")  # stable: ties keep index order
     found, first = np.unique(labels[order], return_index=True)
     best = order[np.sort(first[found != NOISE])]
     chosen = best[:num_sources]
-    cluster_ids = labels[chosen].tolist() if keep_labels else [None] * len(chosen)
-    positions = population.positions[chosen]
-    estimates = map(
-        DoaEstimate, positions[:, 0].tolist(), positions[:, 1].tolist(), population.fitness[chosen].tolist(), cluster_ids
-    )
-    return ExtractionResult(tuple(estimates), len(best) < num_sources, labels if keep_labels else None)
+    azimuths, elevations = population.positions[chosen].T.tolist()
+    estimates = map(DoaEstimate, azimuths, elevations, population.fitness[chosen].tolist(), labels[chosen].tolist())
+    return ExtractionResult(tuple(estimates), len(best) < num_sources, labels)
 
 
 def extract_dbscan(population: Population, num_sources: int, eps: float = 3.0, min_pts: int = 4) -> ExtractionResult:
@@ -139,7 +135,8 @@ def extract_dbscan(population: Population, num_sources: int, eps: float = 3.0, m
 def extract_klocalmax(population: Population, num_sources: int, num_neighbors: int = 8) -> ExtractionResult:
     """A point is a peak when its fitness strictly exceeds that of all of its
     num_neighbors nearest neighbors; the top num_sources peaks by fitness win.
-    Each peak is its own label, so the result carries no labels or cluster ids."""
+    Each peak is its own label, its index in the population, which its
+    estimate carries as cluster_id; every other point is NOISE."""
     if num_sources < 1:
         raise ValueError("num_sources must be positive")
     if not 1 <= num_neighbors < len(population):
@@ -147,7 +144,7 @@ def extract_klocalmax(population: Population, num_sources: int, num_neighbors: i
     neighbors = nearest_neighbor_indices(population.positions, num_neighbors)
     is_peak = population.fitness > population.fitness[neighbors].max(axis=1)
     labels = np.where(is_peak, np.arange(len(population)), NOISE)
-    return _fittest_per_label(population, labels, num_sources, keep_labels=False)
+    return _fittest_per_label(population, labels, num_sources)
 
 
 def extract_kmeanspp(population: Population, num_sources: int, rng_seed: int = 0) -> ExtractionResult:
@@ -177,10 +174,14 @@ def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     return np.asarray(centers)
 
 
-def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator, max_rounds: int = 100) -> np.ndarray:
+# Lloyd rounds at most; a partition that repeats ends them sooner
+_KMEANS_ROUNDS = 100
+
+
+def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = _kmeans_pp_centers(points, k, rng)
     labels = None
-    for _ in range(max_rounds):
+    for _ in range(_KMEANS_ROUNDS):
         dist_sq = squared_distances(points, centers)
         new_labels = np.argmin(dist_sq, axis=1)  # ties: lowest center id
         new_labels = _fill_empty_clusters(new_labels, dist_sq, k)

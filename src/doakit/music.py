@@ -255,15 +255,8 @@ _NEIGHBOR_ROWS = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
 _NEIGHBOR_COLUMNS = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 
 
-def _local_maxima_mask(values: np.ndarray, zenith: bool = False) -> np.ndarray:
-    """``_local_maxima`` as a boolean mask of the cells."""
-    mask = np.zeros(values.shape, dtype=bool)
-    mask.ravel()[_local_maxima(values, zenith)] = True
-    return mask
-
-
-def _local_maxima(values: np.ndarray, zenith: bool = False) -> np.ndarray:
-    """Flat indices, ascending, of the cells strictly above their 8-neighborhood.
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Flat indices, ascending, of a grid spectrum's strict local maxima.
 
     Axis 0 (azimuth) is periodic: its first and last rows are neighbors.
     Axis 1 (elevation) is not: a neighbor past its edge counts as -inf, so
@@ -271,18 +264,18 @@ def _local_maxima(values: np.ndarray, zenith: bool = False) -> np.ndarray:
     relative margin so floating-point jitter on flat regions cannot
     fabricate peaks.
 
+    Column 0 is the zenith, one direction repeated in every row, as the
+    elevation-0 row of a grid is; at least one column lies beside it. Its
+    cells tie with their azimuth neighbors, so the zenith counts as one
+    point: a maximum when it is strictly above every cell of column 1, under
+    the same margin, at row 0 alone. Column 1 still compares with it as a
+    neighbor. Every other cell is a maximum when strictly above its eight
+    neighbors.
+
     A strict maximum equals the maximum of its 3x3 block, so the block
     maximum is taken first, in whole contiguous passes, and only the cells
     equal to it are compared with their eight neighbors. The block maximum
     only narrows the candidates; that comparison decides.
-
-    With ``zenith``, column 0 is one direction repeated in every row, as the
-    elevation-0 row of a grid is, and needs at least one column beside it.
-    Its cells tie with their azimuth neighbors, so none can pass the
-    8-neighborhood test; they never enter the candidate check, and the
-    zenith counts as one point instead: a maximum when it is strictly above
-    every cell of column 1, under the same margin, at row 0 alone.
-    Column 1 still compares with it as a neighbor.
     """
     num_elevation = values.shape[1]
     # 3-max along azimuth, wrapped, over whole rows
@@ -292,19 +285,15 @@ def _local_maxima(values: np.ndarray, zenith: bool = False) -> np.ndarray:
     np.maximum(rows[:-1], values[1:], out=rows[:-1])
     np.maximum(rows[-1], values[0], out=rows[-1])
     # 3-max along elevation on the flat array, which runs across the ends of
-    # the rows; the first and last elevation columns are then redone without
+    # the rows; the last elevation column is then redone without
     flat_rows = rows.ravel()
     block = np.empty_like(flat_rows)
     np.maximum(flat_rows[:-1], flat_rows[1:], out=block[1:])
     block[0] = flat_rows[0]
     np.maximum(block[:-1], flat_rows[1:], out=block[:-1])
     block = block.reshape(values.shape)
-    inner = min(1, num_elevation - 1)  # the column next to an edge; the edge itself on one column
-    if zenith:
-        block[:, 0] = np.inf  # no zenith cell equals it, so none becomes a candidate
-    else:
-        np.maximum(rows[:, 0], rows[:, inner], out=block[:, 0])
-    np.maximum(rows[:, -1], rows[:, -1 - inner], out=block[:, -1])
+    block[:, 0] = np.inf  # no zenith cell equals it, so none becomes a candidate
+    np.maximum(rows[:, -1], rows[:, -2], out=block[:, -1])
 
     candidates = np.flatnonzero(values == block)
     # each candidate against its eight neighbors: azimuth wraps, and a
@@ -317,7 +306,7 @@ def _local_maxima(values: np.ndarray, zenith: bool = False) -> np.ndarray:
     neighbors = np.where(inside, values[neighbor_rows, neighbor_columns % num_elevation], -np.inf)
     neighbor_max = neighbors.max(axis=1)
     strict = values[row, column] > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
-    if zenith and values[0, 0] > (ring_max := values[:, 1].max()) + abs(ring_max) * _STRICT_MARGIN:
+    if values[0, 0] > (ring_max := values[:, 1].max()) + abs(ring_max) * _STRICT_MARGIN:
         return np.concatenate(([0], candidates[strict]))  # flat index 0 precedes every candidate
     return candidates[strict]
 
@@ -338,18 +327,18 @@ class GridSearchResult:
 
 
 def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridSearchResult:
-    """Exhaustive grid evaluation followed by strict local-maximum extraction.
-
-    The points at elevation 0, the zenith at every azimuth, count as one
-    point: a peak when it is strictly above every point at the next
+    """Exhaustive grid evaluation followed by ``_local_maxima``: a peak is a
+    point strictly above its eight neighbors, azimuth wrapping at 360
+    degrees. The points at elevation 0, the zenith at every azimuth, count
+    as one point: a peak when it is strictly above every point at the next
     elevation, reported once, at azimuth 0. Peaks are ordered by value
     descending, then azimuth, then elevation.
     """
     if num_sources < 1:
         raise ValueError("num_sources must be positive")
-    # the 360-degree column repeats the 0-degree one; the mask wraps azimuth instead
+    # the 360-degree column repeats the 0-degree one; the peak search wraps azimuth instead
     values = evaluate_grid(proj, spec)[:-1]
-    i_idx, j_idx = np.divmod(_local_maxima(values, zenith=True), spec.num_elevation)
+    i_idx, j_idx = np.divmod(_local_maxima(values), spec.num_elevation)
     _, azimuth, elevation = _grid_manifold(proj.geometry, spec)
     az = azimuth[i_idx]
     el = elevation[j_idx]

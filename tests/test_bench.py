@@ -603,6 +603,34 @@ class TestSweepAndCsv:
             repr(replace(a, wall_ms=0.0)) for a in serial_aggregates
         ]
 
+    def test_pool_starts_at_most_one_process_per_trial(self, monkeypatch):
+        # a process pool forks all of its processes at its first job, however few jobs follow
+        sizes = []
+
+        class InProcessPool:
+            """Records the pool size asked for and maps in this process, starting none."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        config = ScenarioConfig(algorithm="grid", trials=3)
+        reports = run_trials(config, workers=64)
+        assert sizes == [3]
+        assert seeded_output_digest(reports) == seeded_output_digest(run_trials(config))
+        # one trial runs serially, with no pool
+        assert len(run_trials(replace(config, trials=1), workers=64)) == 1
+        assert sizes == [3]
+
 
 class TestPublicNames:
     def test_top_level_names_are_the_modules_public_names(self):

@@ -331,10 +331,15 @@ class TestExtractKLocalMax:
             )
             result = extract_klocalmax(population, num_sources, num_neighbors=k)
             peaks = bruteforce_peaks(population, k)
+            # each peak is its own label, its index in the population
+            labels = np.full(size, NOISE)
+            labels[peaks] = peaks
+            np.testing.assert_array_equal(result.labels, labels)
             peaks.sort(key=lambda i: (-population.fitness[i], i))
             expected = peaks[:num_sources]
             got = [e.fitness for e in result.estimates]
             assert got == [population.fitness[i] for i in expected]
+            assert [e.cluster_id for e in result.estimates] == expected
             assert result.shortfall == (len(peaks) < num_sources)
 
 
@@ -438,11 +443,9 @@ def test_estimates_are_the_fittest_member_of_each_label(labeled):
         got = [(e.azimuth_deg, e.elevation_deg, e.fitness) for e in result.estimates]
         assert got == [(*population.positions[i], fitness[i]) for i in best[:num_sources]]
         assert result.shortfall == (len(best) < num_sources)
-        if labeled is _klocalmax_labeled:
-            assert result.labels is None
-            assert all(e.cluster_id is None for e in result.estimates)
-        else:
-            assert [e.cluster_id for e in result.estimates] == [labels[i] for i in best[:num_sources]]
+        # k-local-max's labels are the brute-force peaks, each its own population index
+        np.testing.assert_array_equal(result.labels, labels)
+        assert [e.cluster_id for e in result.estimates] == [labels[i] for i in best[:num_sources]]
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from doakit.music import (
     _STRICT_MARGIN,
     DENOMINATOR_FLOOR,
     _grid_manifold,
-    _local_maxima_mask,
+    _local_maxima,
     _spectrum,
     _steering_rows,
 )
@@ -271,68 +271,102 @@ def local_maxima_oracle(values):
     return values > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
 
 
-# small shapes, the 1-degree grid's, a wide one, and single rows and columns
-MASK_SHAPES = [(3, 2), (4, 3), (360, 91), (7, 1000), (1, 5), (5, 1), (2, 2)]
+def zenith_oracle(values):
+    """The grid's peaks with column 0 the zenith, one value repeated in every row: columns 1 and up as
+    ``local_maxima_oracle`` marks them, with column 0 as their neighbor, and column 0 one point, marked at
+    row 0 alone when strictly above every cell of column 1."""
+    expected = local_maxima_oracle(values)
+    top = values[:, 1].max()
+    expected[:, 0] = False
+    expected[0, 0] = values[0, 0] > top + abs(top) * _STRICT_MARGIN
+    return expected
+
+
+def local_maxima_mask(values):
+    """``_local_maxima`` as a boolean mask of the cells."""
+    mask = np.zeros(values.shape, dtype=bool)
+    mask.ravel()[_local_maxima(values)] = True
+    return mask
+
+
+def checked_zenith_mask(values):
+    """``_local_maxima``'s mask of ``values`` with column 0 set to its row-0 value, returned after that mask
+    and those with column 0 set in turn above, equal to and below column 1's maximum and to column 1's minimum
+    are checked against ``zenith_oracle``; the zenith is a peak above column 1's maximum only."""
+    top = values[:, 1].max()
+    masks = []
+    for zenith in (values[0, 0], top + 1.0 + abs(top), top, top - 1.0 - abs(top), values[:, 1].min()):
+        values = values.copy()
+        values[:, 0] = zenith
+        masks.append(local_maxima_mask(values))
+        np.testing.assert_array_equal(masks[-1], zenith_oracle(values))
+    assert [mask[0, 0] for mask in masks[1:4]] == [True, False, False]
+    return masks[0]
+
+
+# small shapes, the 1-degree grid's, a wide one, and a single azimuth row, its own wrapped neighbor
+MASK_SHAPES = [(3, 2), (4, 3), (360, 91), (7, 1000), (1, 5), (2, 2)]
 
 
 class TestLocalMaxima:
     def test_interior_strict_dominance(self):
         values = np.zeros((5, 5))
         values[2, 2] = 1.0
-        mask = _local_maxima_mask(values)
+        mask = checked_zenith_mask(values)
         assert mask[2, 2] and mask.sum() == 1
 
     def test_plateau_has_no_strict_maxima(self):
-        assert not _local_maxima_mask(np.ones((4, 6))).any()
+        assert not checked_zenith_mask(np.ones((4, 6))).any()
 
     def test_boundary_cells_use_existing_neighbors(self):
+        # a corner on the azimuth seam and the last elevation column, and the zenith above the next column
         values = np.zeros((3, 3))
-        values[0, 0] = 2.0
-        mask = _local_maxima_mask(values)
-        assert mask[0, 0]
+        values[0, 2] = 2.0
+        values[:, 0] = 1.0
+        mask = checked_zenith_mask(values)
+        assert mask[0, 2] and mask[0, 0] and mask.sum() == 2
 
     def test_slope_rising_across_seam_is_no_peak(self):
-        # azimuth rows rise from row 0 back across the seam to the last row
-        values = np.array([3.0, 2.0, 1.0, 0.0, 1.0, 4.0])[:, None] + np.array([0.0, 0.5, 0.0])
-        mask = _local_maxima_mask(values)
-        assert not mask[0, 1]
-        assert mask[5, 1] and mask.sum() == 1
+        # azimuth rows rise from row 0 back across the seam to the last row, beside a zenith below them all
+        values = np.array([3.0, 2.0, 1.0, 0.0, 1.0, 4.0])[:, None] + np.array([0.0, 0.0, 0.5, 0.0])
+        values[:, 0] = -1.0
+        mask = checked_zenith_mask(values)
+        assert not mask[0, 2]
+        assert mask[5, 2] and mask.sum() == 1
 
     def test_first_row_peak_over_lower_wrapped_neighbor(self):
         values = np.zeros((5, 4))
         values[0, 2] = 2.0
         values[4, 2] = 1.0
-        mask = _local_maxima_mask(values)
+        mask = checked_zenith_mask(values)
         assert mask[0, 2] and mask.sum() == 1
 
     def test_elevation_edges_do_not_wrap(self):
-        # equal values on the first and last elevation columns are not neighbors
+        # the zenith column and the last elevation column hold equal values but are not neighbors
         values = np.zeros((5, 4))
-        values[2, 0] = 1.0
+        values[:, 0] = 1.0
         values[2, 3] = 1.0
-        mask = _local_maxima_mask(values)
-        assert mask[2, 0] and mask[2, 3] and mask.sum() == 2
+        mask = checked_zenith_mask(values)
+        assert mask[0, 0] and mask[2, 3] and mask.sum() == 2
 
     @pytest.mark.parametrize("shape", MASK_SHAPES, ids=str)
     def test_random_floats_match_oracle(self, shape):
         rng = np.random.default_rng(sum(shape))
         for _ in range(5):
-            values = rng.standard_normal(shape)
-            np.testing.assert_array_equal(_local_maxima_mask(values), local_maxima_oracle(values))
+            checked_zenith_mask(rng.standard_normal(shape))
 
     @pytest.mark.parametrize("shape", MASK_SHAPES, ids=str)
     def test_small_integers_match_oracle(self, shape):
         # few distinct values: ties between neighbors and plateaus everywhere
         rng = np.random.default_rng(sum(shape))
         for high in (2, 3, 5):
-            values = rng.integers(0, high, shape).astype(float)
-            np.testing.assert_array_equal(_local_maxima_mask(values), local_maxima_oracle(values))
+            checked_zenith_mask(rng.integers(0, high, shape).astype(float))
 
     @pytest.mark.parametrize("shape", MASK_SHAPES, ids=str)
     def test_constant_and_negative_arrays_match_oracle(self, shape):
         rng = np.random.default_rng(sum(shape))
         for values in (np.zeros(shape), np.full(shape, 2.5), np.full(shape, -1.0), -rng.uniform(0.5, 1.5, shape)):
-            np.testing.assert_array_equal(_local_maxima_mask(values), local_maxima_oracle(values))
+            checked_zenith_mask(values)
 
     @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 3.0])
     @pytest.mark.parametrize("num_elements", [5, 12, 128])
@@ -343,25 +377,19 @@ class TestLocalMaxima:
             snapshots = synthesize_snapshots(geom, truth_sources, snr_db, 100, rng_seed=num_elements)
             proj = noise_projector(subspace_split(sample_covariance(snapshots), truth_sources.count), geom)
             values = evaluate_grid(proj, spec)[:-1]
-            mask = _local_maxima_mask(values)
-            np.testing.assert_array_equal(mask, local_maxima_oracle(values))
-            assert mask.any()
+            # the elevation-0 cells are one direction, the same height bit for bit
+            assert np.all(values[:, 0] == values[0, 0])
+            assert checked_zenith_mask(values).any()
 
     @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (360, 91), (7, 1000), (2, 2)], ids=str)
     def test_zenith_column_matches_oracle_beside_it(self, shape):
-        # column 0 one repeated value: column 1 and beyond keep the generic test, with column 0 as a neighbor;
-        # column 0 is one point, marked at row 0 alone when strictly above all of column 1
+        # the flat indices themselves: ascending, each once, the zenith's 0 first when it is a peak
         rng = np.random.default_rng(sum(shape))
         for high in (None, 2, 3):
             values = rng.standard_normal(shape) if high is None else rng.integers(0, high, shape).astype(float)
             for zenith in (values[:, 1].max() + 1.0, values[:, 1].max(), values[:, 1].min()):
                 values[:, 0] = zenith
-                mask = _local_maxima_mask(values, zenith=True)
-                np.testing.assert_array_equal(mask[:, 1:], local_maxima_oracle(values)[:, 1:])
-                assert not mask[1:, 0].any()
-                assert mask[0, 0] == (zenith > values[:, 1].max())
-                # the generic test never marks a repeated column
-                assert not _local_maxima_mask(values)[:, 0].any()
+                np.testing.assert_array_equal(_local_maxima(values), np.flatnonzero(zenith_oracle(values)))
 
     def test_zenith_needs_strict_margin_over_every_next_row_cell(self):
         values = np.zeros((6, 4))
@@ -369,7 +397,7 @@ class TestLocalMaxima:
         values[3, 1] = 2.0
         for zenith, peak in ((2.0 + 1e-9, True), (2.0 * (1.0 + _STRICT_MARGIN / 2.0), False), (2.0, False), (1.5, False)):
             values[:, 0] = zenith
-            mask = _local_maxima_mask(values, zenith=True)
+            mask = local_maxima_mask(values)
             assert mask[0, 0] == peak and mask[:, 0].sum() == peak
             # the next-row cell that tops its other neighbors is a peak only when it tops the zenith too
             assert mask[3, 1] == (zenith < 2.0)
