@@ -406,8 +406,8 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> TrialReport:
 
 
 def _map_trials(trial_fn, jobs, workers: int) -> list:
-    """trial_fn(config, i) for every (config, i) of jobs, in their order regardless of workers, all through one pool
-    of at most one process per job: the pool forks all its processes at the first job. One process runs serially."""
+    """trial_fn(config, i) for every (config, i) of jobs, in their order; serially in one process, else through one pool
+    of at most one process per job (all forked at the first job), in chunks of at most 8 jobs, so that all get some."""
     if workers < 1:
         raise ConfigError("workers must be at least 1")
     workers = min(workers, len(jobs))
@@ -417,7 +417,7 @@ def _map_trials(trial_fn, jobs, workers: int) -> list:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(trial_fn, *zip(*jobs), chunksize=8))
+        return list(pool.map(trial_fn, *zip(*jobs), chunksize=min(8, -(-len(jobs) // workers))))
 
 
 def run_trials(config: ScenarioConfig, workers: int = 1) -> list[TrialReport]:

@@ -13,7 +13,7 @@ costs 2 * M * L real multiply-adds per direction instead of M^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -99,9 +99,9 @@ def _steering_rows(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
     degrees, elevation is clipped to [0, 90] to absorb floating-point
     overshoot from degree arithmetic.
     """
-    pos = np.atleast_2d(np.asarray(positions_deg, dtype=float))
-    az = np.mod(np.deg2rad(pos[:, 0]), TWO_PI)
-    el = np.clip(np.deg2rad(pos[:, 1]), 0.0, np.pi / 2.0)
+    pos = np.atleast_2d(positions_deg)
+    az = np.mod(np.deg2rad(pos[:, 0], dtype=float), TWO_PI)
+    el = np.minimum(np.maximum(np.deg2rad(pos[:, 1], dtype=float), 0.0), np.pi / 2.0)  # np.clip's values, in 2 calls
     return steering_rows(geometry, az, el)
 
 
@@ -121,10 +121,8 @@ def _spectrum(
     which is returned. Either one left out is allocated, so a caller with
     buffers and one without get the same heights bit for bit."""
     num_points = rows.shape[1]
-    if out is None:
-        out = np.empty(num_points)
-    if work is None:
-        work = np.empty((len(proj.projection), num_points))
+    out = np.empty(num_points) if out is None else out
+    work = np.empty((len(proj.projection), num_points)) if work is None else work
     captured = np.matmul(proj.projection, rows, out=work[:, :num_points])
     np.square(captured, out=captured)
     num_sources = len(captured) // 2
@@ -141,8 +139,14 @@ def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
 
 
 def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarray]:
-    """Batched objective over (azimuth_deg, elevation_deg) rows, for optimizers."""
-    return partial(music_values, proj)
+    """``music_values`` as a batched objective: fresh heights on each call, through a work buffer held between calls."""
+    work = lru_cache(maxsize=1)(lambda num_points: np.empty((len(proj.projection), num_points)))
+
+    def objective(positions_deg):
+        rows = _steering_rows(proj.geometry, positions_deg)
+        return _spectrum(proj, rows, np.empty(rows.shape[1]), work(rows.shape[1]))
+
+    return objective
 
 
 @dataclass(frozen=True)

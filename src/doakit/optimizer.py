@@ -61,13 +61,13 @@ class SearchBox:
         pos = np.atleast_2d(positions)
         return bool(np.all(pos >= self.lows) and np.all(pos <= self.highs))
 
-    def reflect(self, positions: np.ndarray) -> np.ndarray:
-        """Mirror out-of-bounds coordinates at the violated bound, repeated
-        until inside (closed form: triangle-wave fold onto [lo, hi])."""
-        lo = self.lows
-        span = self.highs - lo
-        folded = np.mod(np.asarray(positions, dtype=float) - lo, 2.0 * span)
-        return lo + span - np.abs(folded - span)
+    def reflect(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Mirror out-of-bounds coordinates at the violated bound, repeated until inside (closed form: a
+        triangle-wave fold onto [0, hi], the lows being 0), into ``out`` when given; it may be ``positions``."""
+        folded = np.mod(positions, 2.0 * self.highs, out=out)
+        folded -= self.highs
+        np.abs(folded, out=folded)
+        return np.subtract(self.highs, folded, out=folded)
 
 
 def _is_number(value) -> bool:
@@ -158,15 +158,16 @@ class CountingObjective:
         self.count = 0
 
     def __call__(self, positions: np.ndarray) -> np.ndarray:
-        pos = np.atleast_2d(positions)
-        self.count += len(pos)
-        return self.objective(pos)
+        self.count += len(positions)  # (n, 2) rows, as every objective takes
+        return self.objective(positions)
 
 
 def de_mutate(base, diff_a, diff_b, scale_factor: float, box: SearchBox) -> np.ndarray:
-    """Donor combination base + F * (diff_a - diff_b) on (n, 2) batches,
-    reflected into the box."""
-    return box.reflect(np.asarray(base, dtype=float) + scale_factor * np.subtract(diff_a, diff_b, dtype=float))
+    """Donor combination base + F * (diff_a - diff_b) on (n, 2) batches of one shape, reflected into the box."""
+    mutant = np.subtract(diff_a, diff_b, dtype=float)
+    mutant *= scale_factor
+    mutant += base
+    return box.reflect(mutant, out=mutant)
 
 
 def de_crossover(parent, mutant, crossover_rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -176,7 +177,7 @@ def de_crossover(parent, mutant, crossover_rate: float, rng: np.random.Generator
     whenever the mutant does)."""
     take = rng.random(parent.shape) < crossover_rate
     forced = rng.integers(parent.shape[1], size=len(parent))
-    take[np.arange(len(parent)), forced] = True
+    take.put(forced + np.arange(0, take.size, parent.shape[1]), True)  # flat indices of the forced coordinates
     return np.where(take, mutant, parent)
 
 
@@ -199,7 +200,7 @@ def _exact_neighbors(pos: np.ndarray, rows: np.ndarray, columns: np.ndarray, cou
     delta *= delta
     sq = delta[..., 0] + delta[..., 1]
     sq[columns == rows[:, None]] = -np.inf  # self first, then dropped
-    nearest = np.argsort(sq, axis=1, kind="stable")[:, 1 : count + 1]
+    nearest = sq.argsort(axis=1, kind="stable")[:, 1 : count + 1]
     return columns[np.arange(len(rows))[:, None], nearest]
 
 
@@ -237,27 +238,23 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     # x, y and index of the points in azimuth order, between half + 1 pads
     # at -inf and +inf azimuth, so a window never runs off the end and the
     # gap beyond a window that holds the last point is inf
-    order = np.argsort(pos[:, 0], kind="stable")
+    order = pos[:, 0].argsort(kind="stable")
     x, y = padded = np.zeros((2, size + 2 * half + 2))
     x[: half + 1] = -np.inf
     x[half + 1 + size :] = np.inf
     padded[:, half + 1 : half + 1 + size] = pos.take(order, axis=0).T
     index = np.zeros(len(x), dtype=np.uint32)
     index[half + 1 : half + 1 + size] = order
-
-    def windows(row, start, length):
-        """Strided view: row p holds length entries from padded place start + p on."""
-        return np.ndarray((size, length), row.dtype, buffer=row, offset=start * row.itemsize, strides=2 * row.strides)
-
-    xc = x[half + 1 : half + 1 + size, None]
-    yc = y[half + 1 : half + 1 + size, None]
+    # strided views: row p holds padded x and y from place half + 1 + p on (p itself first), indices from 1 + p on
+    x_ahead, y_ahead = np.ndarray((2, size, half + 1), float, padded, (half + 1) * 8, (len(x) * 8, 8, 8))
+    index_windows = np.ndarray((size, 2 * half + 1), np.uint32, buffer=index, offset=4, strides=(4, 4))
     band = np.empty((size + half, half + 1))
     band[:half] = np.inf
-    ahead = np.subtract(xc, windows(x, half + 1, half + 1), out=band[half:])
-    dy = yc - windows(y, half + 1, half + 1)
+    ahead = np.subtract(x_ahead[:, :1], x_ahead, out=band[half:])
+    dy = y_ahead[:, :1] - y_ahead
     ahead *= ahead
     ahead += np.square(dy, out=dy)  # squared distances, rounded as squared_distances rounds them
-    gap = np.minimum(xc[:, 0] - x[:size], x[2 * half + 2 :] - xc[:, 0])
+    gap = np.minimum(x_ahead[:, 0] - x[:size], x[2 * half + 2 :] - x_ahead[:, 0])
     # keys: squared distances rounded to float32 (rounding keeps order, and
     # non-negative floats sort as their bits do; past float32's range, inf)
     # with the lowest bits cleared for a point index
@@ -267,12 +264,12 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     s0, s1 = band.strides  # row p, column j of the view reads band row p + j, column half - j
     behind = np.ndarray((size, half), np.uint32, buffer=band, offset=half * s1, strides=(s0, s0 - s1))
     keys = np.empty((size, 2 * half + 1), dtype=np.uint32)
-    np.bitwise_or(behind, windows(index, 1, half), out=keys[:, :half])
-    np.bitwise_or(band[half:], windows(index, half + 1, half + 1), out=keys[:, half:])
+    np.bitwise_or(behind, index_windows[:, :half], out=keys[:, :half])
+    np.bitwise_or(band[half:], index_windows[:, half:], out=keys[:, half:])
     keys.sort(axis=1)
     stop = min(count + 2, size)  # self, the count neighbors and the next point, if any
     keys = keys[:, :stop]
-    short = np.flatnonzero(keys[:, -1] >> bits >= bound)
+    short = (keys[:, -1] >> bits >= bound).nonzero()[0]
     if len(short):
         whole = squared_distances(pos[order[short]], pos).astype(np.float32).view(np.uint32)
         whole = (whole & ~low) | np.arange(size, dtype=np.uint32)
@@ -281,13 +278,12 @@ def nearest_neighbor_indices(positions: np.ndarray, count: int) -> np.ndarray:
     result = np.empty((size, count), dtype=np.intp)
     result[order] = keys[:, 1 : count + 1] & low
     cut = head[:, -1] == head[:, -2]  # a tie that reaches the next point
-    inside = np.flatnonzero((head[:, 1:-1] == head[:, :-2]).any(axis=1) & ~cut)
-    across = np.flatnonzero(cut)
+    inside = ((head[:, 1:-1] == head[:, :-2]).any(axis=1) & ~cut).nonzero()[0]
+    across = cut.nonzero()[0]
     if len(inside):
         result[order[inside]] = _exact_neighbors(pos, order[inside], keys[inside] & low, count)
     if len(across):
-        everyone = np.broadcast_to(np.arange(size), (len(across), size))
-        result[order[across]] = _exact_neighbors(pos, order[across], everyone, count)
+        result[order[across]] = _exact_neighbors(pos, order[across], np.arange(size)[None].repeat(across.size, 0), count)
     return result
 
 
@@ -303,8 +299,8 @@ def _pick_donors(rng: np.random.Generator, candidates: np.ndarray, valid=None) -
     keys = rng.random(candidates.shape)
     if valid is not None:
         keys[~valid] = np.inf  # sorts after every valid entry, so never drawn
-    order = np.argsort(keys, axis=1)[:, :3]
-    return np.take_along_axis(candidates, order, axis=1)
+    order = keys.argsort(axis=1)[:, :3]
+    return candidates.take(order + np.arange(0, candidates.size, candidates.shape[1])[:, None])  # by flat index
 
 
 def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
@@ -378,8 +374,8 @@ def _generation_trials(run: _Run, positions: np.ndarray, pool, candidates, valid
     The arguments after positions are what every donor rule returns: row i
     of candidates lists the pool rows slot i may draw its donors from, and
     valid masks the entries of rows that are shorter (None: all are valid)."""
-    donors = pool[_pick_donors(run.rng, candidates, valid)]
-    mutant = de_mutate(donors[:, 0], donors[:, 1], donors[:, 2], run.config.scale_factor, run.box)
+    base, diff_a, diff_b = pool.take(_pick_donors(run.rng, candidates, valid).T, axis=0)
+    mutant = de_mutate(base, diff_a, diff_b, run.config.scale_factor, run.box)
     return de_crossover(positions, mutant, run.config.crossover_rate, run.rng)
 
 
@@ -407,8 +403,8 @@ def _species_donors(run: _Run, positions: np.ndarray, fitness: np.ndarray):
 def _greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None:
     """Each trial replaces its parent when at least as fit."""
     accept = trial_fitness >= fitness
-    positions[accept] = trials[accept]
-    fitness[accept] = trial_fitness[accept]
+    np.copyto(positions, trials, where=accept[:, None])
+    np.copyto(fitness, trial_fitness, where=accept)
 
 
 def _crowding(run: _Run, positions, fitness, trials, trial_fitness) -> None:
@@ -437,8 +433,8 @@ def _shared_greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None
     counts = shares.sum(axis=1)
     trial_counts = 1.0 + counts[: len(trials)] - shares.diagonal()
     accept = trial_fitness / trial_counts >= fitness / counts[len(trials) :]
-    positions[accept] = trials[accept]
-    fitness[accept] = trial_fitness[accept]
+    np.copyto(positions, trials, where=accept[:, None])
+    np.copyto(fitness, trial_fitness, where=accept)
 
 
 # Each variant is one (donor rule, replacement rule) pair on the same engine.

@@ -5,9 +5,11 @@ import inspect
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -630,6 +632,20 @@ class TestSweepAndCsv:
         # one trial runs serially, with no pool
         assert len(run_trials(replace(config, trials=1), workers=64)) == 1
         assert sizes == [3]
+
+
+    def test_every_worker_gets_jobs(self):
+        # four jobs on two workers: each process runs some, and the results keep the jobs' order
+        results = bench._map_trials(pid_after_nap, [(None, i) for i in range(4)], workers=2)
+        assert [i for i, _ in results] == [0, 1, 2, 3]
+        assert len({pid for _, pid in results}) == 2
+
+
+def pid_after_nap(config, trial_index):
+    """A pool job: its index and the pid of the process that ran it, after a nap long
+    enough that one process cannot run every chunk before the other starts."""
+    time.sleep(0.2)
+    return trial_index, os.getpid()
 
 
 class TestPublicNames:

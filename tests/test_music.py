@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from doakit import (
     sample_covariance,
     spectrum_objective,
     steering_matrix,
+    steering_rows,
     steering_vector,
     subspace_split,
     synthesize_snapshots,
@@ -218,6 +221,30 @@ class TestMusicValue:
         values = objective(pos)
         assert abs(values[0] - values[1]) / values[0] < 1e-12
 
+    def test_spectrum_objective_returns_fresh_heights_equal_to_music_values(self):
+        # the objective holds its work buffer across calls, never its heights: a caller may keep them
+        proj = projector_from_random_covariance(10)
+        objective = spectrum_objective(proj)
+        rng = np.random.default_rng(10)
+        batches = [random_rows(rng, n) for n in (256, 256, 3, 300, 1)]
+        values = [objective(rows) for rows in batches]
+        for rows, heights in zip(batches, values):
+            np.testing.assert_array_equal(heights, music_values(proj, rows))
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(values, 2))
+
+    @pytest.mark.parametrize("geometry", STEERING_GEOMETRIES.values(), ids=STEERING_GEOMETRIES.keys())
+    def test_direction_rule_matches_oracle(self, geometry):
+        # azimuths several turns either way, elevations past both ends, -0.0, the bounds themselves and a
+        # single row given as a list, against the rule as first written, bit for bit
+        rng = np.random.default_rng(12)
+        positions = np.column_stack([rng.uniform(-800.0, 1200.0, 500), rng.uniform(-30.0, 120.0, 500)])
+        positions[:40] = rng.integers(-2, 3, size=(40, 2)) * [360.0, 90.0]
+        positions[40:50, 1] = -0.0
+        for rows in (positions, positions.astype(np.float32), [[30.0, -0.0]], [-10, 95]):
+            np.testing.assert_array_equal(
+                _steering_rows(geometry, rows).view(np.uint64), steering_rows_oracle(geometry, rows).view(np.uint64)
+            )
+
     def test_direction_rule_clips_elevation_and_wraps_azimuth(self):
         # the rule both the grid and the population go through: exact, not approximate
         proj = projector_from_random_covariance(11)
@@ -230,6 +257,14 @@ class TestMusicValue:
         assert values[0] == values[2] and values[1] == values[2]
         assert values[3] == values[5] and values[4] == values[5]
         assert values[6] == values[7]
+
+
+def steering_rows_oracle(geometry, positions_deg):
+    """music._steering_rows as first written: azimuth wrapped by np.mod, elevation clipped by np.clip."""
+    pos = np.atleast_2d(np.asarray(positions_deg, dtype=float))
+    az = np.mod(np.deg2rad(pos[:, 0]), 2.0 * np.pi)
+    el = np.clip(np.deg2rad(pos[:, 1]), 0.0, np.pi / 2.0)
+    return steering_rows(geometry, az, el)
 
 
 class TestGridSpec:

@@ -186,6 +186,107 @@ class TestDonors:
                 assert np.all(donors != np.arange(12)[:, None])
 
 
+def reflect_oracle(positions):
+    """SearchBox.reflect as first written: the triangle-wave fold onto [lo, hi], lows included."""
+    lo = BOX.lows
+    span = BOX.highs - lo
+    folded = np.mod(np.asarray(positions, dtype=float) - lo, 2.0 * span)
+    return lo + span - np.abs(folded - span)
+
+
+def mutate_oracle(base, diff_a, diff_b, scale_factor):
+    """de_mutate as first written, through a fresh array at each step."""
+    return reflect_oracle(np.asarray(base, dtype=float) + scale_factor * np.subtract(diff_a, diff_b, dtype=float))
+
+
+def crossover_oracle(parent, mutant, crossover_rate, rng):
+    """de_crossover as first written: the forced coordinates set by a (row, column) index."""
+    take = rng.random(parent.shape) < crossover_rate
+    forced = rng.integers(parent.shape[1], size=len(parent))
+    take[np.arange(len(parent)), forced] = True
+    return np.where(take, mutant, parent)
+
+
+def pick_donors_oracle(rng, candidates, valid=None):
+    """_pick_donors as first written, through np.take_along_axis."""
+    keys = rng.random(candidates.shape)
+    if valid is not None:
+        keys[~valid] = np.inf
+    order = np.argsort(keys, axis=1)[:, :3]
+    return np.take_along_axis(candidates, order, axis=1)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint8), expected.view(np.uint8))  # -0.0 and NaN payloads too
+
+
+def far_and_bound_points(rng, count):
+    """(count, 2) points: a third inside the box, a third up to five spans outside it on
+    either side, and a third on a bound or on a multiple of a span (0, 90, 360, -720, ...)."""
+    spans = BOX.highs - BOX.lows
+    inside = rng.uniform(BOX.lows, BOX.highs, size=(count // 3, 2))
+    far = rng.uniform(BOX.lows - 5 * spans, BOX.highs + 5 * spans, size=(count // 3, 2))
+    on_bounds = rng.integers(-6, 7, size=(count - 2 * (count // 3), 2)) * spans
+    points = np.vstack([inside, far, on_bounds])
+    points[rng.random(points.shape) < 0.02] = -0.0
+    return points[rng.permutation(len(points))]
+
+
+class TestKernelsMatchOracles:
+    """The generation kernels, rewritten in place, against their first bodies, bit for bit,
+    with the generator left in the same state."""
+
+    def test_reflect(self):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            points = far_and_bound_points(rng, 600)
+            expected = reflect_oracle(points)
+            assert_same_bits(BOX.reflect(points), expected)
+            buffer = points.copy()
+            assert BOX.reflect(buffer, out=buffer) is buffer
+            assert_same_bits(buffer, expected)
+        assert_same_bits(BOX.reflect(np.array([-5.0, 95.0])), reflect_oracle(np.array([-5.0, 95.0])))
+
+    @pytest.mark.parametrize("scale_factor", [0.5, 0.9, 1.7, 1e-3])
+    def test_mutate(self, scale_factor):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            base, diff_a, diff_b = (far_and_bound_points(rng, 300) for _ in range(3))
+            expected = mutate_oracle(base, diff_a, diff_b, scale_factor)
+            assert_same_bits(de_mutate(base, diff_a, diff_b, scale_factor, BOX), expected)
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.9, 1.0])
+    def test_crossover(self, rate):
+        layout = np.random.default_rng(22)
+        rng, oracle_rng = np.random.default_rng(23), np.random.default_rng(23)
+        for size in (1, 2, 7, 256, 1000):
+            parent, mutant = far_and_bound_points(layout, size), far_and_bound_points(layout, size)
+            expected = crossover_oracle(parent, mutant, rate, oracle_rng)
+            assert_same_bits(de_crossover(parent, mutant, rate, rng), expected)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_pick_donors(self):
+        # global candidates (de, dcde, sharede), neighbour lists (denm) and sde's masked species tables
+        layout = np.random.default_rng(24)
+        rng, oracle_rng = np.random.default_rng(25), np.random.default_rng(25)
+        for size in (5, 12, 256):
+            positions = layout.uniform(BOX.lows, BOX.highs, size=(size, 2))
+            tables = [
+                (_global_donor_candidates(size), None),
+                (nearest_neighbor_indices(positions, 4), None),
+                (nearest_neighbor_indices(positions, min(16, size - 1)), None),
+                _species_donor_table(layout.integers(0, 4, size=size)),
+                _species_donor_table(np.zeros(size, dtype=int)),
+                _species_donor_table(np.arange(size)),
+            ]
+            for candidates, valid in tables:
+                for _ in range(5):
+                    expected = pick_donors_oracle(oracle_rng, candidates, valid)
+                    np.testing.assert_array_equal(_pick_donors(rng, candidates, valid), expected)
+                    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestSpeciesDonorTable:
     # species of sizes 1, 2, 3, 4 and 6, members interleaved across slots
     SPECIES_OF = np.random.default_rng(5).permutation(np.repeat(np.arange(5), [1, 2, 3, 4, 6]))
@@ -686,6 +787,7 @@ class TestNichingBaselines:
 # arithmetic, pinned bit for bit
 POPULATION_DIGESTS = {
     "de": "33c4806f4bdda07986fd9a1c01fd8f9a22b5c121acd996751c11d190bed0ff9d",
+    "denm": "d515a8c560815db1053ac04058723a74652eec8f58e558d18ec131702ab0b76a",
     "dcde": "b715bbec0b467567175b8ec568a06ca9608e807316955d045da7deb8cc2cca1e",
     "sharede": "c778eafed757e18a50630c6630ab70b7f742f81f3326c177311826ceee9a33c5",
     "sde": "44d5a81d6f62a2c0aec38c7e428d2dd2f430fe74e583372ecab4d1a84aad0cec",
