@@ -1,7 +1,7 @@
 """Monte Carlo benchmark harness: accuracy and cost of DOA estimators.
 
 Runs seeded trials of synthesize -> covariance -> subspace -> projector ->
-search -> extraction -> truth matching, one path for every search, each an
+search -> estimate -> truth matching, one path for every search, each an
 entry of the one table ``SEARCHES``; aggregates MAE, success rate, and
 model/measured cost; per-pair errors go to errors.csv for CDF plots.
 
@@ -25,15 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .extract import DoaEstimate, ExtractionResult, extract_dbscan, extract_klocalmax, extract_kmeanspp
-from .music import (
-    FlopModel,
-    GridSpec,
-    flops_music,
-    flops_population,
-    grid_search,
-    noise_projector,
-    spectrum_objective,
-)
+from .extract import _fittest_per_label
+from .music import FlopModel, GridSpec, flops_music, flops_population, grid_maxima, noise_projector, spectrum_objective
 from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, check_field_types, run_population
 from .signal_model import ArrayGeometry, SourceSet, sample_covariance, subspace_split, synthesize_snapshots
 
@@ -51,27 +44,25 @@ EXTRACTIONS = {
 }
 
 
-def _grid_trial(config, proj, trial_index):
-    """The exhaustive grid finds its own peaks: its extract ignores the method."""
-    result = grid_search(proj, config.grid_spec(), len(config.source_azimuth_deg))
-    estimates = map(DoaEstimate, result.azimuth_deg.tolist(), result.elevation_deg.tolist(), result.values.tolist())
-    found = ExtractionResult(tuple(estimates), result.shortfall)
-    return lambda method: found, result.num_evaluations
+def _grid_search(config, proj, trial_index):
+    """The exhaustive grid: its candidates are every strict maximum of the spectrum."""
+    spec = config.grid_spec()
+    return grid_maxima(proj, spec), spec.num_points
 
 
-def _population_trial(config, proj, trial_index):
-    """One run of the scenario's population optimizer; its extract runs an extraction on the final population."""
+def _population_search(config, proj, trial_index):
+    """One run of the scenario's population optimizer: its candidates are the final population."""
     objective = CountingObjective(spectrum_objective(proj))
     optimizer = replace(config.optimizer, rng_seed=derive_seed(config.master_seed, trial_index, 1))
     population = run_population(
         config.algorithm, objective, SearchBox(), optimizer, config.share_radius_deg, config.species_radius_deg
     )
-    return lambda method: EXTRACTIONS[method](config, population, trial_index), objective.count
+    return population, objective.count
 
 
-# Every search a scenario can name, the grid first: (trial function, closed-form FlopModel -> FLOPs). A trial function
-# maps (config, proj, trial_index) to (extract, spectrum evaluations), with extract(method) -> ExtractionResult.
-SEARCHES = {"grid": (_grid_trial, flops_music)} | {name: (_population_trial, flops_population) for name in ALGORITHMS}
+# Every search a scenario can name, the grid first: (search, closed-form FlopModel -> FLOPs). A search maps
+# (config, proj, trial_index) to (candidates, spectrum evaluations), the candidates a Population.
+SEARCHES = {"grid": (_grid_search, flops_music)} | {name: (_population_search, flops_population) for name in ALGORITHMS}
 
 ERROR_COLUMNS = ("algo", "extraction", "snr_db", "trial", "source", "theta_error_deg", "phi_error_deg")
 
@@ -375,27 +366,36 @@ def _fixtures(config: ScenarioConfig) -> tuple[ArrayGeometry, SourceSet, float]:
     return config.geometry(), config.sources(), config.model_flops()
 
 
+def _projector(config: ScenarioConfig, trial_index: int, geom: ArrayGeometry, sources: SourceSet):
+    """A trial's noise projector, from its seeded snapshots. They are freed on return, before the search:
+    held through it, they made M = 128 denm trials several percent slower."""
+    seed = derive_seed(config.master_seed, trial_index, 0)
+    snapshots = synthesize_snapshots(geom, sources, config.snr_db, config.snapshots, seed)
+    return noise_projector(subspace_split(sample_covariance(snapshots), sources.count), geom)
+
+
+def _estimate(config: ScenarioConfig, candidates, method: str, trial_index: int) -> ExtractionResult:
+    """A search's candidates to estimates: a population optimizer's final population through the extraction
+    ``method``; the grid's maxima, as any other search's candidates, each a peak of its own, the top L by fitness."""
+    if config.algorithm in ALGORITHMS:
+        return EXTRACTIONS[method](config, candidates, trial_index)
+    return _fittest_per_label(candidates, None, len(config.source_azimuth_deg))
+
+
 def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> list[TrialReport]:
-    """One seeded trial, one path for every search: synthesize, project and run the scenario's SEARCHES
-    entry once, then extract and score once per method, one report each in order. wall_ms is the search
-    plus that report's extraction."""
+    """One seeded trial, one path for every search: the projector, the SEARCHES entry once, then estimate and score
+    once per method, one report each in order. wall_ms is the search plus that report's estimate."""
     geom, sources, flops = _fixtures(config)
-    snapshots = synthesize_snapshots(
-        geom, sources, config.snr_db, config.snapshots, derive_seed(config.master_seed, trial_index, 0)
-    )
-    proj = noise_projector(subspace_split(sample_covariance(snapshots), sources.count), geom)
-    # freed before the search: held through it, they made M = 128 denm trials several percent slower
-    del snapshots
-    score = partial(_score, config, sources, flops, trial_index)
+    proj = _projector(config, trial_index, geom, sources)
     started = time.perf_counter()
-    extract, evals = SEARCHES[config.algorithm][0](config, proj, trial_index)
+    candidates, evals = SEARCHES[config.algorithm][0](config, proj, trial_index)
     search_ms = (time.perf_counter() - started) * 1e3
     reports = []
     for method in extractions:
         started = time.perf_counter()
-        found = extract(method)
+        found = _estimate(config, candidates, method, trial_index)
         wall_ms = search_ms + (time.perf_counter() - started) * 1e3
-        reports.append(score(found.estimates, found.shortfall, evals, wall_ms))
+        reports.append(_score(config, sources, flops, trial_index, found.estimates, found.shortfall, evals, wall_ms))
     return reports
 
 

@@ -53,7 +53,7 @@ class ExtractionResult:
     the benchmark counts as a failed trial. ``labels`` is the labeling the
     estimates were selected from (cluster ids, NOISE elsewhere), and each
     estimate's cluster_id is its label. Every extraction sets them; they are
-    None only for the grid's result, which has no population to label."""
+    None when every candidate is a peak of its own, as the grid's maxima are."""
 
     estimates: tuple[DoaEstimate, ...]
     shortfall: bool
@@ -106,18 +106,20 @@ def dbscan(points: np.ndarray, eps: float, min_pts: int) -> ClusterLabeling:
     return ClusterLabeling(labels, num_clusters)
 
 
-def _fittest_per_label(population: Population, labels: np.ndarray, num_sources: int) -> ExtractionResult:
+def _fittest_per_label(population: Population, labels: np.ndarray | None, num_sources: int) -> ExtractionResult:
     """The result of a labeling: each label's fittest member (fitness ties to
-    the lower index; NOISE members never count), ordered by fitness
-    descending then index, the first num_sources as estimates, each with its
-    label as cluster_id, and a shortfall when there are fewer labels than
-    sources."""
-    order = np.argsort(-population.fitness, kind="stable")  # stable: ties keep index order
-    found, first = np.unique(labels[order], return_index=True)
-    best = order[np.sort(first[found != NOISE])]
+    the lower index; NOISE members never count), ordered by fitness descending
+    then index, the first num_sources as estimates, each with its label as
+    cluster_id, and a shortfall when there are fewer labels than sources.
+    labels None makes every member a peak of its own, with no cluster_id."""
+    best = np.argsort(-population.fitness, kind="stable")  # stable: ties keep index order
+    if labels is not None:
+        found, first = np.unique(labels[best], return_index=True)
+        best = best[np.sort(first[found != NOISE])]
     chosen = best[:num_sources]
     azimuths, elevations = population.positions[chosen].T.tolist()
-    estimates = map(DoaEstimate, azimuths, elevations, population.fitness[chosen].tolist(), labels[chosen].tolist())
+    cluster_ids = [None] * len(chosen) if labels is None else labels[chosen].tolist()
+    estimates = map(DoaEstimate, azimuths, elevations, population.fitness[chosen].tolist(), cluster_ids)
     return ExtractionResult(tuple(estimates), len(best) < num_sources, labels)
 
 

@@ -18,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from .optimizer import Population
 from .signal_model import ArrayGeometry, SubspaceSplit, steering_rows, TWO_PI
 
 # Floor for the projected power a^H G a: keeps the spectrum finite at exact
@@ -31,6 +32,7 @@ __all__ = [
     "spectrum_objective",
     "GridSpec",
     "evaluate_grid",
+    "grid_maxima",
     "GridSearchResult",
     "grid_search",
     "FlopModel",
@@ -195,11 +197,11 @@ class GridSpec:
 
 
 @lru_cache(maxsize=1)
-def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Read-only real steering rows r of every grid point, float64 (2k, J)
-    with k = M - h computed phases per point, and the grid's azimuth and
-    elevation values (``linspace`` costs more than the rest of a grid search's
-    bookkeeping), built once for the latest (geometry, grid) pair.
+    with k = M - h computed phases per point, and the (J, 2) positions
+    (azimuth, elevation) they were built from, in flat index order, built
+    once for the latest (geometry, grid) pair.
 
     The grid's angles go through ``_steering_rows`` like any population, so
     the grid spectrum equals ``music_values`` bit for bit. The rows cost
@@ -207,11 +209,11 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
     1-degree grid at M = 12, 34 MB at M = 128; twice that with no mirrored
     elements), and building them makes no other array of their size.
     """
-    azimuth, elevation = spec.azimuth_values(), spec.elevation_values()
-    az_mesh, el_mesh = np.meshgrid(azimuth, elevation, indexing="ij")
-    manifold = _steering_rows(geometry, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
-    manifold.flags.writeable = azimuth.flags.writeable = elevation.flags.writeable = False
-    return manifold, azimuth, elevation
+    az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
+    positions = np.column_stack((az_mesh.ravel(), el_mesh.ravel()))
+    manifold = _steering_rows(geometry, positions)
+    manifold.flags.writeable = positions.flags.writeable = False
+    return manifold, positions
 
 
 # Target grid points per spectrum pass. ``evaluate_grid`` splits the J grid points into
@@ -221,7 +223,7 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
 # product's trailing columns through a tail kernel, which moved the last bit of cells
 # that widths such as 8213 left off a multiple of 16; now only the last pass ends there,
 # as one ``music_values`` call does (smaller blocks can still move its last J mod 16
-# cells, in the 360-degree column that ``grid_search`` drops). One (2L, width) work
+# cells, in the 360-degree column that ``grid_maxima`` drops). One (2L, width) work
 # buffer per call (385 KB at L = 3) serves every pass, so the size trades the fixed cost
 # of a pass's numpy calls against cache reuse: a pass at M = 12, L = 3 reads 770 KB of
 # steering rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12 benchmark
@@ -315,6 +317,18 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     return candidates[strict]
 
 
+def grid_maxima(proj: NoiseProjector, spec: GridSpec) -> Population:
+    """Every peak of the exhaustive grid evaluation, by ``_local_maxima``: a
+    point strictly above its eight neighbors, azimuth wrapping at 360
+    degrees, and the zenith one point, at azimuth 0. Positions are (azimuth,
+    elevation), fitness their heights, in ascending flat index: by azimuth,
+    then elevation."""
+    # the 360-degree column repeats the 0-degree one; the peak search wraps azimuth instead
+    values = evaluate_grid(proj, spec)[:-1]
+    peaks = _local_maxima(values)
+    return Population(_grid_manifold(proj.geometry, spec)[1][peaks], values.ravel()[peaks])
+
+
 @dataclass(frozen=True)
 class GridSearchResult:
     """Top peaks of a grid evaluation, sorted by value descending.
@@ -331,30 +345,14 @@ class GridSearchResult:
 
 
 def grid_search(proj: NoiseProjector, spec: GridSpec, num_sources: int) -> GridSearchResult:
-    """Exhaustive grid evaluation followed by ``_local_maxima``: a peak is a
-    point strictly above its eight neighbors, azimuth wrapping at 360
-    degrees. The points at elevation 0, the zenith at every azimuth, count
-    as one point: a peak when it is strictly above every point at the next
-    elevation, reported once, at azimuth 0. Peaks are ordered by value
-    descending, then azimuth, then elevation.
-    """
+    """The num_sources highest of ``grid_maxima``, ordered by value
+    descending, then flat index: azimuth, then elevation."""
     if num_sources < 1:
         raise ValueError("num_sources must be positive")
-    # the 360-degree column repeats the 0-degree one; the peak search wraps azimuth instead
-    values = evaluate_grid(proj, spec)[:-1]
-    i_idx, j_idx = np.divmod(_local_maxima(values), spec.num_elevation)
-    _, azimuth, elevation = _grid_manifold(proj.geometry, spec)
-    az = azimuth[i_idx]
-    el = elevation[j_idx]
-    vals = values[i_idx, j_idx]
-    top = np.lexsort((el, az, -vals))[:num_sources]
-    return GridSearchResult(
-        azimuth_deg=az[top],
-        elevation_deg=el[top],
-        values=vals[top],
-        shortfall=len(vals) < num_sources,
-        num_evaluations=spec.num_points,
-    )
+    maxima = grid_maxima(proj, spec)
+    top = np.argsort(-maxima.fitness, kind="stable")[:num_sources]
+    azimuth, elevation = maxima.positions[top].T
+    return GridSearchResult(azimuth, elevation, maxima.fitness[top], len(maxima) < num_sources, spec.num_points)
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from doakit import (
     ConfigError,
     DEConfig,
     DoaEstimate,
-    ExtractionResult,
     GridSpec,
+    Population,
     ScenarioConfig,
     SourceSet,
     aggregate,
@@ -416,10 +416,11 @@ class TestGoldenOutputs:
 
 class TestSearchTable:
     def test_registered_search_runs_through_trials_aggregate_and_cli(self, tmp_path, monkeypatch):
-        # one SEARCHES entry is a whole search: here the true sources, found with no spectrum evaluation
+        # one SEARCHES entry is a whole search: here its candidates are the true sources, found with no spectrum
+        # evaluation, and as the candidates of a search that is no population optimizer each is a peak of its own
         def truth_search(config, proj, trial_index):
-            found = ExtractionResult(tuple(estimates_from(config.source_azimuth_deg, config.source_elevation_deg)), False)
-            return lambda method: found, 0
+            positions = np.column_stack((config.source_azimuth_deg, config.source_elevation_deg))
+            return Population(positions, np.ones(len(positions))), 0
 
         monkeypatch.setitem(SEARCHES, "truth", (truth_search, lambda model: 2.5e6))
         config = ScenarioConfig(algorithm="truth", snr_db=0.0, trials=3)
@@ -442,6 +443,43 @@ class TestSearchTable:
             errors = list(csv.DictReader(handle))
         assert len(errors) == 6
         assert {(r["algo"], r["theta_error_deg"], r["phi_error_deg"]) for r in errors} == {("truth", "0.0", "0.0")}
+
+    @pytest.mark.parametrize("num_elements", [12, 32])
+    def test_grid_maxima_through_the_estimate_step_give_grid_search(self, num_elements):
+        # the grid's candidates, each a peak of its own, give grid_search's top L bit for bit: its order by
+        # value descending, then azimuth, then elevation, is fitness descending, then flat index
+        directions = {
+            1: ((30.42,), (60.39,)),
+            3: (TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG),
+            10: (tuple(range(0, 360, 36)), (60.0,) * 10),
+        }
+        for step, num_sources, snr_db in itertools.product((1.0, 2.0), directions, (-10.0, -5.0, 0.0, 5.0, 10.0)):
+            azimuths, elevations = directions[num_sources]
+            config = ScenarioConfig(
+                algorithm="grid",
+                num_elements=num_elements,
+                source_azimuth_deg=tuple(azimuths),
+                source_elevation_deg=tuple(elevations),
+                snr_db=snr_db,
+                grid_step_deg=step,
+                master_seed=37,
+            )
+            geom, sources, _ = _fixtures(config)
+            for trial in range(2):
+                proj = bench._projector(config, trial, geom, sources)
+                candidates, evals = SEARCHES["grid"][0](config, proj, trial)
+                found = bench._estimate(config, candidates, config.extraction, trial)
+                expected = music.grid_search(proj, config.grid_spec(), num_sources)
+                assert [e.azimuth_deg for e in found.estimates] == expected.azimuth_deg.tolist()
+                assert [e.elevation_deg for e in found.estimates] == expected.elevation_deg.tolist()
+                assert [e.fitness for e in found.estimates] == expected.values.tolist()
+                assert (found.shortfall, evals) == (expected.shortfall, expected.num_evaluations)
+                assert found.labels is None and all(e.cluster_id is None for e in found.estimates)
+                assert run_trial(config, trial).estimates == found.estimates
+        # a constant spectrum has no maxima: no estimates, and a shortfall
+        flat = music.NoiseProjector(np.zeros((12, 0), dtype=complex), ArrayGeometry.uca(12))
+        found = bench._estimate(ScenarioConfig(algorithm="grid"), music.grid_maxima(flat, GridSpec()), "dbscan", 0)
+        assert found.estimates == () and found.shortfall and music.grid_search(flat, GridSpec(), 3).shortfall
 
 
 class TestAggregate:

@@ -1,5 +1,6 @@
 import warnings
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from doakit import (
     extract_klocalmax,
     extract_kmeanspp,
 )
+from doakit.extract import _fittest_per_label
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
 
@@ -446,6 +448,22 @@ def test_estimates_are_the_fittest_member_of_each_label(labeled):
         # k-local-max's labels are the brute-force peaks, each its own population index
         np.testing.assert_array_equal(result.labels, labels)
         assert [e.cluster_id for e in result.estimates] == [labels[i] for i in best[:num_sources]]
+
+
+def test_no_labels_make_every_member_a_label_of_its_own():
+    # labels None, as for the grid's maxima: every member's own label, ties to the lower index, with no cluster_id
+    for seed in range(15):
+        rng = np.random.default_rng(seed + 300)
+        population = tied_population(rng)
+        # the first two members alone fall short of three or more sources
+        for members in (len(population), 2):
+            part = make_population(population.positions[:members], population.fitness[:members])
+            num_sources = int(rng.integers(1, 7))
+            result = _fittest_per_label(part, None, num_sources)
+            own = _fittest_per_label(part, np.arange(members), num_sources)
+            assert result.estimates == tuple(replace(e, cluster_id=None) for e in own.estimates)
+            assert result.shortfall == own.shortfall == (members < num_sources)
+            assert result.labels is None
 
 
 @pytest.mark.parametrize(

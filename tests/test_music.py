@@ -12,6 +12,7 @@ from doakit import (
     evaluate_grid,
     flops_music,
     flops_population,
+    grid_maxima,
     grid_search,
     music_values,
     noise_projector,
@@ -438,6 +439,32 @@ class TestLocalMaxima:
             assert mask[3, 1] == (zenith < 2.0)
 
 
+class TestGridMaxima:
+    @pytest.mark.parametrize("step", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("elevation", [0.0, 45.0])
+    def test_every_local_maximum_cell_in_ascending_flat_index(self, uca12, elevation, step):
+        # a source at the zenith makes it a peak, at flat index 0 and so first, on every grid step
+        sources = SourceSet(np.array([30.0, 200.0]), np.array([elevation, 50.0]))
+        spec = GridSpec(azimuth_step=step, elevation_step=step)
+        for snr_db in (np.inf, 0.0):
+            snapshots = synthesize_snapshots(uca12, sources, snr_db, 50, rng_seed=2)
+            proj = noise_projector(subspace_split(sample_covariance(snapshots), 2), uca12)
+            values = evaluate_grid(proj, spec)[:-1]
+            # _local_maxima's cells, in ascending flat index: by azimuth, then elevation
+            rows, columns = np.nonzero(local_maxima_mask(values))
+            maxima = grid_maxima(proj, spec)
+            expected = np.column_stack((spec.azimuth_values()[rows], spec.elevation_values()[columns]))
+            np.testing.assert_array_equal(maxima.positions, expected)
+            np.testing.assert_array_equal(maxima.fitness, values[rows, columns])
+            if elevation == 0.0 and snr_db == np.inf:
+                assert maxima.positions[0].tolist() == [0.0, 0.0]
+                assert np.count_nonzero(maxima.positions[:, 1] == 0.0) == 1
+
+    def test_constant_spectrum_has_no_maxima(self, uca12):
+        maxima = grid_maxima(NoiseProjector(np.zeros((12, 0), dtype=complex), uca12), GridSpec())
+        assert maxima.positions.shape == (0, 2) and maxima.fitness.shape == (0,)
+
+
 class TestGridSearch:
     def test_noiseless_reference_scenario(self, noiseless_projector):
         result = grid_search(noiseless_projector, GridSpec(), 3)
@@ -585,13 +612,14 @@ class TestGridManifold:
         evaluate_grid(noiseless_projector, GridSpec())
         hits = _grid_manifold.cache_info().hits
         # an equal geometry built apart finds the same entry
-        manifold, azimuth, elevation = _grid_manifold(ArrayGeometry.uca(12), GridSpec())
-        for held in (manifold, azimuth, elevation):
+        manifold, positions = _grid_manifold(ArrayGeometry.uca(12), GridSpec())
+        for held in (manifold, positions):
             with pytest.raises(ValueError):
                 held[0] = 0.0
         assert _grid_manifold.cache_info().hits == hits + 1
-        np.testing.assert_array_equal(azimuth, GridSpec().azimuth_values())
-        np.testing.assert_array_equal(elevation, GridSpec().elevation_values())
+        # (azimuth, elevation) of every point in flat index order: azimuth-major, as evaluate_grid's values
+        az_mesh, el_mesh = np.meshgrid(GridSpec().azimuth_values(), GridSpec().elevation_values(), indexing="ij")
+        np.testing.assert_array_equal(positions, np.column_stack((az_mesh.ravel(), el_mesh.ravel())))
         # real cosine and sine rows of the M - h computed phases: M * J * 8 bytes on the even circle,
         # twice that on an odd one
         for geometry in (noiseless_projector.geometry, ArrayGeometry.uca(5)):
