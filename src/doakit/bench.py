@@ -552,14 +552,14 @@ def complexity_cells():
 
 
 def format_complexity_table(cells) -> str:
-    """Grid-search vs population cost per cell, printed as music/population (1:ratio)."""
-    by_key = {(cell["M"], cell["L"]): cell for cell in cells}
+    """Grid-search vs population cost per cell, printed as music/population (1:ratio): ``complexity_cells``' cells
+    in their build order, one row per source count."""
     widths = 27
     lines = ["MUSIC/population (MFLOPs)".ljust(widths) + "".join(f"M = {m}".ljust(widths) for m in TABLE_SENSOR_COUNTS)]
-    for num_sources in TABLE_SOURCE_COUNTS:
-        parts = [f"L = {num_sources}".ljust(widths)]
-        for num_sensors in TABLE_SENSOR_COUNTS:
-            cell = by_key[(num_sensors, num_sources)]
+    for start in range(0, len(cells), len(TABLE_SENSOR_COUNTS)):
+        row = cells[start : start + len(TABLE_SENSOR_COUNTS)]
+        parts = [f"L = {row[0]['L']}".ljust(widths)]
+        for cell in row:
             parts.append(
                 f"{cell['music_mflops']:.1f}/{cell['population_mflops']:.1f} (1:{cell['ratio']:.2f})".ljust(widths)
             )

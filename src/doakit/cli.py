@@ -45,6 +45,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point (default: 1000)")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
     parser.add_argument("--workers", type=int, default=1, help="process workers; output is order-stable (default: 1)")
+    parser.add_argument("--algo", choices=SEARCHES, default=None, help="search algorithm (default: denm)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="sweep SNR for one algorithm/extraction pair")
     run.set_defaults(handler=_cmd_run)
     _add_common(run)
-    run.add_argument("--algo", choices=SEARCHES, default=None, help="search algorithm (default: denm)")
     run.add_argument("--extract", choices=EXTRACTIONS, default=None, help="peak extraction (default: dbscan)")
     run.add_argument("--snr", type=float, nargs="+", default=[-10.0, -5.0, 0.0, 5.0, 10.0], help="SNR values in dB")
     run.add_argument("--snapshots", type=int, default=None, help="snapshots per trial (default: 100)")
@@ -70,13 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare-extract", help="extraction methods on identical populations")
     compare.set_defaults(handler=_cmd_compare_extract)
     _add_common(compare)
-    compare.add_argument("--algo", choices=SEARCHES, default=None)
     compare.add_argument("--snr", type=float, default=-5.0, help="SNR in dB (default: -5)")
 
     pop = sub.add_parser("sweep-pop", help="accuracy/cost versus population size")
     pop.set_defaults(handler=_cmd_sweep_pop)
     _add_common(pop)
-    pop.add_argument("--algo", choices=SEARCHES, default=None)
     pop.add_argument("--extract", choices=EXTRACTIONS, default=None)
     pop.add_argument("--snr", type=float, default=0.0, help="SNR in dB (default: 0)")
     pop.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96, 128, 160, 192, 224, 256])
@@ -144,8 +142,7 @@ def _cmd_table3(args) -> int:
     cells = complexity_cells()
     print(format_complexity_table(cells))
     if path is not None:
-        columns = ("M", "L", "music_mflops", "population_mflops", "ratio")
-        write_csv(path, columns, ([cell[column] for column in columns] for cell in cells))
+        write_csv(path, cells[0].keys(), map(dict.values, cells))
         print(f"wrote {path}")
     return 0
 

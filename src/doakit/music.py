@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .optimizer import Population
+from .optimizer import DEConfig, Population
 from .signal_model import ArrayGeometry, SubspaceSplit, steering_rows, TWO_PI
 
 # Floor for the projected power a^H G a: keeps the spectrum finite at exact
@@ -107,9 +107,7 @@ def _steering_rows(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
     return steering_rows(geometry, az, el)
 
 
-def _spectrum(
-    proj: NoiseProjector, rows: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
-) -> np.ndarray:
+def _spectrum(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """1 / max(a^H G a, floor) per column of real steering rows, with
     a^H G a = M - ||B r||^2. It lies in [0, M] since G is an orthogonal
     projector, so every height is at least 1/M (exactly 1/M when L = 0).
@@ -120,11 +118,8 @@ def _spectrum(
 
     Every step writes in place: B r into the first n columns of ``work``, a
     (2L, >= n) float64 array, and the heights into ``out``, n float64 values,
-    which is returned. Either one left out is allocated, so a caller with
-    buffers and one without get the same heights bit for bit."""
+    which is returned."""
     num_points = rows.shape[1]
-    out = np.empty(num_points) if out is None else out
-    work = np.empty((len(proj.projection), num_points)) if work is None else work
     captured = np.matmul(proj.projection, rows, out=work[:, :num_points])
     np.square(captured, out=captured)
     num_sources = len(captured) // 2
@@ -136,12 +131,12 @@ def _spectrum(
 
 
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
-    """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg)."""
-    return _spectrum(proj, _steering_rows(proj.geometry, positions_deg))
+    """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg): one call of ``spectrum_objective``."""
+    return spectrum_objective(proj)(positions_deg)
 
 
 def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarray]:
-    """``music_values`` as a batched objective: fresh heights on each call, through a work buffer held between calls."""
+    """The spectrum as a batched objective: fresh heights on each call, through a work buffer held between calls."""
     work = lru_cache(maxsize=1)(lambda num_points: np.empty((len(proj.projection), num_points)))
 
     def objective(positions_deg):
@@ -367,9 +362,9 @@ class FlopModel:
 
     num_sensors: int
     num_sources: int
-    grid_points: int = 361 * 91
-    population_size: int = 256
-    max_iterations: int = 20
+    grid_points: int = GridSpec().num_points
+    population_size: int = DEConfig.population_size
+    max_iterations: int = DEConfig.max_iterations
 
     def __post_init__(self):
         if min(self.num_sensors, self.num_sources, self.grid_points, self.population_size) <= 0 or self.max_iterations < 0:

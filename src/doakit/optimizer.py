@@ -42,7 +42,6 @@ __all__ = [
     "de_crossover",
     "run_population",
     "nearest_neighbor_indices",
-    "shared_fitness",
 ]
 
 
@@ -310,20 +309,6 @@ def _evaluate(objective: Objective, positions: np.ndarray) -> np.ndarray:
     return values
 
 
-def shared_fitness(positions: np.ndarray, fitness: np.ndarray, share_radius: float) -> np.ndarray:
-    """Fitness divided by the niche count sum_j max(0, 1 - d_ij / share_radius)
-    over the whole population. The self term contributes 1, so an isolated
-    point keeps its raw fitness and two coincident points each keep half."""
-    if not share_radius > 0:  # NaN fails too
-        raise ValueError("share_radius must be positive")
-    positions = np.asarray(positions, dtype=float)
-    return np.asarray(fitness, dtype=float) / _shares(positions, positions, share_radius).sum(axis=1)
-
-
-def _shares(points: np.ndarray, population: np.ndarray, share_radius: float) -> np.ndarray:
-    return np.maximum(0.0, 1.0 - np.sqrt(squared_distances(points, population)) / share_radius)
-
-
 def _assign_species(positions: np.ndarray, fitness: np.ndarray, species_radius: float) -> np.ndarray:
     """Greedy seed partitioning: walk individuals by fitness descending, the
     fittest unassigned one seeds a species and captures every unassigned
@@ -423,13 +408,14 @@ def _crowding(run: _Run, positions, fitness, trials, trial_fitness) -> None:
 
 
 def _shared_greedy(run: _Run, positions, fitness, trials, trial_fitness) -> None:
-    """A trial replaces its parent when trial/niche_count beats
-    parent/niche_count, both counted against the generation-start population.
-    Raw fitness stays on the individuals for peak extraction."""
+    """A trial replaces its parent when trial/niche_count beats parent/niche_count,
+    the count sum_j max(0, 1 - d_ij / share_radius) over the generation-start
+    population. Raw fitness stays on the individuals for peak extraction."""
     # one pass: the trials' rows, then the snapshot's, against the snapshot; a trial
     # counts itself (1) plus the snapshot without its parent slot (the diagonal),
     # mirroring how a parent counts itself plus the others
-    shares = _shares(np.vstack([trials, positions]), positions, run.share_radius)
+    distances = np.sqrt(squared_distances(np.vstack([trials, positions]), positions))
+    shares = np.maximum(0.0, 1.0 - distances / run.share_radius)
     counts = shares.sum(axis=1)
     trial_counts = 1.0 + counts[: len(trials)] - shares.diagonal()
     accept = trial_fitness / trial_counts >= fitness / counts[len(trials) :]

@@ -365,6 +365,35 @@ ARRAY_SIZE_ESTIMATE_DIGESTS = {
 }
 
 
+# sha256 of what the digests above leave out: each report's shortfall, its estimate count and every estimate's
+# cluster_id, on four fast trials per (search, SNR), the grid through run_trials and each population search through
+# every extraction of run_extraction_comparison. A search or an extraction that labels its estimates otherwise, or
+# reports a shortfall otherwise, moves these.
+LABEL_DIGESTS = {
+    ("grid", -5.0): "0c345bbdfc910066f0802449c28a559a39d024de50f6974b2bc60c1a73a0e30e",
+    ("grid", 10.0): "0c345bbdfc910066f0802449c28a559a39d024de50f6974b2bc60c1a73a0e30e",
+    ("de", -5.0): "2e179c3fd355c8f53e258887368579588d63e9965897cbe9ab8724ac98779a7a",
+    ("de", 10.0): "344e52c38980b3ca17f6fa1a12f3f390c0836320bfe62e9778c6d0c24c031672",
+    ("denm", -5.0): "9d35c842e415cf6553976a2bd7b4bb8a8c357d17bbf9093c769865c4ee98a886",
+    ("denm", 10.0): "5adf32cc03fb98d0b5589253e73f6bbda07fd1c832a199468cb8e9cd1c341349",
+    ("dcde", -5.0): "0645e07f75f4a44864a2844d08ccb699200c385d945f933c993edc2fa2a58604",
+    ("dcde", 10.0): "8e97dd0a2086b21bec5e21b4d4143181e9fc33c5a4e77a209acec8f24c58fac5",
+    ("sharede", -5.0): "7016dd74a215a661254433ea3daca87c81dbfb4462e6daa563c368d74d0f220e",
+    ("sharede", 10.0): "9ac9058966fa07f5c511e2214002ec06fef9a2f7b1faf5b8cefac16a63e9ba7f",
+    ("sde", -5.0): "2744ca0ce4443a69a0dc567207b7bf74e486b3e6cbf4a09191fa03c18241f67a",
+    ("sde", 10.0): "35b7ed95b61deabab0dc18027e856e53641d3973447c7776960a9ed97c7ba984",
+}
+
+
+def label_digest(reports_by_method) -> str:
+    digest = hashlib.sha256()
+    for method, reports in reports_by_method.items():
+        for report in reports:
+            labels = [e.cluster_id for e in report.estimates]
+            digest.update(repr((method, report.trial, report.shortfall, len(report.estimates), labels)).encode())
+    return digest.hexdigest()
+
+
 # the reference scenario with its first source moved next to the azimuth seam
 SEAM_CONFIG = ScenarioConfig(source_azimuth_deg=(0.3, 120.27, 240.51), algorithm="grid", snr_db=-5.0, trials=40)
 
@@ -412,6 +441,12 @@ class TestGoldenOutputs:
     def test_seeded_estimates_at_other_array_sizes(self, num_elements):
         config = replace(golden_config("denm", "dbscan"), num_elements=num_elements, optimizer=FAST_DE)
         assert estimate_digest(run_trials(config)) == ARRAY_SIZE_ESTIMATE_DIGESTS[num_elements]
+
+    @pytest.mark.parametrize("algorithm,snr_db", sorted(LABEL_DIGESTS))
+    def test_seeded_labels_and_shortfalls_match_recorded_digest(self, algorithm, snr_db):
+        config = ScenarioConfig(algorithm=algorithm, snr_db=snr_db, trials=4, optimizer=FAST_DE, master_seed=13)
+        by_method = run_extraction_comparison(config) if algorithm in ALGORITHMS else {"": run_trials(config)}
+        assert label_digest(by_method) == LABEL_DIGESTS[(algorithm, snr_db)]
 
 
 class TestSearchTable:
@@ -694,6 +729,19 @@ class TestPublicNames:
             name: value for name, value in vars(doakit).items() if not name.startswith("_") and not inspect.ismodule(value)
         }
         assert top_level == exported
+
+    def test_readme_quick_start_finds_the_sources(self, capsys):
+        # the README's library example runs on the public names as written and prints one line per estimate
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"## Library quick start\s+```python\n(.*?)```", readme, re.S).group(1)
+        namespace = {}
+        exec(compile(block, "README.md quick start", "exec"), namespace)
+        printed = [list(map(float, re.findall(r"-?\d+\.\d+", line))) for line in capsys.readouterr().out.splitlines()]
+        truth = namespace["truth"]
+        assert len(printed) == truth.count
+        match = match_estimates(truth, estimates_from(*zip(*printed)))
+        assert len(match.unmatched_truths) == 0
+        assert np.all(match.theta_errors_deg <= 2.0) and np.all(match.phi_errors_deg <= 2.0)
 
 
 class TestComplexityTable:

@@ -18,15 +18,16 @@ from doakit import (
     run_population,
     run_trial,
     sample_covariance,
-    shared_fitness,
     spectrum_objective,
     subspace_split,
     synthesize_snapshots,
 )
 from doakit.optimizer import (
+    _Run,
     _assign_species,
     _global_donor_candidates,
     _pick_donors,
+    _shared_greedy,
     _species_donor_table,
     squared_distances,
 )
@@ -810,20 +811,28 @@ def test_default_population_matches_recorded_digest(noisy_reference_objective, a
     assert digest.hexdigest() == POPULATION_DIGESTS[algorithm]
 
 
+def shared_generation(parents, parent_fitness, trials, trial_fitness, share_radius=15.0):
+    """One sharede replacement step on a hand-built generation; the positions and fitness it leaves."""
+    run = _Run(DEConfig(), BOX, np.random.default_rng(0), share_radius, 15.0)
+    positions, fitness = np.array(parents, dtype=float), np.array(parent_fitness, dtype=float)
+    _shared_greedy(run, positions, fitness, np.array(trials, dtype=float), np.array(trial_fitness, dtype=float))
+    return positions, fitness
+
+
 class TestSharedFitness:
-    def test_isolated_point_keeps_raw_fitness(self):
-        positions = np.array([[0.0, 0.0], [200.0, 80.0]])
-        shared = shared_fitness(positions, np.array([5.0, 7.0]), share_radius=15.0)
-        np.testing.assert_allclose(shared, [5.0, 7.0])
+    def test_crowded_trial_shares_its_fitness_and_an_isolated_one_keeps_it(self):
+        # trial 0 sits on parent 1: its niche count is 2, so it competes at 9 / 2 = 4.5 and loses to parent 0's 5;
+        # trial 1 is alone, so it competes at its raw 8 and beats parent 1's 7
+        positions, fitness = shared_generation([[0, 0], [100, 50]], [5, 7], [[100, 50], [200, 80]], [9, 8])
+        np.testing.assert_array_equal(positions, [[0.0, 0.0], [200.0, 80.0]])
+        np.testing.assert_array_equal(fitness, [5.0, 8.0])
 
-    def test_coincident_points_split_fitness(self):
-        positions = np.array([[10.0, 10.0], [10.0, 10.0], [300.0, 70.0]])
-        shared = shared_fitness(positions, np.array([4.0, 4.0, 9.0]), share_radius=15.0)
-        np.testing.assert_allclose(shared, [2.0, 2.0, 9.0])
-
-    def test_rejects_non_positive_radius(self):
-        with pytest.raises(ValueError, match="share_radius must be positive"):
-            shared_fitness(np.zeros((2, 2)), np.array([1.0, 2.0]), share_radius=0.0)
+    def test_trial_does_not_count_its_own_parent(self):
+        # a trial on its parent counts itself and the rest of the generation, not the parent it would replace:
+        # 5 / 1 beats the parent's 4 / 1, where counting the parent too would give 5 / 2
+        positions, fitness = shared_generation([[10, 10], [300, 70]], [4, 9], [[10, 10], [200, 20]], [5, 1])
+        np.testing.assert_array_equal(positions, [[10.0, 10.0], [300.0, 70.0]])
+        np.testing.assert_array_equal(fitness, [5.0, 9.0])
 
     def test_raw_fitness_kept_on_population(self):
         config = DEConfig(population_size=32, max_iterations=10, neighborhood_size=8, rng_seed=1)
