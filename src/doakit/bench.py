@@ -163,7 +163,7 @@ class ScenarioConfig:
         return SourceSet(self.source_azimuth_deg, self.source_elevation_deg, self.source_power)
 
     def grid_spec(self) -> GridSpec:
-        return _grid_spec(self.grid_step_deg)
+        return GridSpec(azimuth_step=self.grid_step_deg, elevation_step=self.grid_step_deg)
 
     def flop_model(self) -> FlopModel:
         return FlopModel(
@@ -191,12 +191,6 @@ class ScenarioConfig:
             return cls(**kwargs)
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-
-
-@lru_cache(maxsize=8)
-def _grid_spec(step_deg: float) -> GridSpec:
-    """The square grid of a step, built once and shared by every trial of the scenarios that use it."""
-    return GridSpec(azimuth_step=step_deg, elevation_step=step_deg)
 
 
 def derive_seed(master_seed: int, trial_index: int, stream: int) -> int:

@@ -42,10 +42,10 @@ from .bench import (
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON scenario file (defaults: built-in scenario)")
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: 0 or config value)")
-    parser.add_argument("--trials", type=int, default=None, help="Monte Carlo trials per point (default: 1000)")
+    parser.add_argument("--trials", type=int, help=f"Monte Carlo trials per point (default: {ScenarioConfig.trials})")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
     parser.add_argument("--workers", type=int, default=1, help="process workers; output is order-stable (default: 1)")
-    parser.add_argument("--algo", choices=SEARCHES, default=None, help="search algorithm (default: denm)")
+    parser.add_argument("--algo", choices=SEARCHES, help=f"search algorithm (default: {ScenarioConfig.algorithm})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,9 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="sweep SNR for one algorithm/extraction pair")
     run.set_defaults(handler=_cmd_run)
     _add_common(run)
-    run.add_argument("--extract", choices=EXTRACTIONS, default=None, help="peak extraction (default: dbscan)")
+    run.add_argument("--extract", choices=EXTRACTIONS, help=f"peak extraction (default: {ScenarioConfig.extraction})")
     run.add_argument("--snr", type=float, nargs="+", default=[-10.0, -5.0, 0.0, 5.0, 10.0], help="SNR values in dB")
-    run.add_argument("--snapshots", type=int, default=None, help="snapshots per trial (default: 100)")
+    run.add_argument("--snapshots", type=int, help=f"snapshots per trial (default: {ScenarioConfig.snapshots})")
 
     table = sub.add_parser("table3", help="closed-form complexity report (grid vs population)")
     table.set_defaults(handler=_cmd_table3)
@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     pop = sub.add_parser("sweep-pop", help="accuracy/cost versus population size")
     pop.set_defaults(handler=_cmd_sweep_pop)
     _add_common(pop)
-    pop.add_argument("--extract", choices=EXTRACTIONS, default=None)
+    pop.add_argument("--extract", choices=EXTRACTIONS, help=f"peak extraction (default: {ScenarioConfig.extraction})")
     pop.add_argument("--snr", type=float, default=0.0, help="SNR in dB (default: 0)")
     pop.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96, 128, 160, 192, 224, 256])
 

@@ -13,7 +13,7 @@ costs 2 * M * L real multiply-adds per direction instead of M^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -131,19 +131,14 @@ def _spectrum(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.
 
 
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
-    """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg): one call of ``spectrum_objective``."""
-    return spectrum_objective(proj)(positions_deg)
+    """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg), in a fresh array."""
+    rows = _steering_rows(proj.geometry, positions_deg)
+    return _spectrum(proj, rows, np.empty(rows.shape[1]), np.empty((len(proj.projection), rows.shape[1])))
 
 
 def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarray]:
-    """The spectrum as a batched objective: fresh heights on each call, through a work buffer held between calls."""
-    work = lru_cache(maxsize=1)(lambda num_points: np.empty((len(proj.projection), num_points)))
-
-    def objective(positions_deg):
-        rows = _steering_rows(proj.geometry, positions_deg)
-        return _spectrum(proj, rows, np.empty(rows.shape[1]), work(rows.shape[1]))
-
-    return objective
+    """The spectrum as a batched objective: ``music_values`` of the projector."""
+    return partial(music_values, proj)
 
 
 @dataclass(frozen=True)

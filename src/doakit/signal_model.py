@@ -159,7 +159,8 @@ class SourceSet:
     Powers are relative weights (default all ones). The source count must stay
     below the element count of whatever array the set is used with, so that a
     noise subspace exists; that check happens at synthesis time. The arrays are
-    read-only copies and compare by value, as in ``ArrayGeometry``.
+    read-only copies and compare by value, as in ``ArrayGeometry``. Every
+    azimuth at elevation 0 is one direction, the zenith, held at azimuth 0.
     """
 
     azimuth_deg: np.ndarray = field(compare=False)
@@ -170,8 +171,6 @@ class SourceSet:
     def __post_init__(self):
         az = _read_only_floats(self.azimuth_deg)
         el = _read_only_floats(self.elevation_deg)
-        object.__setattr__(self, "azimuth_deg", az)
-        object.__setattr__(self, "elevation_deg", el)
         if az.ndim != 1 or az.shape != el.shape or len(az) < 1:
             raise ValueError("azimuth and elevation lists must be 1-D and the same length")
         # written as "not all inside" so that NaN is rejected too
@@ -179,8 +178,10 @@ class SourceSet:
             raise ValueError("azimuths must lie in [0, 360) degrees")
         if not np.all((el >= 0.0) & (el <= 90.0)):
             raise ValueError("elevations must lie in [0, 90] degrees")
-        directions = {(float(a) if e else 0.0, float(e)) for a, e in zip(az, el)}
-        if len(directions) != len(az):
+        az = _read_only_floats(np.where(el == 0.0, 0.0, az))
+        object.__setattr__(self, "azimuth_deg", az)
+        object.__setattr__(self, "elevation_deg", el)
+        if len(set(zip(az.tolist(), el.tolist()))) != len(az):
             raise ValueError("sources must have distinct directions (every azimuth at elevation 0 is the zenith)")
         power = _read_only_floats(np.ones(len(az)) if self.power is None else self.power)
         if power.shape != az.shape or not np.all((power > 0) & np.isfinite(power)):

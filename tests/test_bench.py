@@ -413,6 +413,20 @@ class TestGridSeam:
                 assert not (apart_az <= step and apart_el <= step)
 
 
+class TestZenithSource:
+    @pytest.mark.parametrize("snr_db", [np.inf, 10.0])
+    def test_zenith_source_scored_against_its_own_direction(self, snr_db):
+        # elevation 0 is the zenith at any azimuth: a source named at azimuth 30 is the point the grid
+        # reports at (0, 0), so the trial is charged no azimuth error
+        config = ScenarioConfig(
+            source_azimuth_deg=(30.0,), source_elevation_deg=(0.0,), algorithm="grid", snr_db=snr_db, trials=2
+        )
+        for report in run_trials(config):
+            assert [(e.azimuth_deg, e.elevation_deg) for e in report.estimates] == [(0.0, 0.0)]
+            assert report.success and not report.shortfall
+            assert report.match.theta_errors_deg.tolist() == report.match.phi_errors_deg.tolist() == [0.0]
+
+
 def golden_config(algorithm, extraction):
     return ScenarioConfig(
         algorithm=algorithm,
@@ -1140,6 +1154,24 @@ class TestCli:
         monkeypatch.setattr("doakit.cli.os.access", lambda path, mode: False)
         assert cli_main(["run", "--trials", "1", "--out", str(tmp_path)]) == 2
         assert f"config error: cannot write {tmp_path / 'summary.csv'}: permission denied" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("run", {"--trials": "trials", "--algo": "algorithm", "--extract": "extraction", "--snapshots": "snapshots"}),
+            ("compare-extract", {"--trials": "trials", "--algo": "algorithm"}),
+            ("sweep-pop", {"--trials": "trials", "--algo": "algorithm", "--extract": "extraction"}),
+        ],
+    )
+    def test_help_names_the_scenario_defaults(self, command, flags, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        # the option list, past the usage line
+        text = " ".join(capsys.readouterr().out.split()).partition("show this help message and exit")[2]
+        for flag, name in flags.items():
+            # the flag's entry runs from its name to the next option's
+            entry = re.search(rf"{flag} .*?(?= -|$)", text).group()
+            assert f"(default: {getattr(ScenarioConfig(), name)})" in entry, entry
 
     def test_run_offers_every_search(self):
         assert tuple(SEARCHES) == ("grid", "de", "denm", "dcde", "sharede", "sde")

@@ -223,7 +223,7 @@ class TestMusicValue:
         assert abs(values[0] - values[1]) / values[0] < 1e-12
 
     def test_spectrum_objective_returns_fresh_heights_equal_to_music_values(self):
-        # the objective holds its work buffer across calls, never its heights: a caller may keep them
+        # each call returns fresh heights: a caller may keep them
         proj = projector_from_random_covariance(10)
         objective = spectrum_objective(proj)
         rng = np.random.default_rng(10)
@@ -588,7 +588,7 @@ class TestGridManifold:
         expected = spectrum_over_meshgrid(proj, GridSpec()).view(np.uint64)
         widths, spectrum = [], music._spectrum
 
-        def recording_spectrum(proj, rows, out=None, work=None):
+        def recording_spectrum(proj, rows, out, work):
             widths.append((rows.shape[1], len(out), work.shape[1]))
             return spectrum(proj, rows, out, work)
 

@@ -310,17 +310,25 @@ class TestSpeciesDonorTable:
         assert drawn == mates
 
 
-def bruteforce_neighbors(positions, count):
-    """Per row, the count nearest indices by a full (distance, index) sort,
-    and whether a distance tie straddles the cut: the count-th and the
-    next-nearest distances are equal, so the lower index has to win it."""
-    neighbors, straddles = [], []
-    for i in range(len(positions)):
-        row = np.sum((positions[i] - positions) ** 2, axis=1).tolist()
-        dist = sorted((row[j], j) for j in range(len(positions)) if j != i)
-        neighbors.append([j for _, j in dist[:count]])
-        straddles.append(count < len(dist) and dist[count - 1][0] == dist[count][0])
-    return neighbors, straddles
+def stable_sort_neighbors(positions):
+    """Every other point of each row, nearest first, and their squared
+    distances: a stable argsort of the float64 dx*dx + dy*dy over all points,
+    self removed, so equal distances keep index order."""
+    pos = np.asarray(positions, dtype=float)
+    dx = pos[:, None, 0] - pos[None, :, 0]
+    dy = pos[:, None, 1] - pos[None, :, 1]
+    distances = dx * dx + dy * dy
+    order = np.argsort(distances, axis=1, kind="stable")
+    order = order[order != np.arange(len(pos))[:, None]].reshape(len(pos), len(pos) - 1)
+    return order, np.take_along_axis(distances, order, axis=1)
+
+
+def assert_counts_match_stable_sort(positions, counts):
+    order, _ = stable_sort_neighbors(positions)
+    for count in counts:
+        found = nearest_neighbor_indices(positions, count)
+        assert found.shape == (len(positions), count)
+        np.testing.assert_array_equal(found, order[:, :count], err_msg=f"count {count}")
 
 
 class TestNearestNeighbors:
@@ -349,9 +357,14 @@ class TestNearestNeighbors:
         ]  # count = n - 2 checks every key of a row for ties
         seen = set()
         for positions, count in cases:
-            expected, straddles = bruteforce_neighbors(positions, count)
-            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
-            seen.update(straddles)
+            order, distances = stable_sort_neighbors(positions)
+            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), order[:, :count])
+            # a tie straddles the cut where the count-th and the next-nearest distances are
+            # equal, so the lower index has to win it; a row with no next point has none
+            if count < len(positions) - 1:
+                seen.update((distances[:, count - 1] == distances[:, count]).tolist())
+            else:
+                seen.add(False)
         # rows with and without a distance tie straddling the cut both occur
         assert seen == {False, True}
 
@@ -363,8 +376,7 @@ class TestNearestNeighbors:
             positions = rng.uniform(0.0, 100.0, size=(size, 2))
             if size > 10:
                 positions[3] = positions[7]  # force distance ties
-            expected, _ = bruteforce_neighbors(positions, count)
-            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
+            assert_counts_match_stable_sort(positions, (count,))
 
     def test_near_tie_below_the_index_bits(self):
         # point 2 is closer to point 0 than point 1 is, by a few ulps of the
@@ -380,9 +392,7 @@ class TestNearestNeighbors:
                 break
         positions = np.array([[0.0, 0.0], [x, 0.0], [0.0, y], [40.0, 40.0], [-40.0, 35.0]])
         np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [2])
-        for count in (1, 2, 4):
-            expected, _ = bruteforce_neighbors(positions, count)
-            np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
+        assert_counts_match_stable_sort(positions, (1, 2, 4))
 
     @pytest.mark.parametrize("size", [2, 255, 256, 257])
     def test_whole_rows_where_index_bits_grow(self, size):
@@ -391,18 +401,11 @@ class TestNearestNeighbors:
         positions = np.random.default_rng(size).uniform(0.0, 100.0, size=(size, 2))
         if size > 2:
             positions[-1] = positions[0]
-        expected, _ = bruteforce_neighbors(positions, size - 1)
-        np.testing.assert_array_equal(nearest_neighbor_indices(positions, size - 1), expected)
+        assert_counts_match_stable_sort(positions, (size - 1,))
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             nearest_neighbor_indices(np.zeros((5, 2)), 5)
-
-
-def assert_matches_bruteforce(positions, counts):
-    for count in counts:
-        expected, _ = bruteforce_neighbors(positions, count)
-        np.testing.assert_array_equal(nearest_neighbor_indices(positions, count), expected)
 
 
 class TestFloat32Keys:
@@ -416,7 +419,7 @@ class TestFloat32Keys:
         near, far = 9.0, 9.0 + 3e-6**2
         assert near < far and np.float32(near) == np.float32(far)
         np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [2])
-        assert_matches_bruteforce(positions, (1, 2, 4))
+        assert_counts_match_stable_sort(positions, (1, 2, 4))
 
     def test_squared_distances_beyond_float32_range(self):
         # squared distances up to about 4e40 overflow float32 (max 3.4e38) to
@@ -426,7 +429,7 @@ class TestFloat32Keys:
         positions[:10] = rng.uniform(0.0, 1e18, size=(10, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_matches_bruteforce(positions, (1, 5, 12, 38))
+            assert_counts_match_stable_sort(positions, (1, 5, 12, 38))
 
     def test_squared_distances_subnormal_in_float64(self):
         # separations near 1e-160 square to about 1e-320: subnormal, and
@@ -437,7 +440,7 @@ class TestFloat32Keys:
         sq = np.sum((positions[0] - positions[1:25]) ** 2, axis=1)
         assert np.all(sq < np.finfo(float).tiny) and len(np.unique(sq)) > 1
         assert not np.any(sq.astype(np.float32))
-        assert_matches_bruteforce(positions, (1, 3, 24, 28))
+        assert_counts_match_stable_sort(positions, (1, 3, 24, 28))
 
     def test_nine_index_bits(self):
         # 257 points need 9 index bits; the highest index is the nearest
@@ -450,7 +453,7 @@ class TestFloat32Keys:
         near, far = np.array([9.0, 9.0 + 9.0 * 2.0**-20], dtype=np.float32).view(np.uint32)
         assert near < far and near >> 9 == far >> 9
         np.testing.assert_array_equal(nearest_neighbor_indices(positions, 1)[0], [256])
-        assert_matches_bruteforce(positions, (1, 2, 16, 255))
+        assert_counts_match_stable_sort(positions, (1, 2, 16, 255))
 
     @pytest.mark.parametrize("num_elements", [12, 128])
     def test_every_generation_of_a_seeded_denm_trial(self, num_elements, monkeypatch):
@@ -466,16 +469,7 @@ class TestFloat32Keys:
         assert len(searched) == config.max_iterations
         for positions, count in searched:
             assert positions.shape == (config.population_size, 2) and count == config.neighborhood_size
-            assert_matches_bruteforce(positions, (count,))
-
-
-def assert_every_count_matches_bruteforce(positions, counts):
-    """assert_matches_bruteforce for many counts from one full (distance, index) sort."""
-    order, _ = bruteforce_neighbors(positions, len(positions) - 1)
-    order = np.array(order)
-    for count in counts:
-        found = nearest_neighbor_indices(positions, count)
-        np.testing.assert_array_equal(found, order[:, :count], err_msg=f"count {count}")
+            assert_counts_match_stable_sort(positions, (count,))
 
 
 class TestWindowedSearch:
@@ -486,7 +480,7 @@ class TestWindowedSearch:
     def test_every_point_at_one_azimuth(self):
         # every azimuth gap is 0, so no window proves a row exact
         positions = np.column_stack([np.full(256, 120.0), np.random.default_rng(31).uniform(0.0, 90.0, 256)])
-        assert_every_count_matches_bruteforce(positions, (1, 16, 100, 254, 255))
+        assert_counts_match_stable_sort(positions, (1, 16, 100, 254, 255))
 
     def test_two_clusters_stacked_at_one_azimuth(self):
         # the azimuth order interleaves two clusters 50 degrees apart in elevation,
@@ -495,7 +489,7 @@ class TestWindowedSearch:
         positions = np.column_stack([120.0 + rng.normal(0.0, 1e-3, 256), rng.normal(20.0, 1.0, 256)])
         positions[1::2, 1] += 50.0
         positions[200:210] = positions[7]  # duplicates inside one cluster
-        assert_every_count_matches_bruteforce(positions, (1, 4, 16, 64, 127, 128, 129, 254))
+        assert_counts_match_stable_sort(positions, (1, 4, 16, 64, 127, 128, 129, 254))
 
     @pytest.mark.parametrize("count", [1, 4, 16])
     def test_sizes_from_count_plus_two(self, count):
@@ -506,16 +500,16 @@ class TestWindowedSearch:
             centres = rng.uniform((0.0, 0.0), (360.0, 90.0), size=(3, 2))
             positions = centres[rng.integers(3, size=size)] + rng.normal(0.0, 2.0, size=(size, 2))
             positions[-1] = positions[0]
-            assert_matches_bruteforce(positions, (count,))
+            assert_counts_match_stable_sort(positions, (count,))
 
     def test_duplicates_at_the_window_edges(self):
         # points in equal pairs along a line, and a lattice with repeated
         # azimuths: across every count, some row's cut and some window's
         # edge fall between two copies of one point
         pairs = np.repeat(np.column_stack([np.arange(128.0), np.zeros(128)]), 2, axis=0)
-        assert_every_count_matches_bruteforce(pairs, range(1, 256))
+        assert_counts_match_stable_sort(pairs, range(1, 256))
         lattice = np.random.default_rng(34).integers(0, 16, size=(256, 2)).astype(float)
-        assert_every_count_matches_bruteforce(lattice, range(1, 256, 3))
+        assert_counts_match_stable_sort(lattice, range(1, 256, 3))
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_nearest_point_in_the_window_end_column(self, side):
@@ -528,7 +522,7 @@ class TestWindowedSearch:
         positions[[1, 2], 1] = 48.5
         positions[:, 0] *= side
         np.testing.assert_array_equal(nearest_neighbor_indices(positions, 2)[0], [48, 1])
-        assert_matches_bruteforce(positions, (1, 2, 3))
+        assert_counts_match_stable_sort(positions, (1, 2, 3))
 
     def test_padding_beside_float32_overflow(self):
         # real squared distances that overflow float32 to inf sit beside the
@@ -538,32 +532,13 @@ class TestWindowedSearch:
         positions[:40] = rng.uniform(0.0, 1e18, size=(40, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert_every_count_matches_bruteforce(positions, (1, 5, 16, 39, 40, 100, 254))
+            assert_counts_match_stable_sort(positions, (1, 5, 16, 39, 40, 100, 254))
 
     def test_padding_beside_subnormal_distances(self):
         rng = np.random.default_rng(36)
         positions = rng.uniform(0.0, 4e-160, size=(256, 2))
         positions[200:] = rng.uniform(1.0, 2.0, size=(56, 2))
-        assert_every_count_matches_bruteforce(positions, (1, 3, 16, 199, 200, 254))
-
-
-def stable_sort_neighbors(positions):
-    """Every other point of each row, nearest first: a stable argsort of the
-    float64 dx*dx + dy*dy over all points, self removed, so equal distances
-    keep index order."""
-    pos = np.asarray(positions, dtype=float)
-    dx = pos[:, None, 0] - pos[None, :, 0]
-    dy = pos[:, None, 1] - pos[None, :, 1]
-    order = np.argsort(dx * dx + dy * dy, axis=1, kind="stable")
-    return order[order != np.arange(len(pos))[:, None]].reshape(len(pos), len(pos) - 1)
-
-
-def assert_counts_match_stable_sort(positions, counts):
-    order = stable_sort_neighbors(positions)
-    for count in counts:
-        found = nearest_neighbor_indices(positions, count)
-        assert found.shape == (len(positions), count)
-        np.testing.assert_array_equal(found, order[:, :count], err_msg=f"count {count}")
+        assert_counts_match_stable_sort(positions, (1, 3, 16, 199, 200, 254))
 
 
 def float32_twins(base, steps):
@@ -657,7 +632,7 @@ class TestStableSortOracle:
             warnings.simplefilter("error")
             found = nearest_neighbor_indices(positions, 5)
         with np.errstate(over="ignore"):
-            np.testing.assert_array_equal(found, stable_sort_neighbors(positions)[:, :5])
+            np.testing.assert_array_equal(found, stable_sort_neighbors(positions)[0][:, :5])
 
 
 class TestSquaredDistances:

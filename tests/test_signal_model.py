@@ -319,6 +319,15 @@ class TestSourceSet:
             with pytest.raises(ValueError):
                 SourceSet(np.array([az]), np.array([el]), np.array([power]))
 
+    def test_zenith_held_at_azimuth_zero(self):
+        # every azimuth at elevation 0 (or -0.0) is the zenith: held at azimuth 0, and two of them are one direction
+        sources = SourceSet(np.array([30.0, 30.0]), np.array([0.0, 45.0]))
+        np.testing.assert_array_equal(sources.azimuth_deg, [0.0, 30.0])
+        assert not sources.azimuth_deg.flags.writeable
+        assert sources == SourceSet(np.array([0.0, 30.0]), np.array([0.0, 45.0]))
+        with pytest.raises(ValueError, match="zenith"):
+            SourceSet(np.array([30.0, 200.0]), np.array([0.0, -0.0]))
+
     def test_default_unit_powers(self):
         sources = SourceSet(np.array([10.0, 20.0]), np.array([30.0, 40.0]))
         np.testing.assert_array_equal(sources.power, [1.0, 1.0])
