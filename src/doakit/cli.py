@@ -41,7 +41,7 @@ from .bench import (
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON scenario file (defaults: built-in scenario)")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default: 0 or config value)")
+    parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: {ScenarioConfig.master_seed})")
     parser.add_argument("--trials", type=int, help=f"Monte Carlo trials per point (default: {ScenarioConfig.trials})")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
     parser.add_argument("--workers", type=int, default=1, help="process workers; output is order-stable (default: 1)")
@@ -51,8 +51,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doa-bench",
-        description="Monte Carlo benchmarks for 2D DOA estimation "
-        "(default scenario: 12-element UCA, three sources, 100 snapshots).",
+        description="Monte Carlo benchmarks for 2D DOA estimation (default scenario: "
+        f"{ScenarioConfig.num_elements}-element UCA, {len(ScenarioConfig.source_azimuth_deg)} sources, "
+        f"{ScenarioConfig.snapshots} snapshots).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -107,27 +107,36 @@ def _steering_rows(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
     return steering_rows(geometry, az, el)
 
 
-def _spectrum(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """1 / max(a^H G a, floor) per column of real steering rows, with
-    a^H G a = M - ||B r||^2. It lies in [0, M] since G is an orthogonal
-    projector, so every height is at least 1/M (exactly 1/M when L = 0).
+def _captured_power(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """||B r||^2 = ||U_s^H a||^2, the power the signal basis captures, per column of real steering rows.
 
     B r holds the real parts of U_s^H a above the imaginary parts; the squares
     are summed as the complex form sums them, re^2 + im^2 per source, then over
-    the sources, so the heights differ from it only by the rounding of B r.
+    the sources, so the power differs from it only by the rounding of B r.
 
     Every step writes in place: B r into the first n columns of ``work``, a
-    (2L, >= n) float64 array, and the heights into ``out``, n float64 values,
+    (2L, >= n) float64 array, and the powers into ``out``, n float64 values,
     which is returned."""
     num_points = rows.shape[1]
     captured = np.matmul(proj.projection, rows, out=work[:, :num_points])
     np.square(captured, out=captured)
     num_sources = len(captured) // 2
     captured[:num_sources] += captured[num_sources:]
-    np.add.reduce(captured[:num_sources], axis=0, out=out)
-    np.subtract(proj.geometry.num_elements, out, out=out)
-    np.maximum(out, DENOMINATOR_FLOOR, out=out)
-    return np.divide(1.0, out, out=out)
+    return np.add.reduce(captured[:num_sources], axis=0, out=out)
+
+
+def _heights(num_elements: int, power: np.ndarray) -> np.ndarray:
+    """The height map 1 / max(M - p, floor) of captured powers, over ``power``, which is returned.
+    Each step rounds monotonically, so a height never falls as the power rises."""
+    np.subtract(num_elements, power, out=power)
+    np.maximum(power, DENOMINATOR_FLOOR, out=power)
+    return np.divide(1.0, power, out=power)
+
+
+def _spectrum(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """1 / max(a^H G a, floor), a^H G a = M - ||B r||^2 in [0, M], by ``_captured_power`` into ``out``:
+    every height is at least 1/M, exactly 1/M when L = 0."""
+    return _heights(proj.geometry.num_elements, _captured_power(proj, rows, out, work))
 
 
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
@@ -206,7 +215,7 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
     return manifold, positions
 
 
-# Target grid points per spectrum pass. ``evaluate_grid`` splits the J grid points into
+# Target grid points per spectrum pass. ``_grid_power`` splits the J grid points into
 # max(1, round(J / 8192)) passes of equal width, rounded up to a multiple of 16, so that
 # no pass is a short remainder that pays a whole pass's fixed cost: the 1-degree grid's
 # 32851 points run as 3 passes of 8224 and one of 8179. On one thread OpenBLAS rounds a
@@ -221,26 +230,30 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
 _GRID_BLOCK_COLUMNS = 8192
 
 
-def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
-    """Pseudo-spectrum at every grid point, shaped (num_azimuth,
-    num_elevation): values[i, j] at (azimuth i, elevation j).
-
-    The steering rows of the grid are built once per process for the latest
+def _grid_power(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
+    """Captured power at every grid point, shaped (num_azimuth, num_elevation).
+    The grid's steering rows are built once per process for the latest
     (geometry, grid) pair; a trial pays only the projection, in equal passes
     of about ``_GRID_BLOCK_COLUMNS`` points, each written through one work
-    buffer straight into the returned array. At the default pass width the
-    heights equal one ``music_values`` call over every grid point.
-    """
+    buffer straight into the returned array."""
     rows = _grid_manifold(proj.geometry, spec)[0]
     num_points = rows.shape[1]
     passes = max(1, round(num_points / _GRID_BLOCK_COLUMNS))
     width = -(-num_points // passes // 16) * 16
-    values = np.empty(num_points)
+    power = np.empty(num_points)
     work = np.empty((len(proj.projection), width))
     for start in range(0, num_points, width):
         stop = start + width
-        _spectrum(proj, rows[:, start:stop], values[start:stop], work)
-    return values.reshape(spec.num_azimuth, spec.num_elevation)
+        _captured_power(proj, rows[:, start:stop], power[start:stop], work)
+    return power.reshape(spec.num_azimuth, spec.num_elevation)
+
+
+def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
+    """Pseudo-spectrum at every grid point, shaped (num_azimuth,
+    num_elevation): values[i, j] at (azimuth i, elevation j), the height map
+    of ``_grid_power`` in place. At the default pass width the heights equal
+    one ``music_values`` call over every grid point."""
+    return _heights(proj.geometry.num_elements, _grid_power(proj, spec))
 
 
 # Relative margin for strict dominance: spectrum values equal up to a few ulps
@@ -251,14 +264,15 @@ _NEIGHBOR_ROWS = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
 _NEIGHBOR_COLUMNS = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 
 
-def _local_maxima(values: np.ndarray) -> np.ndarray:
-    """Flat indices, ascending, of a grid spectrum's strict local maxima.
+def _local_maxima(power: np.ndarray, height: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices, ascending, and heights of the strict local maxima of a
+    grid spectrum, given as powers and their non-decreasing height map.
 
     Axis 0 (azimuth) is periodic: its first and last rows are neighbors.
     Axis 1 (elevation) is not: a neighbor past its edge counts as -inf, so
     edge cells compare only their real neighbors. Strictness carries a
-    relative margin so floating-point jitter on flat regions cannot
-    fabricate peaks.
+    relative margin on heights so floating-point jitter on flat regions
+    cannot fabricate peaks.
 
     Column 0 is the zenith, one direction repeated in every row, as the
     elevation-0 row of a grid is; at least one column lies beside it. Its
@@ -268,18 +282,18 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     neighbor. Every other cell is a maximum when strictly above its eight
     neighbors.
 
-    A strict maximum equals the maximum of its 3x3 block, so the block
-    maximum is taken first, in whole contiguous passes, and only the cells
-    equal to it are compared with their eight neighbors. The block maximum
-    only narrows the candidates; that comparison decides.
+    A cell strictly above its neighbors in height is so in power: it equals
+    its 3x3 block's maximum power, taken first in whole contiguous passes.
+    The map then reads only those cells, the zenith and the maximum power of
+    each one's neighbors (column 1 for the zenith): their maximum height.
     """
-    num_elevation = values.shape[1]
+    num_elevation = power.shape[1]
     # 3-max along azimuth, wrapped, over whole rows
-    rows = np.empty_like(values)
-    np.maximum(values[:-1], values[1:], out=rows[1:])
-    np.maximum(values[-1], values[0], out=rows[0])
-    np.maximum(rows[:-1], values[1:], out=rows[:-1])
-    np.maximum(rows[-1], values[0], out=rows[-1])
+    rows = np.empty_like(power)
+    np.maximum(power[:-1], power[1:], out=rows[1:])
+    np.maximum(power[-1], power[0], out=rows[0])
+    np.maximum(rows[:-1], power[1:], out=rows[:-1])
+    np.maximum(rows[-1], power[0], out=rows[-1])
     # 3-max along elevation on the flat array, which runs across the ends of
     # the rows; the last elevation column is then redone without
     flat_rows = rows.ravel()
@@ -287,36 +301,35 @@ def _local_maxima(values: np.ndarray) -> np.ndarray:
     np.maximum(flat_rows[:-1], flat_rows[1:], out=block[1:])
     block[0] = flat_rows[0]
     np.maximum(block[:-1], flat_rows[1:], out=block[:-1])
-    block = block.reshape(values.shape)
+    block = block.reshape(power.shape)
     block[:, 0] = np.inf  # no zenith cell equals it, so none becomes a candidate
     np.maximum(rows[:, -1], rows[:, -2], out=block[:, -1])
 
-    candidates = np.flatnonzero(values == block)
+    candidates = np.flatnonzero(power == block)
     # each candidate against its eight neighbors: azimuth wraps, and a
     # neighbor past an elevation edge reads as -inf
     row, column = np.divmod(candidates, num_elevation)
-    neighbor_rows = (row[:, None] + _NEIGHBOR_ROWS) % len(values)
+    neighbor_rows = (row[:, None] + _NEIGHBOR_ROWS) % len(power)
     neighbor_columns = column[:, None] + _NEIGHBOR_COLUMNS
     inside = (neighbor_columns >= 0) & (neighbor_columns < num_elevation)
     # the modulo only keeps a column past an edge in range; ``inside`` masks what it reads there
-    neighbors = np.where(inside, values[neighbor_rows, neighbor_columns % num_elevation], -np.inf)
-    neighbor_max = neighbors.max(axis=1)
-    strict = values[row, column] > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
-    if values[0, 0] > (ring_max := values[:, 1].max()) + abs(ring_max) * _STRICT_MARGIN:
-        return np.concatenate(([0], candidates[strict]))  # flat index 0 precedes every candidate
-    return candidates[strict]
+    neighbors = np.where(inside, power[neighbor_rows, neighbor_columns % num_elevation], -np.inf)
+    # the zenith leads, with column 1 as its neighbors; flat index 0 precedes every candidate
+    powers = ([power[0, 0]], power[row, column], [power[:, 1].max()], neighbors.max(axis=1))
+    heights, neighbor_max = height(np.concatenate(powers)).reshape(2, -1)
+    strict = heights > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
+    return np.concatenate(([0], candidates))[strict], heights[strict]
 
 
 def grid_maxima(proj: NoiseProjector, spec: GridSpec) -> Population:
-    """Every peak of the exhaustive grid evaluation, by ``_local_maxima``: a
-    point strictly above its eight neighbors, azimuth wrapping at 360
-    degrees, and the zenith one point, at azimuth 0. Positions are (azimuth,
-    elevation), fitness their heights, in ascending flat index: by azimuth,
-    then elevation."""
+    """Every peak of ``evaluate_grid``'s spectrum, by ``_local_maxima`` on the
+    grid's power: a point strictly above its eight neighbors, azimuth
+    wrapping at 360 degrees, and the zenith one point, at azimuth 0.
+    Positions are (azimuth, elevation), fitness their heights, in ascending
+    flat index: by azimuth, then elevation."""
     # the 360-degree column repeats the 0-degree one; the peak search wraps azimuth instead
-    values = evaluate_grid(proj, spec)[:-1]
-    peaks = _local_maxima(values)
-    return Population(_grid_manifold(proj.geometry, spec)[1][peaks], values.ravel()[peaks])
+    peaks, heights = _local_maxima(_grid_power(proj, spec)[:-1], partial(_heights, proj.geometry.num_elements))
+    return Population(_grid_manifold(proj.geometry, spec)[1][peaks], heights)
 
 
 @dataclass(frozen=True)
@@ -371,10 +384,10 @@ class FlopModel:
 def flops_music(model: FlopModel) -> float:
     """Grid-search cost: M^2 (L+2) + J (M+1)(M-L) floating-point operations.
     This is the paper's formula; the code pays 4 (M - h) L real multiply-adds
-    per grid point (``_spectrum``), h the array's mirrored elements: 2 M L on
-    an even circle. It builds the grid's steering rows, one table-driven
-    cosine and sine pair per computed entry (``steering_rows``), once per
-    process."""
+    per grid point (``_captured_power``; the height map runs only where the
+    peak test reads), h the array's mirrored elements: 2 M L on an even
+    circle. It builds the grid's steering rows, one table-driven cosine and
+    sine pair per computed entry (``steering_rows``), once per process."""
     m, l, j = model.num_sensors, model.num_sources, model.grid_points
     return float(m * m * (l + 2) + j * (m + 1) * (m - l))
 

@@ -1158,9 +1158,18 @@ class TestCli:
     @pytest.mark.parametrize(
         "command, flags",
         [
-            ("run", {"--trials": "trials", "--algo": "algorithm", "--extract": "extraction", "--snapshots": "snapshots"}),
-            ("compare-extract", {"--trials": "trials", "--algo": "algorithm"}),
-            ("sweep-pop", {"--trials": "trials", "--algo": "algorithm", "--extract": "extraction"}),
+            (
+                "run",
+                {
+                    "--seed": "master_seed",
+                    "--trials": "trials",
+                    "--algo": "algorithm",
+                    "--extract": "extraction",
+                    "--snapshots": "snapshots",
+                },
+            ),
+            ("compare-extract", {"--seed": "master_seed", "--trials": "trials", "--algo": "algorithm"}),
+            ("sweep-pop", {"--seed": "master_seed", "--trials": "trials", "--algo": "algorithm", "--extract": "extraction"}),
         ],
     )
     def test_help_names_the_scenario_defaults(self, command, flags, capsys):
@@ -1172,6 +1181,11 @@ class TestCli:
             # the flag's entry runs from its name to the next option's
             entry = re.search(rf"{flag} .*?(?= -|$)", text).group()
             assert f"(default: {getattr(ScenarioConfig(), name)})" in entry, entry
+
+    def test_description_names_the_default_scenario(self):
+        config = ScenarioConfig()
+        scenario = f"{config.num_elements}-element UCA, {len(config.source_azimuth_deg)} sources, {config.snapshots} snapshots"
+        assert scenario in build_parser().description
 
     def test_run_offers_every_search(self):
         assert tuple(SEARCHES) == ("grid", "de", "denm", "dcde", "sharede", "sde")

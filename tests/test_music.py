@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
@@ -318,10 +319,17 @@ def zenith_oracle(values):
     return expected
 
 
+def identity(power):
+    """The identity height map: the screen then reads the values as heights."""
+    return power
+
+
 def local_maxima_mask(values):
-    """``_local_maxima`` as a boolean mask of the cells."""
+    """``_local_maxima`` of ``values`` under the identity height map, as a boolean mask of the cells."""
+    peaks, heights = _local_maxima(values, identity)
+    np.testing.assert_array_equal(heights, values.ravel()[peaks])
     mask = np.zeros(values.shape, dtype=bool)
-    mask.ravel()[_local_maxima(values)] = True
+    mask.ravel()[peaks] = True
     return mask
 
 
@@ -425,7 +433,7 @@ class TestLocalMaxima:
             values = rng.standard_normal(shape) if high is None else rng.integers(0, high, shape).astype(float)
             for zenith in (values[:, 1].max() + 1.0, values[:, 1].max(), values[:, 1].min()):
                 values[:, 0] = zenith
-                np.testing.assert_array_equal(_local_maxima(values), np.flatnonzero(zenith_oracle(values)))
+                np.testing.assert_array_equal(_local_maxima(values, identity)[0], np.flatnonzero(zenith_oracle(values)))
 
     def test_zenith_needs_strict_margin_over_every_next_row_cell(self):
         values = np.zeros((6, 4))
@@ -440,7 +448,7 @@ class TestLocalMaxima:
 
 
 class TestGridMaxima:
-    @pytest.mark.parametrize("step", [1.0, 2.0, 10.0])
+    @pytest.mark.parametrize("step", [1.0, 2.0, 10.0, 90.0])
     @pytest.mark.parametrize("elevation", [0.0, 45.0])
     def test_every_local_maximum_cell_in_ascending_flat_index(self, uca12, elevation, step):
         # a source at the zenith makes it a peak, at flat index 0 and so first, on every grid step
@@ -463,6 +471,100 @@ class TestGridMaxima:
     def test_constant_spectrum_has_no_maxima(self, uca12):
         maxima = grid_maxima(NoiseProjector(np.zeros((12, 0), dtype=complex), uca12), GridSpec())
         assert maxima.positions.shape == (0, 2) and maxima.fitness.shape == (0,)
+
+
+def assert_screen_matches_oracle(power, num_elements):
+    """``_local_maxima`` given the powers and the real height map against ``zenith_oracle`` given the heights of
+    every cell, bit for bit; returns the peaks' flat indices."""
+    peaks, heights = _local_maxima(power, partial(music._heights, num_elements))
+    every_height = music._heights(num_elements, power.copy())
+    np.testing.assert_array_equal(peaks, np.flatnonzero(zenith_oracle(every_height)))
+    np.testing.assert_array_equal(heights.view(np.uint64), every_height.ravel()[peaks].view(np.uint64))
+    return peaks
+
+
+# (num_elements, radius) of the power-screen comparison: two even circles and the odd array, no mirrored half
+SCREEN_ARRAYS = [(12, 1.0), (32, 1.0), (11, 0.6)]
+
+
+class TestPowerScreen:
+    @pytest.mark.parametrize("step", [1.0, 2.0, 10.0, 90.0])
+    @pytest.mark.parametrize("num_elements, radius", SCREEN_ARRAYS, ids=[f"{m}-{r}" for m, r in SCREEN_ARRAYS])
+    def test_grid_maxima_equal_oracle_on_every_height(self, num_elements, radius, step):
+        geom = ArrayGeometry.uca(num_elements, radius=radius)
+        spec = GridSpec(azimuth_step=step, elevation_step=step)
+        for num_sources, snr_db in itertools.product((1, 3, 10), (-np.inf, -10.0, -5.0, 0.0, 5.0, 10.0, np.inf)):
+            index = np.arange(num_sources)
+            sources = SourceSet((23.7 + index * 360.0 / num_sources) % 360.0, 15.0 + (index * 37.0) % 70.0)
+            snapshots = synthesize_snapshots(geom, sources, snr_db, 100, rng_seed=num_elements + num_sources)
+            proj = noise_projector(subspace_split(sample_covariance(snapshots), num_sources), geom)
+            values = evaluate_grid(proj, spec)[:-1]
+            rows, columns = np.nonzero(zenith_oracle(values))
+            maxima = grid_maxima(proj, spec)
+            expected = np.column_stack((spec.azimuth_values()[rows], spec.elevation_values()[columns]))
+            np.testing.assert_array_equal(maxima.positions, expected)
+            np.testing.assert_array_equal(maxima.fitness.view(np.uint64), values[rows, columns].view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (360, 91), (7, 40), (2, 2)], ids=str)
+    def test_plateau_has_no_maxima(self, shape):
+        for power in (0.0, 1e-20, 3.0, 12.0):
+            assert len(assert_screen_matches_oracle(np.full(shape, power), 12)) == 0
+
+    def test_distinct_powers_of_equal_height_are_no_maximum(self):
+        # at M = 12 both powers give the height 1/12: the larger passes the power screen and fails on heights
+        power = np.full((8, 6), 1e-20)
+        power[3, 2] = 2e-20
+        assert music._heights(12, np.array([1e-20, 2e-20])).tolist() == [1 / 12, 1 / 12]
+        assert len(assert_screen_matches_oracle(power, 12)) == 0
+        # next to a real rise, the cell of equal height does not hide it
+        power[5, 4] = 1.0
+        assert assert_screen_matches_oracle(power, 12).tolist() == [5 * 6 + 4]
+
+    def test_powers_at_the_floor_share_one_height(self):
+        # every power at or above M - 1e-12 maps to the floored height 1e12, however the powers differ
+        num_elements = 12
+        at_floor = num_elements + np.array([-5e-13, 0.0, 1.0, 5.0])
+        assert np.all(music._heights(num_elements, at_floor.copy()) == 1.0 / DENOMINATOR_FLOOR)
+        power = np.full((9, 7), 2.0)
+        power[2:5, 2:5] = np.resize(at_floor, (3, 3))  # a floored plateau of distinct powers: no maximum
+        power[7, 6] = at_floor[2]  # a floored cell on the last elevation column, alone: a maximum
+        assert assert_screen_matches_oracle(power, num_elements).tolist() == [7 * 7 + 6]
+        rng = np.random.default_rng(12)
+        for _ in range(5):
+            assert_screen_matches_oracle(num_elements - DENOMINATOR_FLOOR + rng.uniform(-2e-12, 2.0, (30, 9)), 12)
+
+    def test_zenith_tied_with_its_ring(self):
+        power = np.random.default_rng(3).uniform(0.0, 5.0, (12, 5))
+        top = power[:, 1].max()
+        power[:, 0] = top  # the zenith equals the ring's maximum: neither is a peak
+        peaks = assert_screen_matches_oracle(power, 12)
+        assert 0 not in peaks and np.argmax(power[:, 1]) * 5 + 1 not in peaks
+        power[:, 0] = np.nextafter(top, np.inf)  # one ulp above in power stays within the margin in height
+        assert 0 not in assert_screen_matches_oracle(power, 12)
+        power[:, 0] = top + 1.0
+        assert assert_screen_matches_oracle(power, 12)[0] == 0
+
+    @pytest.mark.parametrize("shape", [(3, 2), (360, 91), (7, 40)], ids=str)
+    def test_random_powers_with_ties_in_height(self, shape):
+        # powers too close to tell apart once subtracted from M, small integers with plateaus, and floored cells
+        rng = np.random.default_rng(sum(shape))
+        for power in (rng.uniform(0.0, 1e-15, shape), rng.integers(0, 14, shape).astype(float), rng.uniform(0, 12, shape)):
+            assert_screen_matches_oracle(power, 12)
+
+    def test_one_degree_grid_maps_few_heights(self, noiseless_projector, monkeypatch):
+        expected = grid_maxima(noiseless_projector, GridSpec())
+        received, heights = [], music._heights
+
+        def recording_heights(num_elements, power):
+            received.append(power.size)
+            return heights(num_elements, power)
+
+        monkeypatch.setattr(music, "_heights", recording_heights)
+        maxima = grid_maxima(noiseless_projector, GridSpec())
+        # the candidates, each one's neighbors' maximum, the zenith and its ring's maximum: not all 32851 cells
+        assert 0 < sum(received) < 1000
+        np.testing.assert_array_equal(maxima.positions, expected.positions)
+        np.testing.assert_array_equal(maxima.fitness, expected.fitness)
 
 
 class TestGridSearch:
@@ -586,13 +688,13 @@ class TestGridManifold:
     def test_one_degree_grid_runs_in_four_equal_passes(self, monkeypatch):
         proj = noise_projector(random_split(12, seed=12), ArrayGeometry.uca(12))
         expected = spectrum_over_meshgrid(proj, GridSpec()).view(np.uint64)
-        widths, spectrum = [], music._spectrum
+        widths, captured_power = [], music._captured_power
 
-        def recording_spectrum(proj, rows, out, work):
+        def recording_power(proj, rows, out, work):
             widths.append((rows.shape[1], len(out), work.shape[1]))
-            return spectrum(proj, rows, out, work)
+            return captured_power(proj, rows, out, work)
 
-        monkeypatch.setattr(music, "_spectrum", recording_spectrum)
+        monkeypatch.setattr(music, "_captured_power", recording_power)
         values = evaluate_grid(proj, GridSpec())
         # each pass's rows, heights and work buffer: 3 x 8224 + 8179 = 32851, through one buffer
         assert widths == [(8224, 8224, 8224)] * 3 + [(8179, 8179, 8224)]
