@@ -9,9 +9,9 @@ Subcommands:
   compare-extract  extraction methods scored on identical populations
   sweep-pop        accuracy/cost versus population size
 
-Configuration comes from defaults, then an optional JSON --config file
-(schema: ScenarioConfig field names, optimizer settings nested under
-"optimizer"), then explicit flags, in that order of precedence.
+Precedence: the subcommand's defaults, then a JSON --config file (the schema of
+ScenarioConfig.from_dict), then each flag given, which sets the field it names.
+The sweep axes run --snr and sweep-pop --sizes replace snr_db and population_size.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .bench import (
@@ -39,13 +39,18 @@ from .bench import (
 )
 
 
+def _scenario_flag(parser: argparse.ArgumentParser, flag: str, name: str, text: str, **kwargs) -> None:
+    """A flag that sets the ScenarioConfig field ``name``; its help names the field's default."""
+    parser.add_argument(flag, dest=name, help=f"{text} (default: {getattr(ScenarioConfig, name)})", **kwargs)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None, help="JSON scenario file (defaults: built-in scenario)")
-    parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: {ScenarioConfig.master_seed})")
-    parser.add_argument("--trials", type=int, help=f"Monte Carlo trials per point (default: {ScenarioConfig.trials})")
+    _scenario_flag(parser, "--seed", "master_seed", "master seed", type=int, metavar="SEED")
+    _scenario_flag(parser, "--trials", "trials", "Monte Carlo trials per point", type=int)
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
     parser.add_argument("--workers", type=int, default=1, help="process workers; output is order-stable (default: 1)")
-    parser.add_argument("--algo", choices=SEARCHES, help=f"search algorithm (default: {ScenarioConfig.algorithm})")
+    _scenario_flag(parser, "--algo", "algorithm", "search algorithm", choices=SEARCHES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,9 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="sweep SNR for one algorithm/extraction pair")
     run.set_defaults(handler=_cmd_run)
     _add_common(run)
-    run.add_argument("--extract", choices=EXTRACTIONS, help=f"peak extraction (default: {ScenarioConfig.extraction})")
-    run.add_argument("--snr", type=float, nargs="+", default=[-10.0, -5.0, 0.0, 5.0, 10.0], help="SNR values in dB")
-    run.add_argument("--snapshots", type=int, help=f"snapshots per trial (default: {ScenarioConfig.snapshots})")
+    _scenario_flag(run, "--extract", "extraction", "peak extraction", choices=EXTRACTIONS)
+    run.add_argument(
+        "--snr", type=float, nargs="+", default=[-10.0, -5.0, 0.0, 5.0, 10.0], help="SNR values in dB (override snr_db)"
+    )
+    _scenario_flag(run, "--snapshots", "snapshots", "snapshots per trial", type=int)
 
     table = sub.add_parser("table3", help="closed-form complexity report (grid vs population)")
     table.set_defaults(handler=_cmd_table3)
@@ -71,38 +78,27 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare-extract", help="extraction methods on identical populations")
     compare.set_defaults(handler=_cmd_compare_extract)
     _add_common(compare)
-    compare.add_argument("--snr", type=float, default=-5.0, help="SNR in dB (default: -5)")
+    compare.add_argument("--snr", type=float, dest="snr_db", metavar="SNR", help="SNR in dB (default: -5)")
 
     pop = sub.add_parser("sweep-pop", help="accuracy/cost versus population size")
     pop.set_defaults(handler=_cmd_sweep_pop)
     _add_common(pop)
-    pop.add_argument("--extract", choices=EXTRACTIONS, help=f"peak extraction (default: {ScenarioConfig.extraction})")
-    pop.add_argument("--snr", type=float, default=0.0, help="SNR in dB (default: 0)")
-    pop.add_argument("--sizes", type=int, nargs="+", default=[32, 64, 96, 128, 160, 192, 224, 256])
+    _scenario_flag(pop, "--extract", "extraction", "peak extraction", choices=EXTRACTIONS)
+    pop.add_argument("--snr", type=float, dest="snr_db", metavar="SNR", help="SNR in dB (default: 0)")
+    pop.add_argument("--sizes", type=int, nargs="+", default=list(range(32, 257, 32)), help="override population_size")
 
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ScenarioConfig:
-    mapping: dict = {}
-    if getattr(args, "config", None) is not None:
-        try:
-            mapping = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(mapping, dict):
-            raise ConfigError("config file must hold a JSON object")
-    overrides = {
-        "master_seed": getattr(args, "seed", None),
-        "trials": getattr(args, "trials", None),
-        "algorithm": getattr(args, "algo", None),
-        "extraction": getattr(args, "extract", None),
-        "snapshots": getattr(args, "snapshots", None),
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            mapping[key] = value
-    return ScenarioConfig.from_dict(mapping)
+def _load_config(args: argparse.Namespace, **defaults) -> ScenarioConfig:
+    try:
+        mapping = {} if args.config is None else json.loads(args.config.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(mapping, dict):
+        raise ConfigError("config file must hold a JSON object")
+    given = {f.name: getattr(args, f.name) for f in fields(ScenarioConfig) if getattr(args, f.name, None) is not None}
+    return ScenarioConfig.from_dict(defaults | mapping | given)
 
 
 def _output_files(directory: Path, *names: str) -> list[Path]:
@@ -149,7 +145,7 @@ def _cmd_table3(args) -> int:
 
 
 def _cmd_compare_extract(args) -> int:
-    config = replace(_load_config(args), snr_db=args.snr)
+    config = _load_config(args, snr_db=-5.0)
     (path,) = _output_files(args.out, "extraction_comparison.csv")
     by_method = run_extraction_comparison(config, workers=args.workers)
     rows = []
@@ -165,7 +161,7 @@ def _cmd_compare_extract(args) -> int:
 
 
 def _cmd_sweep_pop(args) -> int:
-    config = replace(_load_config(args), snr_db=args.snr)
+    config = _load_config(args, snr_db=0.0)
     (path,) = _output_files(args.out, "population_sweep.csv")
     aggregates = run_sweep(config, args.sizes, workers=args.workers, field="optimizer.population_size")[0]
     columns = ("snr_db", "trials", "success_rate", "mae_theta_deg", "mae_phi_deg", "model_mflops", "flops_ratio_vs_grid")

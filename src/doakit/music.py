@@ -133,16 +133,11 @@ def _heights(num_elements: int, power: np.ndarray) -> np.ndarray:
     return np.divide(1.0, power, out=power)
 
 
-def _spectrum(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """1 / max(a^H G a, floor), a^H G a = M - ||B r||^2 in [0, M], by ``_captured_power`` into ``out``:
-    every height is at least 1/M, exactly 1/M when L = 0."""
-    return _heights(proj.geometry.num_elements, _captured_power(proj, rows, out, work))
-
-
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
-    """Pseudo-spectrum heights over (n, 2) rows of (azimuth_deg, elevation_deg), in a fresh array."""
+    """The height map of the captured power over (n, 2) rows of (azimuth_deg, elevation_deg), in a fresh array."""
     rows = _steering_rows(proj.geometry, positions_deg)
-    return _spectrum(proj, rows, np.empty(rows.shape[1]), np.empty((len(proj.projection), rows.shape[1])))
+    power = _captured_power(proj, rows, np.empty(rows.shape[1]), np.empty((len(proj.projection), rows.shape[1])))
+    return _heights(proj.geometry.num_elements, power)
 
 
 def spectrum_objective(proj: NoiseProjector) -> Callable[[np.ndarray], np.ndarray]:

@@ -287,11 +287,16 @@ class TestRunTrial:
         assert report.model_flops == flops_population(config.flop_model())
 
     def test_all_population_algorithms_produce_reports(self):
-        for algorithm in ("de", "denm", "dcde", "sharede", "sde"):
-            config = ScenarioConfig(algorithm=algorithm, snr_db=20.0, trials=1, optimizer=FAST_DE)
+        # every search with every extraction passes what a benchmark run counts as a failed trial: the
+        # evaluation count (J for the grid, N * (I + 1) for a population), every estimate in [0, 360] x [0, 90]
+        # and at most L estimates
+        for algorithm, extraction in itertools.product(SEARCHES, EXTRACTIONS):
+            config = ScenarioConfig(algorithm=algorithm, extraction=extraction, snr_db=20.0, optimizer=FAST_DE)
             report = run_trial(config, 1)
-            assert len(report.estimates) <= 3
-            assert report.measured_evals == 64 * 11
+            assert report.measured_evals == (config.grid_spec().num_points if algorithm == "grid" else 64 * 11)
+            positions = np.array([(e.azimuth_deg, e.elevation_deg) for e in report.estimates]).reshape(-1, 2)
+            assert np.all((positions >= 0.0) & (positions <= [360.0, 90.0])), (algorithm, extraction, positions)
+            assert len(report.estimates) <= 3, (algorithm, extraction)
 
 
 GOLDEN_DE = DEConfig(population_size=32, max_iterations=5, neighborhood_size=8)
@@ -949,6 +954,34 @@ class TestCli:
         for row, cell in zip(rows, complexity_cells()):
             assert (int(row["M"]), int(row["L"]), float(row["ratio"])) == (cell["M"], cell["L"], cell["ratio"])
 
+    @pytest.mark.parametrize(
+        "command, in_file, flags, expected",
+        [
+            (["compare-extract"], 3, [], 3.0),
+            (["compare-extract"], 3, ["--snr", "7"], 7.0),
+            (["compare-extract"], None, [], -5.0),
+            (["sweep-pop", "--sizes", "16"], 3, [], 3.0),
+            (["sweep-pop", "--sizes", "16"], 3, ["--snr", "7"], 7.0),
+            (["sweep-pop", "--sizes", "16"], None, [], 0.0),
+        ],
+        ids=["compare-file", "compare-flag", "compare-default", "sweep-file", "sweep-flag", "sweep-default"],
+    )
+    def test_snr_precedence(self, tmp_path, command, in_file, flags, expected):
+        # the subcommand's default SNR, then the config file's snr_db, then --snr
+        scenario = {
+            "optimizer": {"population_size": 16, "max_iterations": 2, "neighborhood_size": 4},
+            "klocalmax_neighbors": 4,
+        }
+        if in_file is not None:
+            scenario["snr_db"] = in_file
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(scenario), encoding="utf-8")
+        assert cli_main([*command, *flags, "--trials", "1", "--config", str(config), "--out", str(tmp_path)]) == 0
+        name = "extraction_comparison.csv" if command[0] == "compare-extract" else "population_sweep.csv"
+        with (tmp_path / name).open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows and all(float(row["snr_db"]) == expected for row in rows)
+
     def test_compare_extract(self, tmp_path):
         code = cli_main(
             [
@@ -1190,7 +1223,7 @@ class TestCli:
     def test_run_offers_every_search(self):
         assert tuple(SEARCHES) == ("grid", "de", "denm", "dcde", "sharede", "sde")
         for name, command in itertools.product(SEARCHES, ("run", "compare-extract", "sweep-pop")):
-            assert build_parser().parse_args([command, "--algo", name]).algo == name
+            assert build_parser().parse_args([command, "--algo", name]).algorithm == name
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--algo", "newton"])
 

@@ -29,9 +29,10 @@ from doakit import music
 from doakit.music import (
     _STRICT_MARGIN,
     DENOMINATOR_FLOOR,
+    _captured_power,
     _grid_manifold,
+    _heights,
     _local_maxima,
-    _spectrum,
     _steering_rows,
 )
 
@@ -178,11 +179,12 @@ class TestMusicValue:
         expected = music_values(proj, positions).view(np.uint64)
         # a work buffer wider than the rows: only its first columns are written
         work = np.full((2 * num_sources, num_points + 37), np.nan)
-        np.testing.assert_array_equal(_spectrum(proj, rows, np.empty(num_points), work).view(np.uint64), expected)
+        heights = _heights(geom.num_elements, _captured_power(proj, rows, np.empty(num_points), work))
+        np.testing.assert_array_equal(heights.view(np.uint64), expected)
         # heights written into a slice of a larger array
         larger = np.full(num_points + 10, -7.0)
         out = larger[4 : 4 + num_points]
-        assert _spectrum(proj, rows, out, work) is out
+        assert _heights(geom.num_elements, _captured_power(proj, rows, out, work)) is out
         np.testing.assert_array_equal(out.view(np.uint64), expected)
         assert np.all(larger[:4] == -7.0) and np.all(larger[4 + num_points :] == -7.0)
 
