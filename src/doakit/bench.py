@@ -27,7 +27,7 @@ import numpy as np
 from .extract import DoaEstimate, ExtractionResult, extract_dbscan, extract_klocalmax, extract_kmeanspp
 from .extract import _fittest_per_label
 from .music import FlopModel, GridSpec, flops_music, flops_population, grid_maxima, noise_projector, spectrum_objective
-from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, check_field_types, run_population
+from .optimizer import ALGORITHMS, CountingObjective, DEConfig, SearchBox, run_population, settle_field_types
 from .signal_model import ArrayGeometry, SourceSet, sample_covariance, subspace_split, synthesize_snapshots
 
 # Each extraction reads its own settings from the scenario: (config, population, trial_index) -> ExtractionResult.
@@ -118,7 +118,7 @@ class ScenarioConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self, ConfigError)
+        settle_field_types(self, ConfigError)
         if self.optimizer.rng_seed != DEConfig.rng_seed:
             raise ConfigError("optimizer.rng_seed cannot be set: every trial derives it from master_seed")
         if self.algorithm not in SEARCHES:
@@ -310,7 +310,7 @@ def match_estimates(truth: SourceSet, estimates: list[DoaEstimate] | tuple[DoaEs
         estimate_indices=cols,
         theta_errors_deg=theta_cost[rows, cols],
         phi_errors_deg=phi_cost[rows, cols],
-        unmatched_truths=np.flatnonzero(unmatched),
+        unmatched_truths=np.arange(truth.count)[unmatched],  # owned: np.flatnonzero's view keeps a base alive
     )
 
 

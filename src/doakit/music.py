@@ -107,18 +107,18 @@ def _steering_rows(geometry: ArrayGeometry, positions_deg) -> np.ndarray:
     return steering_rows(geometry, az, el)
 
 
-def _captured_power(proj: NoiseProjector, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """||B r||^2 = ||U_s^H a||^2, the power the signal basis captures, per column of real steering rows.
+def _captured_power(projection: np.ndarray, rows: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """||B r||^2 = ||U_s^H a||^2, the power the signal basis captures, per column of real steering rows,
+    for B the ``projection`` of a ``NoiseProjector`` or its float32 copy, in the precision of B and the rows.
 
     B r holds the real parts of U_s^H a above the imaginary parts; the squares
     are summed as the complex form sums them, re^2 + im^2 per source, then over
     the sources, so the power differs from it only by the rounding of B r.
 
     Every step writes in place: B r into the first n columns of ``work``, a
-    (2L, >= n) float64 array, and the powers into ``out``, n float64 values,
-    which is returned."""
+    (2L, >= n) array, and the powers into ``out``, n values, which is returned."""
     num_points = rows.shape[1]
-    captured = np.matmul(proj.projection, rows, out=work[:, :num_points])
+    captured = np.matmul(projection, rows, out=work[:, :num_points])
     np.square(captured, out=captured)
     num_sources = len(captured) // 2
     captured[:num_sources] += captured[num_sources:]
@@ -136,7 +136,8 @@ def _heights(num_elements: int, power: np.ndarray) -> np.ndarray:
 def music_values(proj: NoiseProjector, positions_deg) -> np.ndarray:
     """The height map of the captured power over (n, 2) rows of (azimuth_deg, elevation_deg), in a fresh array."""
     rows = _steering_rows(proj.geometry, positions_deg)
-    power = _captured_power(proj, rows, np.empty(rows.shape[1]), np.empty((len(proj.projection), rows.shape[1])))
+    projection = proj.projection
+    power = _captured_power(projection, rows, np.empty(rows.shape[1]), np.empty((len(projection), rows.shape[1])))
     return _heights(proj.geometry.num_elements, power)
 
 
@@ -191,23 +192,25 @@ class GridSpec:
 
 
 @lru_cache(maxsize=1)
-def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only real steering rows r of every grid point, float64 (2k, J)
-    with k = M - h computed phases per point, and the (J, 2) positions
-    (azimuth, elevation) they were built from, in flat index order, built
-    once for the latest (geometry, grid) pair.
+    with k = M - h computed phases per point, the (J, 2) positions
+    (azimuth, elevation) they were built from, in flat index order, and the
+    rows rounded to float32, built once for the latest (geometry, grid) pair.
 
     The grid's angles go through ``_steering_rows`` like any population, so
-    the grid spectrum equals ``music_values`` bit for bit. The rows cost
-    2k * J * 8 bytes, M * J * 8 on a point-symmetric array (3.2 MB for the
-    1-degree grid at M = 12, 34 MB at M = 128; twice that with no mirrored
-    elements), and building them makes no other array of their size.
+    the grid spectrum equals ``music_values`` bit for bit. The float64 rows
+    cost 2k * J * 8 bytes, M * J * 8 on a point-symmetric array, and the
+    float32 rows half that: 3.2 + 1.6 MB for the 1-degree grid at M = 12,
+    34 + 17 MB at M = 128, twice both with no mirrored elements. Building
+    them makes no other array of the float64 rows' size.
     """
     az_mesh, el_mesh = np.meshgrid(spec.azimuth_values(), spec.elevation_values(), indexing="ij")
     positions = np.column_stack((az_mesh.ravel(), el_mesh.ravel()))
     manifold = _steering_rows(geometry, positions)
-    manifold.flags.writeable = positions.flags.writeable = False
-    return manifold, positions
+    manifold32 = manifold.astype(np.float32)
+    manifold.flags.writeable = positions.flags.writeable = manifold32.flags.writeable = False
+    return manifold, positions, manifold32
 
 
 # Target grid points per spectrum pass. ``_grid_power`` splits the J grid points into
@@ -218,37 +221,105 @@ def _grid_manifold(geometry: ArrayGeometry, spec: GridSpec) -> tuple[np.ndarray,
 # that widths such as 8213 left off a multiple of 16; now only the last pass ends there,
 # as one ``music_values`` call does (smaller blocks can still move its last J mod 16
 # cells, in the 360-degree column that ``grid_maxima`` drops). One (2L, width) work
-# buffer per call (385 KB at L = 3) serves every pass, so the size trades the fixed cost
-# of a pass's numpy calls against cache reuse: a pass at M = 12, L = 3 reads 770 KB of
-# steering rows and writes the buffer, within a 2 MB L2 cache. On the grid-m12 benchmark
-# 8192 ran faster than 2048, 4096 and 16384 (README "Cost model notes").
+# buffer per call (385 KB at L = 3 in float64) serves every pass, so the size trades the
+# fixed cost of a pass's numpy calls against cache reuse: a float64 pass at M = 12, L = 3
+# reads 770 KB of steering rows and writes the buffer, within a 2 MB L2 cache, and a
+# float32 pass of the same width half that. On the grid-m12 benchmark 8192 ran faster
+# than 2048, 4096 and 16384 (README "Cost model notes"), and it still beats 16384 with
+# float32 passes, whose 16384 columns read the same 770 KB: trial_ms_p50 0.620 against
+# 0.875 ms, lower in 10 of 10 pairs. One float32 product over 16432 columns took 118 us
+# against 11.6 us over 8224; past 12000 to 14000 columns OpenBLAS ran about five times
+# slower per column, in float32 and float64 alike (one thread, 2-vCPU Xeon).
 _GRID_BLOCK_COLUMNS = 8192
 
 
-def _grid_power(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
-    """Captured power at every grid point, shaped (num_azimuth, num_elevation).
-    The grid's steering rows are built once per process for the latest
-    (geometry, grid) pair; a trial pays only the projection, in equal passes
-    of about ``_GRID_BLOCK_COLUMNS`` points, each written through one work
-    buffer straight into the returned array."""
-    rows = _grid_manifold(proj.geometry, spec)[0]
+def _grid_power(projection: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Captured power of every column of the grid's steering rows, flat, in
+    the precision of the rows and of ``projection``, which match: float32 for
+    the screen of ``grid_maxima``, within ``_power_error_bound`` of float64,
+    and float64 for ``evaluate_grid``. It runs in equal passes of about
+    ``_GRID_BLOCK_COLUMNS`` points, each written through one work buffer
+    straight into the returned array."""
     num_points = rows.shape[1]
     passes = max(1, round(num_points / _GRID_BLOCK_COLUMNS))
     width = -(-num_points // passes // 16) * 16
-    power = np.empty(num_points)
-    work = np.empty((len(proj.projection), width))
+    power = np.empty(num_points, rows.dtype)
+    work = np.empty((len(projection), width), rows.dtype)
     for start in range(0, num_points, width):
         stop = start + width
-        _captured_power(proj, rows[:, start:stop], power[start:stop], work)
-    return power.reshape(spec.num_azimuth, spec.num_elevation)
+        _captured_power(projection, rows[:, start:stop], power[start:stop], work)
+    return power
 
 
 def evaluate_grid(proj: NoiseProjector, spec: GridSpec) -> np.ndarray:
     """Pseudo-spectrum at every grid point, shaped (num_azimuth,
     num_elevation): values[i, j] at (azimuth i, elevation j), the height map
-    of ``_grid_power`` in place. At the default pass width the heights equal
-    one ``music_values`` call over every grid point."""
-    return _heights(proj.geometry.num_elements, _grid_power(proj, spec))
+    of the float64 ``_grid_power`` in place. At the default pass width the
+    heights equal one ``music_values`` call over every grid point."""
+    power = _grid_power(proj.projection, _grid_manifold(proj.geometry, spec)[0])
+    return _heights(proj.geometry.num_elements, power.reshape(spec.num_azimuth, spec.num_elevation))
+
+
+# Unit roundoff of float32 and of float64
+_UNIT_ROUNDOFF = (2.0**-24, 2.0**-53)
+
+
+def _power_error_bound(projection: np.ndarray) -> float:
+    """A bound b on |p32 - p64|, the distance between a grid point's captured
+    power in the float32 and in the float64 passes, for the float64 projection B.
+
+    Let B be (2L, n), n = 2k, r a float64 steering column and y = B r exactly, so that
+    p = ||y||^2. Each r_j is a cosine or sine within 1.11e-16 of the true one
+    (``steering_rows``), so |r_j| <= 1 and |y_i| <= s_i = sum_j |B_ij|. With unit roundoff u
+    and g_m = m u / (1 - m u) (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, section 3.1):
+    - in float32, B and r are rounded first: B_ij (1 + a), r_j (1 + e), |a|, |e| <= u;
+    - in any summation order, with or without fused multiply-adds, the computed y_i is
+      within g_n sum_j |B_ij r_j| of the inner product of its inputs, so within
+      c s_i of y_i, c = (1 + u)^2 g_n + 2u + u^2;
+    - the power sums 2L squares, each rounded at most 2L times (its square, then at most
+      2L - 1 additions), so it is within g_2L sum_i (s_i + c s_i)^2 = g_2L (1 + c)^2 S of
+      the sum of the computed squares, S = sum_i s_i^2, which is within
+      sum_i c s_i (2 s_i + c s_i) = c (2 + c) S of p.
+    The float64 passes obey the same bound at u = 2^-53, with no input rounding, so b is
+    the sum of the bound at both roundoffs. A rounding that underflows errs by at most
+    2^-150 absolutely instead; a power takes fewer than 2^20 roundings, each reaching it
+    through a factor below 2^30, so 2^-100 covers them all.
+    """
+    num_terms, num_squares = projection.shape[1], len(projection)
+    sums = np.abs(projection).sum(axis=1)
+    square_sum = float(sums @ sums)
+    bound = 2.0**-100
+    for u in _UNIT_ROUNDOFF:
+        inner, squares = (m * u / (1.0 - m * u) for m in (num_terms, num_squares))
+        c = (1.0 + u) ** 2 * inner + 2.0 * u + u * u
+        bound += (c * (2.0 + c) + squares * (1.0 + c) ** 2) * square_sum
+    return bound
+
+
+def _screen_tolerance(projection: np.ndarray) -> float:
+    """How far below its block's float32 maximum power a cell may lie and
+    still be a float64 peak: 2.5 b / (1 - u)^2, b the ``_power_error_bound``.
+
+    A true peak v is strictly above each neighbour q in float64 power, so
+    p32_v >= p64_v - b > p64_q - b >= p32_q - 2b: within 2b of its block's float32
+    maximum, and the zenith within 2b of the maximum of column 1. The screen compares
+    with fl32(maximum - d) for d = fl32(t), d >= t (1 - u); the subtraction errs by at
+    most u (S + b + d), S + b being at least every |p32|. So t >= (2b + u (S + b)) / (1 - u)^2
+    keeps every true peak; as c >= 2u, b >= 4 u S, and 2.5 b is enough.
+    """
+    return 2.5 * _power_error_bound(projection) / (1.0 - _UNIT_ROUNDOFF[0]) ** 2
+
+
+def _exact_power(projection: np.ndarray, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Float64 captured power of the grid points at flat indices ``cells``, one or more,
+    from their held rows, equal bit for bit to their values in the passes. A lone
+    column goes in twice: numpy multiplies one column through gemv, which can round
+    B r differently from gemm."""
+    gathered = rows[:, cells if len(cells) > 1 else np.repeat(cells, 2)]
+    num_points = gathered.shape[1]
+    power = _captured_power(projection, gathered, np.empty(num_points), np.empty((len(projection), num_points)))
+    return power[: len(cells)]
 
 
 # Relative margin for strict dominance: spectrum values equal up to a few ulps
@@ -259,7 +330,12 @@ _NEIGHBOR_ROWS = np.array([-1, -1, -1, 0, 0, 1, 1, 1])
 _NEIGHBOR_COLUMNS = np.array([-1, 0, 1, -1, 1, -1, 0, 1])
 
 
-def _local_maxima(power: np.ndarray, height: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _local_maxima(
+    screen: np.ndarray,
+    height: Callable[[np.ndarray], np.ndarray],
+    tolerance: float = 0.0,
+    exact: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices, ascending, and heights of the strict local maxima of a
     grid spectrum, given as powers and their non-decreasing height map.
 
@@ -277,18 +353,25 @@ def _local_maxima(power: np.ndarray, height: Callable[[np.ndarray], np.ndarray])
     neighbor. Every other cell is a maximum when strictly above its eight
     neighbors.
 
-    A cell strictly above its neighbors in height is so in power: it equals
-    its 3x3 block's maximum power, taken first in whole contiguous passes.
-    The map then reads only those cells, the zenith and the maximum power of
-    each one's neighbors (column 1 for the zenith): their maximum height.
+    ``exact`` gives the powers at flat indices; by default the ``screen``'s
+    own. The ``screen`` may instead hold them to within ``tolerance`` / 2
+    each (``_screen_tolerance``). A cell strictly above its neighbors in
+    height is so in power, and so within ``tolerance`` of its 3x3 block's
+    maximum screen power, taken first in whole contiguous passes; the zenith
+    is screened so against column 1. The verdict reads the exact powers of
+    the candidates, their neighbors and the zenith's, each cell once, in
+    chunks of at most a pass's width, and maps only the candidates, the
+    zenith and each one's largest neighbor power (column 1's for the zenith)
+    to heights.
     """
-    num_elevation = power.shape[1]
+    num_azimuth, num_elevation = screen.shape
+    exact = screen.ravel().take if exact is None else exact
     # 3-max along azimuth, wrapped, over whole rows
-    rows = np.empty_like(power)
-    np.maximum(power[:-1], power[1:], out=rows[1:])
-    np.maximum(power[-1], power[0], out=rows[0])
-    np.maximum(rows[:-1], power[1:], out=rows[:-1])
-    np.maximum(rows[-1], power[0], out=rows[-1])
+    rows = np.empty_like(screen)
+    np.maximum(screen[:-1], screen[1:], out=rows[1:])
+    np.maximum(screen[-1], screen[0], out=rows[0])
+    np.maximum(rows[:-1], screen[1:], out=rows[:-1])
+    np.maximum(rows[-1], screen[0], out=rows[-1])
     # 3-max along elevation on the flat array, which runs across the ends of
     # the rows; the last elevation column is then redone without
     flat_rows = rows.ravel()
@@ -296,35 +379,75 @@ def _local_maxima(power: np.ndarray, height: Callable[[np.ndarray], np.ndarray])
     np.maximum(flat_rows[:-1], flat_rows[1:], out=block[1:])
     block[0] = flat_rows[0]
     np.maximum(block[:-1], flat_rows[1:], out=block[:-1])
-    block = block.reshape(power.shape)
-    block[:, 0] = np.inf  # no zenith cell equals it, so none becomes a candidate
+    block = block.reshape(screen.shape)
+    block[:, 0] = np.inf  # no zenith cell reaches it, so none becomes a candidate
     np.maximum(rows[:, -1], rows[:, -2], out=block[:, -1])
+    np.subtract(block, tolerance, out=block)
+    candidates = np.flatnonzero(screen >= block)
+    ring = screen[:, 1]
+    ring_floor = ring.max() - tolerance
+    zenith = np.empty(0, np.intp)
+    if screen[0, 0] >= ring_floor:
+        # the zenith and the cells of column 1 that can hold that column's largest power
+        zenith = np.concatenate(([0], np.flatnonzero(ring >= ring_floor) * num_elevation + 1))
 
-    candidates = np.flatnonzero(power == block)
-    # each candidate against its eight neighbors: azimuth wraps, and a
-    # neighbor past an elevation edge reads as -inf
-    row, column = np.divmod(candidates, num_elevation)
-    neighbor_rows = (row[:, None] + _NEIGHBOR_ROWS) % len(power)
-    neighbor_columns = column[:, None] + _NEIGHBOR_COLUMNS
-    inside = (neighbor_columns >= 0) & (neighbor_columns < num_elevation)
-    # the modulo only keeps a column past an edge in range; ``inside`` masks what it reads there
-    neighbors = np.where(inside, power[neighbor_rows, neighbor_columns % num_elevation], -np.inf)
-    # the zenith leads, with column 1 as its neighbors; flat index 0 precedes every candidate
-    powers = ([power[0, 0]], power[row, column], [power[:, 1].max()], neighbors.max(axis=1))
-    heights, neighbor_max = height(np.concatenate(powers)).reshape(2, -1)
-    strict = heights > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
-    return np.concatenate(([0], candidates))[strict], heights[strict]
+    # exact powers of the cells read so far, and -inf past an elevation edge, at index num_cells
+    num_cells = screen.size
+    power = np.empty(num_cells + 1)
+    power[num_cells] = -np.inf
+    known = np.zeros(num_cells + 1, dtype=bool)
+    known[num_cells] = True
+    peaks, heights = [], []
+    chunk = max(1, _GRID_BLOCK_COLUMNS // 9)  # each candidate reads at most 9 cells
+    # at least one chunk, which reads the zenith's cells even with no candidate
+    for start in range(0, max(len(candidates), 1), chunk):
+        cells = candidates[start : start + chunk]
+        # each candidate against its eight neighbors: azimuth wraps, and a
+        # neighbor past an elevation edge reads as -inf
+        row, column = np.divmod(cells, num_elevation)
+        neighbor_columns = column[:, None] + _NEIGHBOR_COLUMNS
+        neighbors = (row[:, None] + _NEIGHBOR_ROWS) % num_azimuth * num_elevation + neighbor_columns
+        neighbors[(neighbor_columns < 0) | (neighbor_columns >= num_elevation)] = num_cells
+        wanted = np.sort(np.concatenate((zenith, cells, neighbors.ravel())))
+        new = ~known[wanted]
+        new[1:] &= wanted[1:] != wanted[:-1]  # each cell once
+        wanted = wanted[new]
+        if len(wanted):
+            power[wanted] = exact(wanted)
+            known[wanted] = True
+        both = np.concatenate((power[cells], power[neighbors].max(axis=1)))
+        chunk_heights, neighbor_max = height(both).reshape(2, -1)
+        strict = chunk_heights > neighbor_max + np.abs(neighbor_max) * _STRICT_MARGIN
+        peaks.append(cells[strict])
+        heights.append(chunk_heights[strict])
+    if len(zenith):
+        # flat index 0 precedes every candidate
+        zenith_height, ring_max = height(np.array([power[0], power[zenith[1:]].max()]))
+        if zenith_height > ring_max + abs(ring_max) * _STRICT_MARGIN:
+            peaks.insert(0, [0])
+            heights.insert(0, [zenith_height])
+    return np.concatenate(peaks), np.concatenate(heights)
 
 
 def grid_maxima(proj: NoiseProjector, spec: GridSpec) -> Population:
-    """Every peak of ``evaluate_grid``'s spectrum, by ``_local_maxima`` on the
-    grid's power: a point strictly above its eight neighbors, azimuth
-    wrapping at 360 degrees, and the zenith one point, at azimuth 0.
+    """Every peak of ``evaluate_grid``'s spectrum, by ``_local_maxima``: a
+    point strictly above its eight neighbors, azimuth wrapping at 360
+    degrees, and the zenith one point, at azimuth 0. The float32 passes
+    screen the grid's power; the float64 powers of the candidates and their
+    neighbors decide, so positions and heights equal ``evaluate_grid``'s.
     Positions are (azimuth, elevation), fitness their heights, in ascending
     flat index: by azimuth, then elevation."""
+    rows, positions, rows32 = _grid_manifold(proj.geometry, spec)
+    projection = proj.projection
+    screen = _grid_power(projection.astype(np.float32), rows32).reshape(spec.num_azimuth, spec.num_elevation)
     # the 360-degree column repeats the 0-degree one; the peak search wraps azimuth instead
-    peaks, heights = _local_maxima(_grid_power(proj, spec)[:-1], partial(_heights, proj.geometry.num_elements))
-    return Population(_grid_manifold(proj.geometry, spec)[1][peaks], heights)
+    peaks, heights = _local_maxima(
+        screen[:-1],
+        partial(_heights, proj.geometry.num_elements),
+        _screen_tolerance(projection),
+        partial(_exact_power, projection, rows),
+    )
+    return Population(positions[peaks], heights)
 
 
 @dataclass(frozen=True)
@@ -379,10 +502,14 @@ class FlopModel:
 def flops_music(model: FlopModel) -> float:
     """Grid-search cost: M^2 (L+2) + J (M+1)(M-L) floating-point operations.
     This is the paper's formula; the code pays 4 (M - h) L real multiply-adds
-    per grid point (``_captured_power``; the height map runs only where the
-    peak test reads), h the array's mirrored elements: 2 M L on an even
-    circle. It builds the grid's steering rows, one table-driven cosine and
-    sine pair per computed entry (``steering_rows``), once per process."""
+    per grid point (``_captured_power``), h the array's mirrored elements:
+    2 M L on an even circle. ``grid_maxima`` pays them in float32 at every
+    point, to screen for peaks within a rigorous error bound, and again in
+    float64 at about 9 points per candidate, the candidate and its eight
+    neighbours (about 14 candidates and 114 points per 1-degree spectrum at
+    M = 12); the height map runs only where the peak test reads. It builds
+    the grid's steering rows, one table-driven cosine and sine pair per
+    computed entry (``steering_rows``), once per process."""
     m, l, j = model.num_sensors, model.num_sources, model.grid_points
     return float(m * m * (l + 2) + j * (m + 1) * (m - l))
 

@@ -73,19 +73,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-def _admits(annotation) -> tuple[Callable[[object], bool], str]:
-    """The test a field value must pass under its annotation, and how a refusal
-    names it: int, float, tuple[float, ...], another class, or any of these | None."""
+def _admits(annotation) -> tuple[Callable[[object], bool], str, Callable[[object], object] | None]:
+    """The test a field value must pass under its annotation, how a refusal
+    names it, and the conversion that holds a float field's numbers as floats
+    (None for any other field): int, float, tuple[float, ...], another class,
+    or any of these | None."""
     if type(None) in get_args(annotation):
-        test, expected = _admits(get_args(annotation)[0])  # X | None lists X first
-        return (lambda value: value is None or test(value)), f"{expected} or null"
+        test, expected, convert = _admits(get_args(annotation)[0])  # X | None lists X first
+        nullable = convert and (lambda value: None if value is None else convert(value))
+        return (lambda value: value is None or test(value)), f"{expected} or null", nullable
     if annotation is int:
-        return (lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool)), "an integer"
+        return (lambda value: isinstance(value, (int, np.integer)) and not isinstance(value, bool)), "an integer", None
     if annotation is float:
-        return _is_number, "a number"
+        return _is_number, "a number", float
     if get_origin(annotation) is tuple:
-        return (lambda value: isinstance(value, tuple) and all(map(_is_number, value))), "a tuple of numbers"
-    return (lambda value: isinstance(value, annotation)), f"a {annotation.__name__}"
+        return (lambda value: isinstance(value, tuple) and all(map(_is_number, value))), "a tuple of numbers", (
+            lambda value: tuple(map(float, value))
+        )
+    return (lambda value: isinstance(value, annotation)), f"a {annotation.__name__}", None
 
 
 @cache
@@ -94,14 +99,21 @@ def _field_rules(cls) -> tuple:
     return tuple((f.name, *_admits(hints[f.name])) for f in fields(cls) if f.init)
 
 
-def check_field_types(instance, error: type[ValueError] = ValueError) -> None:
+def settle_field_types(instance, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the first dataclass field whose value does not
-    match its annotation. A bool is refused everywhere, and an int field
-    refuses an integral float such as 12.0 too."""
-    for name, test, expected in _field_rules(type(instance)):
+    match its annotation, then hold each float field's numbers as Python
+    floats, so that a JSON 3 and a flag's 3.0 are one value, written alike. A
+    bool is refused everywhere, and an int field refuses an integral float
+    such as 12.0 too."""
+    for name, test, expected, convert in _field_rules(type(instance)):
         value = getattr(instance, name)
         if not test(value):
             raise error(f"{name} must be {expected}, got {value!r}")
+        if convert is not None:
+            try:
+                object.__setattr__(instance, name, convert(value))
+            except OverflowError:
+                raise error(f"{name} must fit a float, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -121,7 +133,7 @@ class DEConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
+        settle_field_types(self)
         if self.population_size < 5:
             raise ValueError("population_size must be at least 5, so that four neighbors exist besides each point")
         if not 4 <= self.neighborhood_size <= self.population_size - 1:

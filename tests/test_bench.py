@@ -132,6 +132,13 @@ class TestMatchEstimates:
             np.testing.assert_array_equal(result.unmatched_truths, expected)
             assert result.unmatched_truths.dtype == expected.dtype
 
+    def test_every_array_owns_its_data(self, truth_sources):
+        # a run keeps every report: a view would keep its base alive beside it
+        for azimuths, elevations in (([], []), ([30.42], [60.39]), (TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG)):
+            result = match_estimates(truth_sources, estimates_from(azimuths, elevations))
+            for name in result.__slots__:
+                assert getattr(result, name).base is None, name
+
     def test_rejects_excess_estimates(self, truth_sources):
         with pytest.raises(ValueError):
             match_estimates(truth_sources, estimates_from([0, 1, 2, 3], [10, 20, 30, 40]))
@@ -798,6 +805,26 @@ class TestScenarioConfig:
         assert config.algorithm == "sde"
         assert config.optimizer.population_size == 32
 
+    def test_json_integers_in_float_fields_become_floats(self):
+        config = ScenarioConfig.from_dict(
+            {
+                "radius": 1,
+                "snr_db": 3,
+                "source_azimuth_deg": [30, 120, 240],
+                "source_power": [1, 2, 4],
+                "grid_step_deg": 2,
+                "optimizer": {"scale_factor": 1, "crossover_rate": 1},
+            }
+        )
+        for value in (config.radius, config.snr_db, config.grid_step_deg, config.optimizer.scale_factor):
+            assert type(value) is float
+        assert config.source_azimuth_deg == (30.0, 120.0, 240.0) and config.source_power == (1.0, 2.0, 4.0)
+        assert all(type(value) is float for value in (*config.source_azimuth_deg, *config.source_power))
+        # integer fields keep their integers, and a number past float's range is refused by name
+        assert type(config.trials) is int and type(config.optimizer.population_size) is int
+        with pytest.raises(ConfigError, match="snr_db must fit a float"):
+            ScenarioConfig.from_dict({"snr_db": 10**400})
+
     def test_zero_generation_search_runs(self):
         config = ScenarioConfig.from_dict({"optimizer": {"max_iterations": 0}})
         assert run_trial(config, 0).measured_evals == config.optimizer.population_size
@@ -981,6 +1008,23 @@ class TestCli:
         with (tmp_path / name).open(newline="") as handle:
             rows = list(csv.DictReader(handle))
         assert rows and all(float(row["snr_db"]) == expected for row in rows)
+
+    @pytest.mark.parametrize("command", [["compare-extract"], ["sweep-pop", "--sizes", "16"]], ids=["compare", "sweep"])
+    def test_file_and_flag_write_the_same_snr_cell(self, tmp_path, command):
+        # a JSON 3 in the config file and --snr 3 write the same text, as a float
+        scenario = {
+            "optimizer": {"population_size": 16, "max_iterations": 2, "neighborhood_size": 4},
+            "klocalmax_neighbors": 4,
+        }
+        name = "extraction_comparison.csv" if command[0] == "compare-extract" else "population_sweep.csv"
+        cells = []
+        for index, (in_file, flags) in enumerate((({"snr_db": 3}, []), ({}, ["--snr", "3"]))):
+            config, out = tmp_path / f"scenario{index}.json", tmp_path / f"out{index}"
+            config.write_text(json.dumps({**scenario, **in_file}), encoding="utf-8")
+            assert cli_main([*command, *flags, "--trials", "1", "--config", str(config), "--out", str(out)]) == 0
+            with (out / name).open(newline="") as handle:
+                cells.append([row["snr_db"] for row in csv.DictReader(handle)])
+        assert cells[0] == cells[1] and set(cells[0]) == {"3.0"}
 
     def test_compare_extract(self, tmp_path):
         code = cli_main(

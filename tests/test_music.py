@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -30,9 +31,13 @@ from doakit.music import (
     _STRICT_MARGIN,
     DENOMINATOR_FLOOR,
     _captured_power,
+    _exact_power,
     _grid_manifold,
+    _grid_power,
     _heights,
     _local_maxima,
+    _power_error_bound,
+    _screen_tolerance,
     _steering_rows,
 )
 
@@ -179,12 +184,12 @@ class TestMusicValue:
         expected = music_values(proj, positions).view(np.uint64)
         # a work buffer wider than the rows: only its first columns are written
         work = np.full((2 * num_sources, num_points + 37), np.nan)
-        heights = _heights(geom.num_elements, _captured_power(proj, rows, np.empty(num_points), work))
+        heights = _heights(geom.num_elements, _captured_power(proj.projection, rows, np.empty(num_points), work))
         np.testing.assert_array_equal(heights.view(np.uint64), expected)
         # heights written into a slice of a larger array
         larger = np.full(num_points + 10, -7.0)
         out = larger[4 : 4 + num_points]
-        assert _heights(geom.num_elements, _captured_power(proj, rows, out, work)) is out
+        assert _heights(geom.num_elements, _captured_power(proj.projection, rows, out, work)) is out
         np.testing.assert_array_equal(out.view(np.uint64), expected)
         assert np.all(larger[:4] == -7.0) and np.all(larger[4 + num_points :] == -7.0)
 
@@ -485,13 +490,18 @@ def assert_screen_matches_oracle(power, num_elements):
     return peaks
 
 
-# (num_elements, radius) of the power-screen comparison: two even circles and the odd array, no mirrored half
-SCREEN_ARRAYS = [(12, 1.0), (32, 1.0), (11, 0.6)]
+# (num_elements, radius) of the power-screen comparison, with its grid steps: two even circles, the odd array (no
+# mirrored half), and M = 128, the largest array of the benchmark and the complexity table, whose dot products have
+# 2k = 128 terms, on the two finest steps
+SCREEN_STEPS = (1.0, 2.0, 10.0, 90.0)
+SCREEN_ARRAYS = {(12, 1.0): SCREEN_STEPS, (32, 1.0): SCREEN_STEPS, (11, 0.6): SCREEN_STEPS, (128, 1.0): (1.0, 2.0)}
+SCREEN_CASES = [(m, r, step) for (m, r), steps in SCREEN_ARRAYS.items() for step in steps]
+# (num_elements, radius) of the float32 error-bound check: up to 10.19 wavelengths, where a phase runs to 2 pi * 10.19
+BOUND_ARRAYS = list(itertools.product((5, 11, 12, 32, 128), (1.0, 10.19)))
 
 
 class TestPowerScreen:
-    @pytest.mark.parametrize("step", [1.0, 2.0, 10.0, 90.0])
-    @pytest.mark.parametrize("num_elements, radius", SCREEN_ARRAYS, ids=[f"{m}-{r}" for m, r in SCREEN_ARRAYS])
+    @pytest.mark.parametrize("num_elements, radius, step", SCREEN_CASES, ids=[f"{m}-{r}-{s}" for m, r, s in SCREEN_CASES])
     def test_grid_maxima_equal_oracle_on_every_height(self, num_elements, radius, step):
         geom = ArrayGeometry.uca(num_elements, radius=radius)
         spec = GridSpec(azimuth_step=step, elevation_step=step)
@@ -567,6 +577,61 @@ class TestPowerScreen:
         assert 0 < sum(received) < 1000
         np.testing.assert_array_equal(maxima.positions, expected.positions)
         np.testing.assert_array_equal(maxima.fitness, expected.fitness)
+
+
+    @pytest.mark.parametrize("num_elements, radius", BOUND_ARRAYS, ids=[f"{m}-{r}" for m, r in BOUND_ARRAYS])
+    def test_float32_power_within_the_error_bound(self, num_elements, radius):
+        geom = ArrayGeometry.uca(num_elements, radius=radius)
+        rows, _, rows32 = _grid_manifold(geom, GridSpec())
+        source_counts = [count for count in (1, 3, 10) if count < num_elements]
+        for num_sources, snr_db in itertools.product(source_counts, (-np.inf, -10.0, 10.0, np.inf)):
+            index = np.arange(num_sources)
+            sources = SourceSet((23.7 + index * 360.0 / num_sources) % 360.0, 15.0 + (index * 37.0) % 70.0)
+            snapshots = synthesize_snapshots(geom, sources, snr_db, 100, rng_seed=num_elements + num_sources)
+            projection = noise_projector(subspace_split(sample_covariance(snapshots), num_sources), geom).projection
+            exact = _grid_power(projection, rows)
+            screen = _grid_power(projection.astype(np.float32), rows32)
+            assert screen.dtype == np.float32
+            bound = _power_error_bound(projection)
+            assert np.max(np.abs(screen - exact)) <= bound
+            # the screen's tolerance covers twice the bound and the threshold's float32 rounding
+            assert 2.0 * bound < _screen_tolerance(projection) <= 2.5 * bound * (1.0 + 2.0**-20)
+
+    def test_verdict_gathers_equal_the_passes(self):
+        # one column, two, a pass's tail and more: numpy sends a lone column through gemv, so it goes in twice
+        proj = noise_projector(random_split(12, seed=5), ArrayGeometry.uca(12))
+        rows = _grid_manifold(proj.geometry, GridSpec())[0]
+        passes = _grid_power(proj.projection, rows)
+        rng = np.random.default_rng(5)
+        for count in (1, 2, 3, 17, 126, 1000):
+            cells = np.sort(rng.choice(len(passes) - GridSpec().num_elevation, count, replace=False))
+            exact = _exact_power(proj.projection, rows, cells)
+            np.testing.assert_array_equal(exact.view(np.uint64), passes[cells].view(np.uint64))
+
+    @pytest.mark.parametrize("num_elements", [5, 12])
+    def test_flat_spectrum_verdict_reads_each_cell_once_below_a_float64_pass(self, num_elements, monkeypatch):
+        # the zero-column projector's powers are all 0: every cell is a candidate, and none is a peak
+        geom = ArrayGeometry.uca(num_elements)
+        proj = NoiseProjector(np.zeros((num_elements, 0)), geom)
+        rows = _grid_manifold(geom, GridSpec())[0]
+        gathered, exact_power = [], music._exact_power
+
+        def recording_power(projection, rows, cells):
+            gathered.append(cells)
+            return exact_power(projection, rows, cells)
+
+        monkeypatch.setattr(music, "_exact_power", recording_power)
+        tracemalloc.start()
+        try:
+            maxima = grid_maxima(proj, GridSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(maxima) == 0
+        # each cell of the grid but the 360-degree column once: at most one float64 pass
+        np.testing.assert_array_equal(np.sort(np.concatenate(gathered)), np.arange(360 * 91))
+        # one float64 pass reads the 2k x J float64 rows; the verdict gathers a pass's width at a time
+        assert peak < rows.nbytes
 
 
 class TestGridSearch:
@@ -716,7 +781,7 @@ class TestGridManifold:
         evaluate_grid(noiseless_projector, GridSpec())
         hits = _grid_manifold.cache_info().hits
         # an equal geometry built apart finds the same entry
-        manifold, positions = _grid_manifold(ArrayGeometry.uca(12), GridSpec())
+        manifold, positions, _ = _grid_manifold(ArrayGeometry.uca(12), GridSpec())
         for held in (manifold, positions):
             with pytest.raises(ValueError):
                 held[0] = 0.0
