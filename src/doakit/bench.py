@@ -60,9 +60,17 @@ def _population_search(config, proj, trial_index):
     return population, objective.count
 
 
-# Every search a scenario can name, the grid first: (search, closed-form FlopModel -> FLOPs). A search maps
-# (config, proj, trial_index) to (candidates, spectrum evaluations), the candidates a Population.
-SEARCHES = {"grid": (_grid_search, flops_music)} | {name: (_population_search, flops_population) for name in ALGORITHMS}
+@dataclass(frozen=True, slots=True)
+class Search:
+    """One entry of SEARCHES: how a search runs, how it is priced, and whether an extraction reads its candidates."""
+    run: object  # (config, proj, trial_index) -> (candidates, spectrum evaluations), the candidates a Population
+    flops: object  # the closed-form FlopModel -> FLOPs of one trial
+    population: bool  # the candidates go through the scenario's extraction, else each is a peak of its own
+
+
+# Every search a scenario can name, the grid first: a new search is one entry, and no code branches on its name.
+SEARCHES = {"grid": Search(_grid_search, flops_music, population=False)}
+SEARCHES |= {name: Search(_population_search, flops_population, population=True) for name in ALGORITHMS}
 
 ERROR_COLUMNS = ("algo", "extraction", "snr_db", "trial", "source", "theta_error_deg", "phi_error_deg")
 
@@ -122,9 +130,9 @@ class ScenarioConfig:
         if self.optimizer.rng_seed != DEConfig.rng_seed:
             raise ConfigError("optimizer.rng_seed cannot be set: every trial derives it from master_seed")
         if self.algorithm not in SEARCHES:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
+            raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {tuple(SEARCHES)}")
         if self.extraction not in EXTRACTIONS:
-            raise ConfigError(f"unknown extraction {self.extraction!r}")
+            raise ConfigError(f"unknown extraction {self.extraction!r}, expected one of {tuple(EXTRACTIONS)}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
         if self.master_seed < 0:
@@ -176,7 +184,7 @@ class ScenarioConfig:
 
     def model_flops(self) -> float:
         """Closed-form cost of one trial's search, by its SEARCHES entry."""
-        return SEARCHES[self.algorithm][1](self.flop_model())
+        return SEARCHES[self.algorithm].flops(self.flop_model())
 
     @classmethod
     def from_dict(cls, mapping: dict) -> "ScenarioConfig":
@@ -369,9 +377,9 @@ def _projector(config: ScenarioConfig, trial_index: int, geom: ArrayGeometry, so
 
 
 def _estimate(config: ScenarioConfig, candidates, method: str, trial_index: int) -> ExtractionResult:
-    """A search's candidates to estimates: a population optimizer's final population through the extraction
-    ``method``; the grid's maxima, as any other search's candidates, each a peak of its own, the top L by fitness."""
-    if config.algorithm in ALGORITHMS:
+    """A search's candidates to estimates: a population search's candidates through the extraction ``method``; any
+    other search's, such as the grid's maxima, each a peak of its own, the top L by fitness."""
+    if SEARCHES[config.algorithm].population:
         return EXTRACTIONS[method](config, candidates, trial_index)
     return _fittest_per_label(candidates, None, len(config.source_azimuth_deg))
 
@@ -382,7 +390,7 @@ def _trial_reports(config: ScenarioConfig, trial_index: int, extractions) -> lis
     geom, sources, flops = _fixtures(config)
     proj = _projector(config, trial_index, geom, sources)
     started = time.perf_counter()
-    candidates, evals = SEARCHES[config.algorithm][0](config, proj, trial_index)
+    candidates, evals = SEARCHES[config.algorithm].run(config, proj, trial_index)
     search_ms = (time.perf_counter() - started) * 1e3
     reports = []
     for method in extractions:
@@ -453,8 +461,8 @@ def _mean(samples: list[float]) -> float:
 
 
 def _extraction_column(config: ScenarioConfig) -> str:
-    """The extraction a scenario's rows name: none for the grid, whose own peak search replaces it."""
-    return config.extraction if config.algorithm in ALGORITHMS else ""
+    """The extraction a scenario's rows name: none for a search that takes none, such as the grid."""
+    return config.extraction if SEARCHES[config.algorithm].population else ""
 
 
 def aggregate(config: ScenarioConfig, reports: list[TrialReport]) -> AggregateReport:
@@ -491,7 +499,7 @@ def run_sweep(config: ScenarioConfig, values, workers: int = 1, field: str = "sn
     in order: one aggregate per value, plus {value: per-trial reports} for CDF export. Every scenario is built, and
     every refusal raised, before any trial runs. SNR values become floats. All trials share one worker pool."""
     name = field.removeprefix("optimizer.")
-    if name != field and config.algorithm not in ALGORITHMS:
+    if name != field and not SEARCHES[config.algorithm].population:
         raise ConfigError(f"{field} needs a population algorithm, not {config.algorithm!r}")
     values = [float(value) for value in values] if field == "snr_db" else list(values)
     scenarios = []
@@ -511,8 +519,8 @@ def run_sweep(config: ScenarioConfig, values, workers: int = 1, field: str = "sn
 def run_extraction_comparison(config: ScenarioConfig, workers: int = 1) -> dict[str, list[TrialReport]]:
     """Score every extraction of EXTRACTIONS, in registry order, on identical
     final populations: the optimizer runs once per trial and every method
-    consumes that population."""
-    if config.algorithm not in ALGORITHMS:
+    consumes that population. A search that takes no extraction is refused."""
+    if not SEARCHES[config.algorithm].population:
         raise ConfigError("extraction comparison needs a population algorithm")
     methods = tuple(EXTRACTIONS)  # the names, which pickle for worker processes; the lambdas do not
     trial_fn = partial(_trial_reports, extractions=methods)

@@ -47,7 +47,7 @@ from doakit import (
     steering_matrix,
 )
 from doakit import bench, extract, music, optimizer, signal_model
-from doakit.bench import EXTRACTIONS, SEARCHES, _assignment, _fixtures, write_errors_csv, write_summary_csv
+from doakit.bench import EXTRACTIONS, SEARCHES, Search, _assignment, _fixtures, write_errors_csv, write_summary_csv
 from doakit.cli import build_parser, main as cli_main
 
 from conftest import TRUE_AZIMUTH_DEG, TRUE_ELEVATION_DEG
@@ -471,19 +471,19 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("algorithm,snr_db", sorted(LABEL_DIGESTS))
     def test_seeded_labels_and_shortfalls_match_recorded_digest(self, algorithm, snr_db):
         config = ScenarioConfig(algorithm=algorithm, snr_db=snr_db, trials=4, optimizer=FAST_DE, master_seed=13)
-        by_method = run_extraction_comparison(config) if algorithm in ALGORITHMS else {"": run_trials(config)}
+        by_method = run_extraction_comparison(config) if SEARCHES[algorithm].population else {"": run_trials(config)}
         assert label_digest(by_method) == LABEL_DIGESTS[(algorithm, snr_db)]
 
 
 class TestSearchTable:
     def test_registered_search_runs_through_trials_aggregate_and_cli(self, tmp_path, monkeypatch):
         # one SEARCHES entry is a whole search: here its candidates are the true sources, found with no spectrum
-        # evaluation, and as the candidates of a search that is no population optimizer each is a peak of its own
+        # evaluation, and as the candidates of a search whose record says no population each is a peak of its own
         def truth_search(config, proj, trial_index):
             positions = np.column_stack((config.source_azimuth_deg, config.source_elevation_deg))
             return Population(positions, np.ones(len(positions))), 0
 
-        monkeypatch.setitem(SEARCHES, "truth", (truth_search, lambda model: 2.5e6))
+        monkeypatch.setitem(SEARCHES, "truth", Search(truth_search, lambda model: 2.5e6, population=False))
         config = ScenarioConfig(algorithm="truth", snr_db=0.0, trials=3)
         reports = run_trials(config)
         assert [report.trial for report in reports] == [0, 1, 2]
@@ -504,6 +504,35 @@ class TestSearchTable:
             errors = list(csv.DictReader(handle))
         assert len(errors) == 6
         assert {(r["algo"], r["theta_error_deg"], r["phi_error_deg"]) for r in errors} == {("truth", "0.0", "0.0")}
+
+    def test_population_flag_not_the_name_decides_the_extraction(self, monkeypatch):
+        # a search outside ALGORITHMS whose record says population: its candidates, a seeded cloud of 40 points
+        # around each true source found with no spectrum evaluation, go through the extraction as an optimizer's do
+        def cloud_search(config, proj, trial_index):
+            rng = np.random.default_rng(derive_seed(config.master_seed, trial_index, 1))
+            offsets = rng.normal(scale=0.3, size=(len(config.source_azimuth_deg), 40, 2)).reshape(-1, 2)
+            truth = np.column_stack((config.source_azimuth_deg, config.source_elevation_deg)).repeat(40, axis=0)
+            return Population(truth + offsets, -np.hypot(offsets[:, 0], offsets[:, 1])), 0
+
+        monkeypatch.setitem(SEARCHES, "cloud", Search(cloud_search, lambda model: 1e6, population=True))
+        assert "cloud" not in ALGORITHMS
+        config = ScenarioConfig(algorithm="cloud", snr_db=10.0, trials=2)
+        candidates, evals = SEARCHES["cloud"].run(config, None, 0)
+        found = bench._estimate(config, candidates, "dbscan", 0)
+        expected = extract_dbscan(candidates, 3, config.dbscan_eps_deg, config.dbscan_min_pts)
+        assert found.labels is not None and set(found.labels.tolist()) == {0, 1, 2}
+        np.testing.assert_array_equal(found.labels, expected.labels)
+        report = run_trial(config, 0)
+        assert report.estimates == found.estimates == expected.estimates and evals == report.measured_evals == 0
+        assert sorted(e.cluster_id for e in report.estimates) == [0, 1, 2] and report.success
+        assert aggregate(config, [report]).extraction == "dbscan"
+        by_method = run_extraction_comparison(config)
+        assert tuple(by_method) == tuple(EXTRACTIONS)
+        assert all([r.trial for r in reports] == [0, 1] for reports in by_method.values())
+        assert by_method["dbscan"][0].estimates == report.estimates
+        refuse_trials(monkeypatch)
+        with pytest.raises(AssertionError, match="a trial ran"):
+            run_sweep(config, [64], field="optimizer.population_size")
 
     @pytest.mark.parametrize("num_elements", [12, 32])
     def test_grid_maxima_through_the_estimate_step_give_grid_search(self, num_elements):
@@ -528,7 +557,7 @@ class TestSearchTable:
             geom, sources, _ = _fixtures(config)
             for trial in range(2):
                 proj = bench._projector(config, trial, geom, sources)
-                candidates, evals = SEARCHES["grid"][0](config, proj, trial)
+                candidates, evals = SEARCHES["grid"].run(config, proj, trial)
                 found = bench._estimate(config, candidates, config.extraction, trial)
                 expected = music.grid_search(proj, config.grid_spec(), num_sources)
                 assert [e.azimuth_deg for e in found.estimates] == expected.azimuth_deg.tolist()
@@ -839,9 +868,11 @@ class TestScenarioConfig:
 
     @pytest.mark.parametrize("name", SEARCHES)
     def test_population_search_is_membership_in_algorithms(self, name, monkeypatch):
-        # only the searches of ALGORITHMS hand a population to an extraction: every other search is refused by the
-        # population-only runs, names no extraction in its aggregate and gives the same trial under every method
-        population = name in ALGORITHMS
+        # only the searches of ALGORITHMS hand a population to an extraction, as their records say: every other search
+        # is refused by the population-only runs, names no extraction in its aggregate and gives the same trial under
+        # every method
+        assert {n for n, s in SEARCHES.items() if s.population} == set(ALGORITHMS)
+        population = SEARCHES[name].population
         config = ScenarioConfig(algorithm=name, snr_db=10.0, trials=1, optimizer=FAST_DE)
         reports = {method: run_trial(replace(config, extraction=method), 0) for method in EXTRACTIONS}
         refuse_trials(monkeypatch)
@@ -1283,6 +1314,16 @@ class TestCli:
         assert code == 2
         assert "config error: optimizer.population_size values must be distinct" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("name", ["algorithm", "extraction"])
+    def test_unknown_name_in_config_file_lists_the_choices(self, name, tmp_path, capsys, monkeypatch):
+        # as --algo and --extract do through argparse, a config file's unknown name is refused with the choices
+        refuse_trials(monkeypatch)
+        path = tmp_path / "zoom.json"
+        path.write_text(json.dumps({name: "zoom"}), encoding="utf-8")
+        assert cli_main(["run", "--trials", "1", "--config", str(path), "--out", str(tmp_path)]) == 2
+        choices = tuple({"algorithm": SEARCHES, "extraction": EXTRACTIONS}[name])
+        assert f"config error: unknown {name} 'zoom', expected one of {choices}" in capsys.readouterr().err
 
     def test_malformed_json_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
